@@ -82,15 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (<=1 runs serially in-process)")
     p.add_argument("--backend", default="process",
-                   choices=["serial", "process", "shmem", "batched"],
-                   help="executor backend: serial (in-process), process "
-                   "(per-job pickling pool), shmem (traces travel as "
-                   "shared-memory segments), batched (one worker simulates "
-                   "a block of homes per vectorized pass); all four are "
-                   "bit-identical")
-    p.add_argument("--chunksize", type=int, default=1,
-                   help="kept for compatibility; the supervised engine "
-                   "dispatches per-home so each home fails independently")
+                   choices=["serial", "process"],
+                   help="executor backend: serial (in-process) or process "
+                   "(one pool job per home); both are bit-identical")
     p.add_argument("--mix", default="random",
                    help="comma-separated preset names cycled over the fleet "
                    f"(from: {', '.join(preset_names())})")
@@ -151,9 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes per cell (<=1 runs serially)")
     p.add_argument("--backend", default="process",
-                   choices=["serial", "process", "shmem", "batched"],
+                   choices=["serial", "process"],
                    help="executor backend for every cell's fleet run "
-                   "(see 'fleet --help'; a grid file's backend key wins)")
+                   "(see 'fleet --help')")
     p.add_argument("--cache-dir", default=None,
                    help="fleet result cache shared across cells, shards, and "
                    "re-runs; a killed sweep resumes from what finished")
@@ -206,10 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (<=1 runs serially)")
     p.add_argument("--backend", default="process",
-                   choices=["serial", "process", "shmem"],
-                   help="executor backend (netpriv jobs carry no trace "
-                   "payload, so shmem behaves like process; batched only "
-                   "applies to energy fleets)")
+                   choices=["serial", "process"],
+                   help="executor backend (see 'fleet --help')")
     p.add_argument("--max-retries", type=int, default=2)
     p.add_argument("--job-timeout", type=float, default=None,
                    help="per-LAN wall-clock timeout (needs --workers > 1)")
@@ -444,7 +436,6 @@ def cmd_fleet(args) -> int:
     result = run_fleet(
         spec,
         workers=args.workers,
-        chunksize=args.chunksize,
         cache_dir=args.cache_dir,
         max_retries=args.max_retries,
         job_timeout=args.job_timeout,
@@ -542,7 +533,6 @@ def cmd_sweep(args) -> int:
                 mix=tuple(
                     name.strip() for name in args.mix.split(",") if name.strip()
                 ),
-                backend=args.backend,
             )
         else:
             raise SweepError("need --grid FILE or --defenses (see 'info' for names)")

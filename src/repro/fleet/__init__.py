@@ -10,14 +10,12 @@ turns the single-home pipeline into a population instrument:
   process pool: per-home failure isolation, bounded retries with
   backoff, per-job wall-clock timeouts, pool rebuild after worker
   crashes, streaming writes to an on-disk result cache, and a serial
-  fallback for pool-less platforms;
+  fallback for pool-less platforms; two executor backends
+  (``--backend serial|process``, :data:`BACKENDS`), pinned
+  bit-identical to each other by the golden tests;
 - :class:`FleetReport` — per-defense population distributions
   (mean/median/p10/p90 of worst-case MCC, utility, energy cost) plus
   the sweep's :class:`HomeFailure` records;
-- :mod:`repro.fleet.backends` — pluggable executor backends
-  (``--backend serial|process|shmem|batched``): shared-memory trace
-  passing and across-home batched simulation, every backend pinned
-  bit-identical to the others by the backend-parity test matrix;
 - :mod:`repro.fleet.faults` — deterministic fault injection (worker
   errors, crashes, hangs) so the recovery paths above are *tested*, not
   trusted;
@@ -47,24 +45,10 @@ from .artifacts import (
     artifact_from_stream,
     load_artifact,
 )
-from .backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    HomeBlockJob,
-    HomeBlockResult,
-    InlinePayload,
-    ShmemPayload,
-    materialize_trace,
-    new_run_prefix,
-    pack_trace,
-    partition_blocks,
-    resolve_backend,
-    run_home_block,
-    segment_name,
-    sweep_segments,
-)
 from .cache import CACHE_FORMAT_VERSION, CacheStats, ResultCache, job_cache_key
 from .engine import (
+    BACKENDS,
+    DEFAULT_BACKEND,
     FLEET_DETECTORS,
     FleetResult,
     FleetRunner,
@@ -76,6 +60,7 @@ from .engine import (
     result_digest,
     run_fleet,
     run_home_job,
+    resolve_backend,
     run_stream_job,
     trace_digest,
 )
@@ -116,30 +101,18 @@ from .sweep import (
 
 __all__ = [
     "Artifact",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "HomeBlockJob",
-    "HomeBlockResult",
-    "InlinePayload",
-    "ShmemPayload",
-    "materialize_trace",
-    "new_run_prefix",
-    "pack_trace",
-    "partition_blocks",
-    "resolve_backend",
-    "run_home_block",
-    "segment_name",
-    "sweep_segments",
     "ArtifactError",
     "ArtifactRow",
     "artifact_from_frontier",
     "artifact_from_netpriv",
     "artifact_from_stream",
     "load_artifact",
+    "BACKENDS",
     "BASELINE",
     "CACHE_FORMAT_VERSION",
     "CacheStats",
     "CellResult",
+    "DEFAULT_BACKEND",
     "DEFAULT_FLEET_DETECTORS",
     "DefenseDistribution",
     "FAULTS_ENV",
@@ -179,6 +152,7 @@ __all__ = [
     "job_cache_key",
     "load_grid",
     "parse_shard",
+    "resolve_backend",
     "result_digest",
     "run_fleet",
     "run_home_job",

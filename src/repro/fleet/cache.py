@@ -39,7 +39,8 @@ from .spec import HomeJob
 #: bytes are identical whether or not telemetry was collected).
 #: v4: HomeResult grew metered/payload trace-channel fields (both always
 #: stored as None so cache bytes are identical under every backend).
-CACHE_FORMAT_VERSION = 4
+#: v5: HomeResult lost the metered/payload fields (always None in v4).
+CACHE_FORMAT_VERSION = 5
 
 
 def _seed_state(seq: np.random.SeedSequence) -> list:

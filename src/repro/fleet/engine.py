@@ -56,20 +56,6 @@ from ..obs import (
     maybe_profile,
 )
 from ..timeseries import PowerTrace
-from .backends import (
-    DEFAULT_BACKEND,
-    HomeBlockJob,
-    InlinePayload,
-    ShmemPayload,
-    materialize_trace,
-    new_run_prefix,
-    pack_trace,
-    partition_blocks,
-    resolve_backend,
-    run_home_block,
-    segment_name,
-    sweep_segments,
-)
 from .cache import CacheStats, ResultCache, job_cache_key
 from .faults import FAULTS_ENV, FaultPlan, maybe_inject
 from .spec import FleetSpec, HomeJob
@@ -82,6 +68,21 @@ FLEET_DETECTORS = {
     "threshold-60m": lambda: ThresholdNIOM(window_s=3600.0, night_prior=True),
     "hmm": lambda: HMMNIOM(rng=0),
 }
+
+#: the executor-backend axis, in CLI order: ``serial`` runs every job in
+#: this process; ``process`` submits one job per home to a
+#: ``ProcessPoolExecutor`` (when ``workers > 1``)
+BACKENDS = ("serial", "process")
+DEFAULT_BACKEND = "process"
+
+
+def resolve_backend(name: str) -> str:
+    """Validate and normalize a backend name."""
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {name!r}; available: {list(BACKENDS)}"
+        )
+    return name
 
 
 def trace_digest(trace: PowerTrace) -> str:
@@ -144,14 +145,6 @@ class HomeResult:
     It is ``None`` when telemetry is disabled, and always stripped before
     the result enters the cache (a cache entry's bytes must not depend on
     whether the run that produced it was being observed).
-
-    ``metered`` / ``payload`` are the executor-backend trace channel
-    (:mod:`repro.fleet.backends`): when the runner asks for traces, the
-    metered :class:`~repro.timeseries.PowerTrace` arrives either attached
-    directly (serial/batched), as pickled bytes (``inline``), or as a
-    shared-memory descriptor (``shmem``) that the supervisor materializes
-    and unlinks.  Both are stripped — like ``telemetry`` — before the
-    result enters the cache, so entry bytes are backend-invariant.
     """
 
     index: int
@@ -165,8 +158,6 @@ class HomeResult:
     defenses: dict[str, TradeoffPoint]
     from_cache: bool = False
     telemetry: TelemetrySnapshot | None = None
-    metered: PowerTrace | None = None
-    payload: InlinePayload | ShmemPayload | None = None
 
 
 @dataclass(frozen=True)
@@ -221,20 +212,6 @@ def run_home_job(job: HomeJob) -> HomeResult:
                 np.random.default_rng(job.defense_seed),
                 detectors,
             )
-            # ship the metered trace over whatever channel the backend
-            # chose; "none" ships scalars only (the historical behavior)
-            metered = sim.metered if job.payload == "direct" else None
-            payload = None
-            if job.payload == "inline":
-                payload = pack_trace(sim.metered, "inline")
-            elif job.payload == "shmem":
-                payload = pack_trace(
-                    sim.metered,
-                    "shmem",
-                    name=segment_name(
-                        job.payload_prefix, job.index, job.attempt
-                    ),
-                )
     snapshot = None
     if before is not None:
         # ship the job's delta; restore the ambient registry so the
@@ -253,8 +230,6 @@ def run_home_job(job: HomeJob) -> HomeResult:
         baseline=pipeline.baseline,
         defenses=pipeline.defenses,
         telemetry=snapshot,
-        metered=metered,
-        payload=payload,
     )
 
 
@@ -500,10 +475,6 @@ class FleetRunner:
         Process count; ``<= 1`` runs in-process serially (no pool, no
         pickling, and — since the job shares our process — no crash or
         hang protection, only retries).
-    chunksize:
-        Accepted for API compatibility with the chunked dispatcher this
-        engine replaced.  Supervised dispatch submits per-job so each
-        home fails independently; batching jobs would couple their fates.
     cache_dir:
         Directory for the content-addressed result cache; ``None``
         disables caching.  Results stream into the cache as they
@@ -542,25 +513,11 @@ class FleetRunner:
         ``home-<index>-a<attempt>.pstats`` per executed job, written by
         whichever process ran it); ``None`` disables profiling.
     backend:
-        Executor backend (:data:`repro.fleet.backends.BACKENDS`):
-        ``serial`` forces the in-process loop regardless of ``workers``;
-        ``process`` is the classic per-job pickling pool; ``shmem``
-        ships each home's metered trace back through a named
-        shared-memory segment instead of the result pickle; ``batched``
-        dispatches blocks of homes that one worker simulates in a
-        single vectorized pass.  Every backend produces bit-identical
-        results — the backend-parity test matrix pins that claim.  A
-        :class:`FleetSpec` carrying its own ``backend`` overrides this.
-    keep_traces:
-        Attach each home's metered :class:`~repro.timeseries.PowerTrace`
-        to its :class:`HomeResult` (``result.metered``).  Off by
-        default: the historical contract ships scalars only.  Under the
-        ``shmem`` backend the trace always travels (that is the point);
-        this flag only controls whether it is retained after the
-        supervisor verifies it against ``trace_digest``.
-    batch_size:
-        Homes per block under the ``batched`` backend; ``None`` picks
-        ``min(64, ceil(n_jobs / workers))`` so every worker gets work.
+        Executor backend (:data:`BACKENDS`): ``serial`` forces the
+        in-process loop regardless of ``workers``; ``process`` submits
+        one pickled job per home to a worker pool.  Both produce
+        bit-identical results and cache entries — the golden tests pin
+        that claim.
     """
 
     #: supervisor wake-up period: bounds timeout/backoff enforcement lag
@@ -571,7 +528,6 @@ class FleetRunner:
     def __init__(
         self,
         workers: int = 1,
-        chunksize: int = 1,
         cache_dir: str | Path | None = None,
         *,
         max_retries: int = 2,
@@ -583,24 +539,15 @@ class FleetRunner:
         telemetry: bool = False,
         profile_dir: str | Path | None = None,
         backend: str = DEFAULT_BACKEND,
-        keep_traces: bool = False,
-        batch_size: int | None = None,
     ) -> None:
-        if chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError("job_timeout must be positive (or None)")
         if retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1 (or None)")
         self.backend = resolve_backend(backend)
-        self.keep_traces = bool(keep_traces)
-        self.batch_size = batch_size
         self.workers = max(1, int(workers))
-        self.chunksize = int(chunksize)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.max_retries = int(max_retries)
         self.job_timeout = job_timeout
@@ -620,9 +567,8 @@ class FleetRunner:
                 f"unknown detectors: {sorted(unknown)}; "
                 f"available: {sorted(FLEET_DETECTORS)}"
             )
-        backend = resolve_backend(spec.backend or self.backend)
         with self._telemetry_scope() as baseline:
-            TELEMETRY.count(f"fleet.backend.{backend}")
+            TELEMETRY.count(f"fleet.backend.{self.backend}")
             jobs = spec.jobs()
             results: dict[int, HomeResult] = {}
             pending: list[HomeJob] = []
@@ -640,81 +586,26 @@ class FleetRunner:
                 else:
                     pending.append(job)
 
-            # pick the trace channel.  shmem always physically ships the
-            # trace (that is the backend's job — the supervisor verifies
-            # it against trace_digest, then drops it unless keep_traces);
-            # other backends only move it when the caller wants it kept.
-            if backend == "shmem":
-                channel = "shmem"
-            elif self.keep_traces:
-                channel = "inline" if backend == "process" else "direct"
-            else:
-                channel = "none"
-            prefix = new_run_prefix() if backend == "shmem" else ""
-            if channel != "none":
-                pending = [
-                    replace(job, payload=channel, payload_prefix=prefix)
-                    for job in pending
-                ]
-
             def store(result: HomeResult) -> None:
                 # streaming sink: cache immediately so a killed run resumes
-                result = self._receive(result)
                 results[result.index] = result
                 if self.cache is not None:
-                    # strip telemetry and the trace channel so entry bytes
-                    # depend on neither observation nor backend
+                    # strip telemetry so entry bytes never depend on
+                    # whether the run was being observed
                     self.cache.put(
-                        keys[result.index],
-                        replace(
-                            result, telemetry=None, metered=None, payload=None
-                        ),
+                        keys[result.index], replace(result, telemetry=None)
                     )
 
             failures: list[HomeFailure] = []
             workers_used = 1
             rebuilds = 0
-            block_snaps: list[TelemetrySnapshot] = []
-            try:
-                if pending and backend == "batched":
-                    blocks = partition_blocks(
-                        pending, self._block_size(len(pending))
-                    )
-
-                    def store_block(block_result) -> None:
-                        if block_result.telemetry is not None:
-                            block_snaps.append(block_result.telemetry)
-                        for result in block_result.results:
-                            store(result)
-
-                    failures, workers_used, rebuilds = self._execute(
-                        blocks,
-                        store_block,
-                        work=run_home_block,
-                        backend=backend,
-                    )
-                    failures = _expand_block_failures(failures, blocks)
-                elif pending:
-                    failures, workers_used, rebuilds = self._execute(
-                        pending, store, backend=backend
-                    )
-            finally:
-                if backend == "shmem" and pending:
-                    # teardown sweep: segment names are deterministic, so
-                    # every segment a crashed/hung/killed attempt might
-                    # have left behind can be reclaimed by construction
-                    leaked = sweep_segments(
-                        prefix,
-                        [job.index for job in pending],
-                        self.max_retries,
-                    )
-                    if leaked:
-                        TELEMETRY.count("shmem.leaked_segments", leaked)
+            if pending:
+                failures, workers_used, rebuilds = self._execute(pending, store)
 
             ordered = [
                 results[job.index] for job in jobs if job.index in results
             ]
-            telemetry = self._collect_telemetry(baseline, ordered, block_snaps)
+            telemetry = self._collect_telemetry(baseline, ordered)
         return FleetResult(
             spec=spec,
             homes=ordered,
@@ -761,13 +652,6 @@ class FleetRunner:
                 f"unknown stream attacks: {sorted(unknown)}; "
                 f"available: {stream_attack_names()}"
             )
-        backend = resolve_backend(spec.backend or self.backend)
-        if backend == "batched":
-            raise ValueError(
-                "the batched backend only applies to batch fleets "
-                "(FleetRunner.run); streamed sessions are stateful per "
-                "home and cannot be vectorized across homes"
-            )
         start = time.perf_counter()
         with self._telemetry_scope() as baseline:
             jobs = spec.jobs()
@@ -788,7 +672,7 @@ class FleetRunner:
             rebuilds = 0
             if jobs:
                 failures, workers_used, rebuilds = self._execute(
-                    jobs, store, work=work, backend=backend
+                    jobs, store, work=work
                 )
             for _ in failures:
                 TELEMETRY.count("fleet.stream_failure")
@@ -826,12 +710,6 @@ class FleetRunner:
         result cache.  ``on_result`` (optional) fires as each job
         completes — a progress hook, called in completion order.
         """
-        if self.backend == "batched":
-            raise ValueError(
-                "the batched backend only applies to batch fleets "
-                "(FleetRunner.run); generic jobs have no block work "
-                "function"
-            )
         start = time.perf_counter()
         with self._telemetry_scope() as baseline:
             results: dict[int, object] = {}
@@ -846,7 +724,7 @@ class FleetRunner:
             rebuilds = 0
             if jobs:
                 failures, workers_used, rebuilds = self._execute(
-                    jobs, store, work=work, backend=self.backend
+                    jobs, store, work=work
                 )
             ordered = [
                 results[job.index] for job in jobs if job.index in results
@@ -922,16 +800,12 @@ class FleetRunner:
         self,
         baseline: TelemetrySnapshot | None,
         homes: list[HomeResult],
-        extra: list[TelemetrySnapshot] | tuple = (),
     ) -> TelemetrySnapshot | None:
         """Supervisor delta + every executed job's snapshot, merged.
 
         Job deltas are disjoint from the supervisor's (``run_home_job``
         restores the ambient registry after capturing its delta), so the
         merge never double-counts regardless of serial/pool execution.
-        ``extra`` carries block-level snapshots from the batched backend
-        (dispatch overhead shared by a whole block lives on the block,
-        not on any one home).
         """
         if baseline is None:
             return None
@@ -940,61 +814,31 @@ class FleetRunner:
         for home in homes:
             if home.telemetry is not None:
                 merged = merged.merged(home.telemetry)
-        for snap in extra:
-            merged = merged.merged(snap)
         return merged
-
-    def _receive(self, result: HomeResult) -> HomeResult:
-        """Land one executed result: drain its trace channel.
-
-        An explicit payload (inline pickle or shmem descriptor) is
-        materialized — attaching, copying out, and unlinking the segment
-        in the shmem case — and integrity-checked against the result's
-        own ``trace_digest``.  The trace is then kept or dropped per
-        ``keep_traces``.  Runs in the supervisor process, so a segment is
-        unlinked the moment its home's result lands.
-        """
-        metered = result.metered
-        if result.payload is not None:
-            metered = materialize_trace(result.payload)
-            if trace_digest(metered) != result.trace_digest:
-                raise RuntimeError(
-                    f"home {result.index}: metered trace arriving over "
-                    "the payload channel does not match the result's "
-                    "trace_digest — shared-memory corruption?"
-                )
-        if not self.keep_traces:
-            metered = None
-        if metered is result.metered and result.payload is None:
-            return result
-        return replace(result, metered=metered, payload=None)
-
-    def _block_size(self, n_jobs: int) -> int:
-        """Homes per batched block: explicit, else spread over workers."""
-        if self.batch_size is not None:
-            return self.batch_size
-        return min(64, max(1, -(-n_jobs // max(self.workers, 1))))
 
     def _execute(
         self,
         jobs: list[HomeJob],
         on_result: Callable[[HomeResult], None],
         work: Callable[[HomeJob], object] = run_home_job,
-        backend: str | None = None,
     ) -> tuple[list[HomeFailure], int, int]:
         """Run jobs under supervision; returns (failures, workers, rebuilds).
 
         ``work`` is the picklable per-job function — :func:`run_home_job`
         for batch fleets, a :func:`run_stream_job` partial for streamed
-        ones, :func:`run_home_block` for batched blocks; the supervisor's
-        retry/timeout/rebuild machinery is identical either way.  The
-        ``serial`` backend forces the in-process loop regardless of
-        ``workers``.  Degrades to the serial loop when a pool cannot be
-        *started* (restricted sandboxes, missing semaphores); pool
-        failures mid-run are handled by the supervisor itself.
+        ones; the supervisor's retry/timeout/rebuild machinery is
+        identical either way.  The ``serial`` backend forces the
+        in-process loop regardless of ``workers``.  Degrades to the
+        serial loop when a pool cannot be *started* (restricted
+        sandboxes, missing semaphores); pool failures mid-run are
+        handled by the supervisor itself.
         """
         with self._env_exported():
-            if backend != "serial" and self.workers > 1 and len(jobs) > 1:
+            if (
+                self.backend != "serial"
+                and self.workers > 1
+                and len(jobs) > 1
+            ):
                 pool = self._new_pool()
                 if pool is not None:
                     failures, rebuilds = self._run_supervised(
@@ -1327,42 +1171,17 @@ class FleetRunner:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _expand_block_failures(
-    failures: list[HomeFailure], blocks: list[HomeBlockJob]
-) -> list[HomeFailure]:
-    """A permanently failed block failed every home in it: one row each.
-
-    The supervisor records failures against the block's identity (its
-    first member's index, a ``homes[i..j]`` preset span); the fleet-level
-    failure report promises per-home rows, so each block failure expands
-    into one :class:`HomeFailure` per member job.
-    """
-    by_index = {block.index: block for block in blocks}
-    expanded: list[HomeFailure] = []
-    for failure in failures:
-        block = by_index.get(failure.index)
-        if block is None:
-            expanded.append(failure)
-            continue
-        for job in block.jobs:
-            expanded.append(
-                replace(failure, index=job.index, preset=job.preset)
-            )
-    return expanded
-
-
 def run_fleet(
     spec: FleetSpec,
     workers: int = 1,
-    chunksize: int = 1,
     cache_dir: str | Path | None = None,
     **supervisor: object,
 ) -> FleetResult:
     """One-call convenience: ``FleetRunner(...).run(spec)``.
 
-    Keyword arguments beyond the first three (``max_retries``,
+    Keyword arguments beyond the first two (``max_retries``,
     ``job_timeout``, ``fail_fast``, ``retry_backoff_s``, ``faults``,
-    ``telemetry``, ``profile_dir``, ``backend``, ``keep_traces``,
-    ``batch_size``) are forwarded to :class:`FleetRunner`.
+    ``telemetry``, ``profile_dir``, ``backend``) are forwarded to
+    :class:`FleetRunner`.
     """
-    return FleetRunner(workers, chunksize, cache_dir, **supervisor).run(spec)
+    return FleetRunner(workers, cache_dir, **supervisor).run(spec)

@@ -33,7 +33,7 @@ from ..netpriv.devices import DeviceType
 from ..netpriv.lan import LanConfig
 from ..netpriv.shaping import NETPRIV_KNOB_DOMAIN
 from ..obs import TELEMETRY, TelemetrySnapshot
-from .engine import FleetRunner, HomeFailure
+from .engine import DEFAULT_BACKEND, FleetRunner, HomeFailure
 from .report import PopulationStats
 from .sweep import SweepError
 
@@ -497,17 +497,8 @@ class NetprivSweepRunner:
         job_timeout: float | None = None,
         fail_fast: bool = False,
         telemetry: bool = False,
-        backend: str | None = None,
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
-        # netpriv jobs return scalar tables, not traces, so there is no
-        # payload for shmem to carry — serial/process/shmem are accepted
-        # (and behave identically beyond serial's forced in-process loop)
-        # while batched has no block work function here and is refused.
-        if backend == "batched":
-            raise ValueError(
-                "the batched backend only applies to batch energy fleets; "
-                "netpriv sweeps accept serial/process/shmem"
-            )
         self.runner = FleetRunner(
             workers=workers,
             cache_dir=None,
@@ -515,7 +506,7 @@ class NetprivSweepRunner:
             job_timeout=job_timeout,
             fail_fast=fail_fast,
             telemetry=telemetry,
-            **({} if backend is None else {"backend": backend}),
+            backend=backend,
         )
 
     def run(

@@ -54,13 +54,6 @@ class HomeJob:
     cache key — a retried home is the same cell — and does not influence
     the simulation seeds, so retries reproduce results bit-identically.
     The fault-injection layer keys on it to model flaky-then-healthy jobs.
-
-    ``payload`` / ``payload_prefix`` are executor-backend plumbing
-    (:mod:`repro.fleet.backends`): which channel the worker should use to
-    ship the metered trace back (``none`` / ``direct`` / ``inline`` /
-    ``shmem``) and, for shared memory, the run's segment-name prefix.
-    Like ``attempt``, both are excluded from the cache key and can never
-    influence results — only how the result's bytes travel.
     """
 
     index: int
@@ -73,8 +66,6 @@ class HomeJob:
     defenses: tuple[str, ...]
     detectors: tuple[str, ...] = DEFAULT_FLEET_DETECTORS
     attempt: int = 0
-    payload: str = "none"
-    payload_prefix: str = ""
 
 
 @dataclass(frozen=True)
@@ -96,11 +87,6 @@ class FleetSpec:
         Registered defense names to sweep; ``None`` means all registered.
     detectors:
         NIOM detector names from the fleet detector table.
-    backend:
-        Executor-backend hint (:data:`repro.fleet.backends.BACKENDS`);
-        ``None`` defers to the runner's own backend.  Excluded from the
-        cache key — every backend produces bit-identical results, so a
-        cell computed under one backend is a valid hit under any other.
     """
 
     n_homes: int
@@ -109,7 +95,6 @@ class FleetSpec:
     mix: tuple[str, ...] = ("random",)
     defenses: tuple[str, ...] | None = None
     detectors: tuple[str, ...] = DEFAULT_FLEET_DETECTORS
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_homes < 1:
@@ -137,10 +122,6 @@ class FleetSpec:
                 f"unknown detectors: {sorted(unknown)}; "
                 f"available: {sorted(FLEET_DETECTORS)}"
             )
-        if self.backend is not None:
-            from .backends import resolve_backend
-
-            resolve_backend(self.backend)
 
     def resolved_defenses(self) -> tuple[str, ...]:
         if self.defenses is not None:

@@ -39,8 +39,7 @@ from typing import Sequence
 
 from ..core.knob import knob_defense_name, knob_mapping_names
 from ..obs import TelemetrySnapshot, merge_snapshots
-from .backends import DEFAULT_BACKEND
-from .engine import FleetResult, FleetRunner
+from .engine import DEFAULT_BACKEND, FleetResult, FleetRunner
 from .frontier import FrontierReport
 from .spec import DEFAULT_FLEET_DETECTORS, FleetSpec
 
@@ -85,9 +84,6 @@ class SweepGrid:
     seeds: tuple[int, ...] = (0,)
     mix: tuple[str, ...] = ("random",)
     detectors: tuple[str, ...] = DEFAULT_FLEET_DETECTORS
-    #: executor backend for every cell's fleet run (``None`` defers to
-    #: the runner); excluded from cache keys like FleetSpec.backend
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if not self.defenses:
@@ -141,7 +137,6 @@ class SweepGrid:
             mix=self.mix,
             defenses=(cell.knob_name,),
             detectors=self.detectors,
-            backend=self.backend,
         )
 
     def as_dict(self) -> dict:
@@ -153,13 +148,11 @@ class SweepGrid:
             "seeds": list(self.seeds),
             "mix": list(self.mix),
             "detectors": list(self.detectors),
-            "backend": self.backend,
         }
 
 
 _GRID_KEYS = {
     "defenses", "settings", "n_homes", "days", "seeds", "mix", "detectors",
-    "backend",
 }
 
 
@@ -207,8 +200,6 @@ def load_grid(path: str | Path) -> SweepGrid:
     for key, value in doc.items():
         if key in ("n_homes", "days"):
             kwargs[key] = int(value)
-        elif key == "backend":
-            kwargs[key] = str(value) if value is not None else None
         elif key == "settings":
             kwargs[key] = tuple(float(v) for v in value)
         elif key == "seeds":

@@ -22,13 +22,11 @@ from .appliances import (
     TimeOfDayAffinity,
     UsagePattern,
 )
-from .batch import observe_block, simulate_home_block
 from .fingerprint import config_fingerprint, fingerprint
 from .household import (
     WATER_HEATER_NAME,
     HomeConfig,
     HomeSimulation,
-    simulate_ground_truth,
     simulate_home,
 )
 from .meter import MeterConfig, NetMeter, SmartMeter
@@ -72,10 +70,7 @@ __all__ = [
     "WATER_HEATER_NAME",
     "HomeConfig",
     "HomeSimulation",
-    "observe_block",
-    "simulate_ground_truth",
     "simulate_home",
-    "simulate_home_block",
     "MeterConfig",
     "NetMeter",
     "SmartMeter",

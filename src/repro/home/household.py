@@ -104,19 +104,19 @@ class HomeSimulation:
         return self.occupancy.align_to(self.metered)
 
 
-def simulate_ground_truth(
-    config: HomeConfig, n_days: int, rng: np.random.Generator
-) -> tuple[BinaryTrace, dict[str, PowerTrace], np.ndarray | None, PowerTrace]:
-    """Everything upstream of the meter: occupancy, appliances, aggregate.
+def simulate_home(
+    config: HomeConfig,
+    n_days: int,
+    rng: np.random.Generator | int | None = None,
+) -> HomeSimulation:
+    """Run the household for ``n_days`` and meter it.
 
-    Returns ``(occupancy, appliance_traces, hot_water_draws, total)``.
-    This is the per-home half of the pipeline that must stay a sequential
-    single-``rng`` flow (every appliance draws from the same stream in
-    declaration order); :func:`simulate_home` follows it with the meter,
-    and :func:`repro.home.batch.simulate_home_block` follows it with the
-    across-home batched meter — both observe byte-identical totals because
-    they share this function.
+    All randomness flows through ``rng``; the same seed reproduces the same
+    home bit-for-bit.
     """
+    if n_days < 1:
+        raise ValueError("n_days must be >= 1")
+    rng = np.random.default_rng(rng)
     occupancy = simulate_occupancy(
         config.occupancy, n_days, config.base_period_s, rng
     )
@@ -135,23 +135,7 @@ def simulate_ground_truth(
     )
     for trace in traces.values():
         total = total + trace
-    return occupancy, traces, draws, total
 
-
-def simulate_home(
-    config: HomeConfig,
-    n_days: int,
-    rng: np.random.Generator | int | None = None,
-) -> HomeSimulation:
-    """Run the household for ``n_days`` and meter it.
-
-    All randomness flows through ``rng``; the same seed reproduces the same
-    home bit-for-bit.
-    """
-    if n_days < 1:
-        raise ValueError("n_days must be >= 1")
-    rng = np.random.default_rng(rng)
-    occupancy, traces, draws, total = simulate_ground_truth(config, n_days, rng)
     metered = SmartMeter(config.meter).observe(total, rng)
     return HomeSimulation(
         config=config,

@@ -22,25 +22,28 @@ Process boundary: enablement crosses into workers through the
 :data:`TELEMETRY_ENV` environment variable (inherited under both fork
 and spawn), exactly like the fault-injection layer's plan.
 
-Names are free-form, but the fleet's established vocabulary is:
+Names are free-form, but the established vocabulary is (the full
+reference, checked against the code by ``tools/lint_docstrings.py``, is
+section 2 of ``docs/PERFORMANCE.md``):
 
 * ``stage.*`` timers — ``stage.spec`` (job construction),
-  ``stage.job`` / ``stage.simulate`` (per home), ``stage.block``
-  (one batched dispatch), ``stage.stream.job``;
+  ``stage.job`` / ``stage.simulate`` (per home), ``stage.defend`` /
+  ``stage.attack`` (per defense and detector), ``stage.stream.job`` /
+  ``stage.stream.push`` / ``stage.stream.<attack>`` (streamed
+  sessions), ``stage.netpriv_job`` / ``stage.shape`` /
+  ``stage.fingerprint`` (netpriv arms-race cells);
 * ``cache.*`` — ``cache.read`` / ``cache.write`` timers plus
   hit/miss/store/corrupt/stale counters;
 * ``fleet.*`` — supervisor counters (``fleet.retry``,
   ``fleet.pool_rebuild``, ``fleet.attempt_failed.<kind>``,
   ``fleet.permanent_failure``, ``fleet.backoff_wait_s``,
-  ``fleet.jobs_built``) and ``fleet.backend.<name>`` marking which
-  executor backend ran the sweep;
-* ``payload.*`` — trace-channel cost (:mod:`repro.fleet.backends`):
-  ``payload.pack`` / ``payload.recv`` timers and ``payload.bytes``;
-* ``shmem.*`` — ``shmem.segments_created``, ``shmem.bytes_shared``,
-  and ``shmem.leaked_segments`` (teardown sweep reclaims — zero on a
-  clean run);
-* ``batch.*`` — ``batch.passes`` and ``batch.homes_per_pass`` for the
-  across-home batched backend.
+  ``fleet.jobs_built``, ``fleet.stream_failure``) and
+  ``fleet.backend.<name>`` marking which executor backend ran the sweep;
+* ``hmm.*`` / ``fhmm.*`` — model fits, EM iterations, E-step kernel
+  dispatch and joint-space sizes;
+* ``stream.*`` — samples pushed, guard scrubs and rejections,
+  quarantined attacks, and the ``stream.checkpoint_write`` timer;
+* ``netpriv.flows`` — flows simulated per arms-race cell.
 """
 
 from __future__ import annotations

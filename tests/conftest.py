@@ -1,11 +1,10 @@
 """Shared fleet fixtures: expensive reference runs computed once.
 
 Several modules need the same ground truth — a clean serial run of the
-standard 5-home determinism fleet (``test_fleet.py``,
-``test_fleet_backends.py``) and of the 4-home chaos fleet
-(``test_fleet_faults.py``).  Computing each once per *session* instead of
-once per module keeps the backend-parity matrix from inflating the
-tier-1 wall clock.
+standard 5-home determinism fleet (``test_fleet.py``) and of the 4-home
+chaos fleet (``test_fleet_faults.py``).  Computing each once per
+*session* instead of once per module keeps the reference runs from
+inflating the tier-1 wall clock.
 
 The spec constants live here, next to the fixtures that cache their
 results, so a module can never drift from the reference it compares

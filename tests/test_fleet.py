@@ -4,8 +4,8 @@ The load-bearing guarantees:
 
 * per-home seeding is a pure function of (fleet seed, home index), so any
   home is reproducible in isolation;
-* fleet results are bitwise-identical across worker counts and chunk
-  sizes (the determinism the cache and every future sharding PR rely on);
+* fleet results are bitwise-identical across worker counts and executor
+  backends (the determinism the cache and any future sharding rely on);
 * the on-disk cache round-trips results exactly and only recomputes
   changed cells.
 
@@ -20,10 +20,15 @@ import numpy as np
 import pytest
 
 from repro.fleet import (
+    BACKENDS,
+    DEFAULT_BACKEND,
     FleetReport,
     FleetRunner,
     FleetSpec,
+    NetprivSweepRunner,
+    SweepRunner,
     job_cache_key,
+    resolve_backend,
     run_fleet,
     run_home_job,
 )
@@ -84,11 +89,8 @@ class TestSeeding:
 
 class TestDeterminism:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("chunksize", [1, 3])
-    def test_bitwise_identical_across_workers_and_chunking(
-        self, serial_result, workers, chunksize
-    ):
-        result = run_fleet(SPEC, workers=workers, chunksize=chunksize)
+    def test_bitwise_identical_across_workers(self, serial_result, workers):
+        result = run_fleet(SPEC, workers=workers)
         # byte-identical per-home metered traces...
         assert [h.trace_digest for h in result.homes] == [
             h.trace_digest for h in serial_result.homes
@@ -124,12 +126,12 @@ class TestDeterminism:
         clone = pickle.loads(pickle.dumps(job))
         assert run_home_job(clone).trace_digest == serial_result.homes[0].trace_digest
 
-    @pytest.mark.parametrize("backend", ["serial", "shmem", "batched"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_bitwise_identical_across_backends(self, serial_result, backend):
         """The executor-backend parity pin for the determinism fleet.
 
-        Each backend runs with a pool *and* telemetry enabled, so one
-        assertion covers both backend-invariance and telemetry-
+        The backend runs with ``workers > 1`` *and* telemetry enabled, so
+        one assertion covers both backend-invariance and telemetry-
         invariance of every home digest and scored number.  (The
         ``process`` backend is the workers matrix above.)
         """
@@ -238,14 +240,40 @@ class TestReportAndRunner:
         assert {d["defense"] for d in doc["defenses"]} == set(report.distributions)
 
     def test_runner_validation(self):
-        with pytest.raises(ValueError):
-            FleetRunner(chunksize=0)
+        # the retired shmem/batched backends are refused like any typo
+        for name in ("shmem", "batched"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                FleetRunner(backend=name)
 
     def test_all_defenses_by_default(self):
         from repro.core import defense_names
 
         spec = FleetSpec(n_homes=1, days=1, seed=0)
         assert spec.resolved_defenses() == tuple(defense_names())
+
+
+class TestBackendAxis:
+    def test_axis_is_pinned(self):
+        assert BACKENDS == ("serial", "process")
+        assert DEFAULT_BACKEND == "process"
+
+    def test_resolve_accepts_every_backend(self):
+        for name in BACKENDS:
+            assert resolve_backend(name) == name
+
+    def test_resolve_rejects_unknown(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend("thread")
+
+    def test_runner_validates_backend(self):
+        # all three runners take the same backend= keyword and check it
+        # when they are built
+        for make in (FleetRunner, SweepRunner, NetprivSweepRunner):
+            for name in BACKENDS:
+                runner = make(backend=name)
+                assert getattr(runner, "runner", runner).backend == name
+            with pytest.raises(ValueError, match="unknown backend"):
+                make(backend="bogus")
 
 
 class TestCLIFleet:

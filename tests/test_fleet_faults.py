@@ -15,17 +15,13 @@ injection (:mod:`repro.fleet.faults`) rather than trusted on faith:
 * corrupt cache entries (torn bytes, wrong type, stale envelope) read as
   misses, never as results;
 * results stream into the cache as they complete, so a failed sweep
-  resumes from what finished;
-* every recovery path above holds unchanged on the shared-memory
-  backend, and no run — not even one whose workers were SIGKILLed —
-  leaves a shared-memory segment behind.
+  resumes from what finished.
 
 The CI chaos canary re-runs this file with 2 workers.
 """
 
 import json
 import os
-import pathlib
 import pickle
 
 import pytest
@@ -42,7 +38,6 @@ from repro.fleet import (
     job_cache_key,
     run_fleet,
 )
-from repro.fleet.engine import trace_digest
 from repro.fleet.faults import active_plan
 from tests.conftest import CHAOS_SPEC as SPEC
 
@@ -55,18 +50,6 @@ FAST = {"retry_backoff_s": 0.01}
 def clean_digests(chaos_clean_digests):
     """Ground truth: per-home digests from an uninjected serial run."""
     return chaos_clean_digests
-
-
-def shmem_orphans():
-    """Segments created by this supervisor still visible in /dev/shm.
-
-    The run prefix embeds the supervisor pid (``rf<pid:x>x...``), so this
-    only sees segments our own fleet runs created — parallel test
-    processes can't pollute the check.
-    """
-    return sorted(
-        p.name for p in pathlib.Path("/dev/shm").glob(f"rf{os.getpid():x}x*")
-    )
 
 
 def surviving_digests(result):
@@ -225,60 +208,6 @@ class TestTimeouts:
         assert not result.failures
         assert result.pool_rebuilds >= 1
         assert surviving_digests(result) == clean_digests
-
-
-class TestShmemChaos:
-    """PR-2 recovery semantics must survive the shared-memory backend.
-
-    Same fault plans as the process-backend classes above, but with
-    traces travelling through named shared-memory segments — plus the
-    backend-specific claim that *no segment outlives the run*, even when
-    the worker holding it was SIGKILLed mid-job.
-    """
-
-    def test_poison_pill_fails_alone_no_leak(self, clean_digests):
-        result = run_fleet(
-            SPEC, workers=POOL_WORKERS, backend="shmem", keep_traces=True,
-            faults=FaultPlan(kind="error", indices=(2,)), **FAST,
-        )
-        assert [f.index for f in result.failures] == [2]
-        assert result.failures[0].kind == "error"
-        assert result.failures[0].attempts == 3
-        assert surviving_digests(result) == {
-            i: d for i, d in clean_digests.items() if i != 2
-        }
-        # survivors really travelled via shmem and landed intact
-        assert all(
-            trace_digest(h.metered) == h.trace_digest for h in result.homes
-        )
-        assert shmem_orphans() == []
-
-    def test_crash_recovery_unchanged_no_leak(self, clean_digests):
-        result = run_fleet(
-            SPEC, workers=POOL_WORKERS, backend="shmem",
-            faults=FaultPlan(kind="crash", indices=(0,), max_attempt=0),
-            **FAST,
-        )
-        assert not result.failures
-        assert result.pool_rebuilds >= 1
-        assert surviving_digests(result) == clean_digests
-        # the SIGKILLed attempt may have created a segment it could never
-        # hand over; the supervisor's teardown sweep must have reaped it
-        assert shmem_orphans() == []
-
-    def test_hung_job_timeout_unchanged_no_leak(self, clean_digests):
-        result = run_fleet(
-            SPEC, workers=POOL_WORKERS, backend="shmem", job_timeout=2.0,
-            max_retries=1,
-            faults=FaultPlan(kind="hang", indices=(2,), hang_s=120.0),
-            **FAST,
-        )
-        assert [f.index for f in result.failures] == [2]
-        assert result.failures[0].kind == "timeout"
-        assert surviving_digests(result) == {
-            i: d for i, d in clean_digests.items() if i != 2
-        }
-        assert shmem_orphans() == []
 
 
 class TestCacheRobustness:

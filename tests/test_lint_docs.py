@@ -1,0 +1,71 @@
+"""The docs-consistency lint's two-way telemetry check.
+
+``tools/lint_docstrings.py`` is a standalone script (CI runs it without
+installing the package), so it is loaded from its path here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location(
+    "lint_docstrings", ROOT / "tools" / "lint_docstrings.py"
+)
+lint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(lint)
+
+DOC = """\
+## 1. Elsewhere
+
+| `not.in.section` | ignored | rows outside section 2 |
+
+## 2. Telemetry reference
+
+| Timer | Emitted by | Meaning |
+| --- | --- | --- |
+| `stage.job` | engine | one job |
+| `stage.stream.<attack>` | session | one attack's push |
+| `payload.pack` | backends | a stale row |
+
+| Counter | Emitted by | Meaning |
+| --- | --- | --- |
+| `cache.hit` / `cache.miss` | cache | two names, one row |
+
+## 3. Next section
+"""
+
+SOURCE = """\
+from repro.obs import TELEMETRY
+
+def work(name):
+    with TELEMETRY.timer("stage.job"):
+        with TELEMETRY.timer(f"stage.stream.{name}"):
+            pass
+    TELEMETRY.count("cache.hit")
+    TELEMETRY.count("cache.miss")
+    TELEMETRY.count("netpriv.undocumented", 2)
+"""
+
+
+def test_stale_row_and_undocumented_name_are_both_reported(tmp_path):
+    src = tmp_path / "repro"
+    src.mkdir()
+    (src / "work.py").write_text(SOURCE)
+    emitted = lint.emitted_telemetry(src)
+    assert set(emitted) == {
+        "stage.job", "stage.stream.*", "cache.hit", "cache.miss",
+        "netpriv.undocumented",
+    }
+    problems = lint.check_telemetry_docs(DOC, emitted, Path("PERF.md"))
+    assert len(problems) == 2
+    stale, undocumented = problems
+    assert stale.startswith("PERF.md:11:") and "'payload.pack'" in stale
+    assert "documented but never emitted" in stale
+    assert "'netpriv.undocumented'" in undocumented
+    assert undocumented.startswith(f"{src / 'work.py'}:9:")
+
+
+def test_repository_telemetry_reference_matches_the_code():
+    text = lint.PERFORMANCE.read_text()
+    assert lint.check_telemetry_docs(text, lint.emitted_telemetry()) == []

@@ -17,6 +17,12 @@ Two passes, both pure :mod:`ast`/text — no imports, no third-party deps:
    * every knob-mapping domain (read from ``register_knob_mapping``
      call sites, resolving module-level string constants) must be
      mentioned there too;
+   * the telemetry reference (section 2 of ``docs/PERFORMANCE.md``) and
+     the code agree both ways: every name in its tables is emitted by a
+     ``TELEMETRY.count`` / ``TELEMETRY.timer`` call under ``src/repro/``,
+     and every emitted name has a row.  ``<name>`` / ``{kind}`` segments
+     (and f-string fields in the code) are placeholders, and a row whose
+     first cell holds two quoted names documents both;
    * every relative intra-repo link in the top-level ``*.md`` files and
      ``docs/*.md`` must resolve to an existing file.
 
@@ -37,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+PERFORMANCE = ROOT / "docs" / "PERFORMANCE.md"
 
 
 def _is_public_module(path: Path) -> bool:
@@ -137,6 +144,81 @@ def knob_domains() -> list[tuple[str, Path, int]]:
     return sites
 
 
+_PLACEHOLDER = re.compile(r"<[^>]*>|\{[^}]*\}")
+
+
+def emitted_telemetry(src: Path = SRC) -> dict[str, tuple[Path, int]]:
+    """Name -> first (file, line) of every ``TELEMETRY.count/timer`` call.
+
+    f-string fields become ``*``, matching the docs' placeholders.
+    """
+    found: dict[str, tuple[Path, int]] = {}
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        if "TELEMETRY." not in text:
+            continue
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("count", "timer")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "TELEMETRY"
+                and node.args
+            ):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                name = arg.value
+            elif isinstance(arg, ast.JoinedStr):
+                name = "".join(
+                    part.value if isinstance(part, ast.Constant) else "*"
+                    for part in arg.values
+                )
+            else:
+                continue  # dynamic name — nothing checkable offline
+            found.setdefault(name, (path, node.lineno))
+    return found
+
+
+def documented_telemetry(text: str) -> dict[str, int]:
+    """Name -> line of every table row in PERFORMANCE.md section 2."""
+    documented: dict[str, int] = {}
+    in_section = False
+    for i, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("## "):
+            in_section = line.startswith("## 2.")
+            continue
+        if not (in_section and line.startswith("|")):
+            continue
+        first_cell = line.split("|")[1]
+        for name in re.findall(r"`([^`]+)`", first_cell):
+            documented.setdefault(_PLACEHOLDER.sub("*", name), i)
+    return documented
+
+
+def check_telemetry_docs(
+    text: str,
+    emitted: dict[str, tuple[Path, int]],
+    doc: Path = PERFORMANCE,
+) -> list[str]:
+    """Both directions: no stale rows, no undocumented names."""
+    documented = documented_telemetry(text)
+    problems = [
+        f"{doc}:{line}: telemetry name {name!r} is documented but never "
+        "emitted under src/repro"
+        for name, line in documented.items()
+        if name not in emitted
+    ]
+    problems += [
+        f"{path}:{line}: telemetry name {name!r} has no row in {doc.name} "
+        "section 2"
+        for name, (path, line) in emitted.items()
+        if name not in documented
+    ]
+    return problems
+
+
 def doc_files() -> list[Path]:
     return sorted(ROOT.glob("*.md")) + sorted((ROOT / "docs").glob("*.md"))
 
@@ -165,6 +247,9 @@ def check_docs_consistency() -> list[str]:
                 f"{path}:{line}: knob domain {domain!r} is not mentioned "
                 "in README.md or docs/"
             )
+    problems.extend(
+        check_telemetry_docs(PERFORMANCE.read_text(), emitted_telemetry())
+    )
 
     for doc in docs:
         for i, text_line in enumerate(doc.read_text().splitlines(), start=1):
@@ -200,6 +285,7 @@ def main() -> int:
         f"docstring lint: {len(files)} public modules clean; "
         f"docs consistency: {len(cli_subcommands())} subcommands, "
         f"{len({d for d, _, _ in knob_domains()})} knob domains, "
+        f"{len(emitted_telemetry())} telemetry names, "
         f"{n_docs} doc files clean"
     )
     return 0
