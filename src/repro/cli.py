@@ -113,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "merged fleet telemetry as JSON to PATH")
     p.add_argument("--profile", default=None, metavar="DIR",
                    help="wrap each worker job in cProfile and dump one "
-                   "per-home .pstats file into DIR")
+                   "home-<index>-<key>-a<attempt>.pstats file per job "
+                   "into DIR")
 
     p = sub.add_parser(
         "sweep",
@@ -143,19 +144,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run only cells I-1::N of the canonical cell order "
                    "(round-robin partition; shards share work via --cache-dir)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes per cell (<=1 runs serially)")
+                   help="worker processes shared by the shard's home jobs "
+                   "(<=1 runs serially)")
     p.add_argument("--backend", default="process",
                    choices=["serial", "process"],
-                   help="executor backend for every cell's fleet run "
+                   help="executor backend for the shard's home jobs "
                    "(see 'fleet --help')")
     p.add_argument("--cache-dir", default=None,
                    help="fleet result cache shared across cells, shards, and "
                    "re-runs; a killed sweep resumes from what finished")
     p.add_argument("--max-retries", type=int, default=2)
     p.add_argument("--job-timeout", type=float, default=None,
-                   help="per-home wall-clock timeout (needs --workers > 1)")
+                   help="wall-clock timeout per home job, which simulates a "
+                   "home once and scores every cell it owes (needs "
+                   "--workers > 1)")
     p.add_argument("--fail-fast", action="store_true",
-                   help="abort a cell at its first permanent home failure")
+                   help="abort the shard at its first permanent home failure")
     p.add_argument("--csv", default=None,
                    help="export the frontier points as CSV")
     p.add_argument("--json", default=None,
@@ -164,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="collect per-stage counters/timers, merge them "
                    "across all cells, and write the sweep telemetry JSON")
     p.add_argument("--profile", default=None, metavar="DIR",
-                   help="per-job cProfile dumps (one .pstats per home job)")
+                   help="per-job cProfile dumps (one "
+                   "home-<index>-<key>-a<attempt>.pstats per home job)")
     p.add_argument("--check-monotone", action="store_true",
                    help="fail (exit 1) if any (defense, seed) series has "
                    "attack MCC rising with the knob setting")
@@ -556,8 +561,7 @@ def cmd_sweep(args) -> int:
         fleet = cell_result.fleet
         cached = fleet.n_homes - fleet.executed
         line = (f"  cell {cell_result.cell.label():<24s} "
-                f"{fleet.n_homes} homes ({cached} cached) "
-                f"in {fleet.elapsed_s:.2f}s")
+                f"{fleet.n_homes} homes ({cached} cached)")
         if fleet.failures:
             line += f"  [{fleet.n_failed} FAILED]"
         print(line)
@@ -604,7 +608,7 @@ def cmd_sweep(args) -> int:
             ))
         print(f"sweep telemetry JSON written to {args.telemetry}")
     if args.profile:
-        print(f"per-home cProfile dumps written to {args.profile}/")
+        print(f"per-job cProfile dumps written to {args.profile}/")
 
     violations = frontier.monotone_violations(args.tolerance)
     if violations:

@@ -36,17 +36,43 @@ class PipelineResult:
         return before / after
 
 
+def evaluate_baseline(
+    sim: HomeSimulation, detectors=DEFAULT_DETECTORS
+) -> TradeoffPoint:
+    """Score the undefended metered trace: the anchor every defense is
+    compared against.
+
+    It draws no randomness, so one home's baseline is the same whichever
+    defenses are scored beside it.  A fleet job that scores several
+    defense sets on one simulation scores it once and hands it to each
+    :func:`evaluate_simulation` call as ``baseline``.
+    """
+    metered = sim.metered
+    with TELEMETRY.timer("stage.attack"):
+        return evaluate_defense_outcome(
+            "baseline",
+            DefenseOutcome(visible=metered),
+            metered,
+            sim.occupancy,
+            detectors,
+        )
+
+
 def evaluate_simulation(
     sim: HomeSimulation,
     defense_names: list[str] | None = None,
     rng: np.random.Generator | int | None = None,
     detectors=DEFAULT_DETECTORS,
+    baseline: TradeoffPoint | None = None,
 ) -> PipelineResult:
     """Score the baseline and every requested defense on one simulation.
 
     This is the process-safe core of :func:`run_pipeline`: a plain
     module-level function of picklable arguments (plus detector factories),
-    so fleet worker processes can import and call it directly.
+    so fleet worker processes can import and call it directly.  The
+    defenses run in order on the one generator ``rng``.  ``baseline``, when
+    given, is this simulation's :func:`evaluate_baseline` point, reused
+    instead of scored again.
     """
     rng = np.random.default_rng(rng)
     if defense_names is None:
@@ -54,13 +80,10 @@ def evaluate_simulation(
 
         defense_names = all_names()
 
+    if baseline is None:
+        baseline = evaluate_baseline(sim, detectors)
     occupancy = sim.occupancy
     metered = sim.metered
-    baseline_outcome = DefenseOutcome(visible=metered)
-    with TELEMETRY.timer("stage.attack"):
-        baseline = evaluate_defense_outcome(
-            "baseline", baseline_outcome, metered, occupancy, detectors
-        )
     results: dict[str, TradeoffPoint] = {}
     for name in defense_names:
         defense = make_defense(name)

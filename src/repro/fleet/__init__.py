@@ -21,9 +21,11 @@ turns the single-home pipeline into a population instrument:
   trusted;
 - :class:`SweepGrid` / :class:`SweepRunner` / :func:`run_sweep` — the
   Sec. III-E knob grid: (defense × knob setting × seed) cells, each one
-  fleet run of a single ``name@setting`` parametrized defense, sharded
-  with ``--shard i/n`` and resumable through the same cache; reduced by
-  :class:`FrontierReport` into privacy-utility frontier points;
+  fleet spec of a single ``name@setting`` parametrized defense, sharded
+  with ``--shard i/n``, run as one home job per home the shard's cells
+  owe (simulated once, scored per cell) and resumable through the same
+  cache; reduced by :class:`FrontierReport` into privacy-utility
+  frontier points;
 - telemetry (``telemetry=True`` / ``repro fleet --telemetry``) — per-stage
   counter/timer snapshots from :mod:`repro.obs`, captured inside each
   worker, merged into fleet totals on :class:`FleetResult` and surfaced in
@@ -53,6 +55,7 @@ from .engine import (
     FleetResult,
     FleetRunner,
     HomeFailure,
+    HomeJobResult,
     HomeResult,
     HomeStreamResult,
     JobsResult,
@@ -127,6 +130,7 @@ __all__ = [
     "FrontierReport",
     "HomeFailure",
     "HomeJob",
+    "HomeJobResult",
     "HomeResult",
     "HomeStreamResult",
     "JobsResult",

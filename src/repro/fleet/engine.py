@@ -2,9 +2,11 @@
 
 :func:`run_home_job` is the unit of work — a module-level function of one
 picklable :class:`HomeJob`, so ``ProcessPoolExecutor`` can ship it to
-workers under either fork or spawn start methods.  :class:`FleetRunner`
-drives it with a *supervisor loop* rather than ``pool.map``: every job is
-submitted individually and each home succeeds or fails on its own.
+workers under either fork or spawn start methods.  A job simulates one
+home once and scores every fleet cell that owes it (a sweep's cells
+share their homes).  :class:`FleetRunner` drives it with a *supervisor
+loop* rather than ``pool.map``: every job is submitted individually and
+each home succeeds or fails on its own.
 
 Failure isolation semantics (see DESIGN.md "Failure semantics"):
 
@@ -38,15 +40,15 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..attacks.niom import HMMNIOM, ThresholdNIOM
 from ..core.evaluation import TradeoffPoint
-from ..core.pipeline import evaluate_simulation
+from ..core.pipeline import evaluate_baseline, evaluate_simulation
 from ..home.household import simulate_home
 from ..obs import (
     PROFILE_DIR_ENV,
@@ -54,6 +56,7 @@ from ..obs import (
     TELEMETRY_ENV,
     TelemetrySnapshot,
     maybe_profile,
+    merge_snapshots,
 )
 from ..timeseries import PowerTrace
 from .cache import CacheStats, ResultCache, job_cache_key
@@ -188,49 +191,117 @@ class HomeFailure:
         }
 
 
-def run_home_job(job: HomeJob) -> HomeResult:
-    """Simulate, defend, and attack one home.  Runs inside workers.
+@dataclass(frozen=True)
+class HomeJobResult:
+    """What one :class:`~repro.fleet.spec.HomeJob` returns: a result per cell.
 
-    Detector names are validated by :class:`~repro.fleet.spec.FleetSpec`
-    and :meth:`FleetRunner.run` *before* dispatch, so workers never pay
-    for (or crash on) a misspelled ensemble.  Fault injection, when armed
-    via :data:`~repro.fleet.faults.FAULTS_ENV`, fires before any
-    simulation work so a retried job reproduces its result exactly.
+    ``cells`` follows ``job.defense_sets``.  Each cell's ``telemetry`` is
+    the cost of scoring its own defenses; the part the cells share — the
+    ``stage.job`` span, the simulation and the baseline — rides once on
+    ``telemetry``.  A one-cell job folds that part into its one cell, so
+    a plain fleet's per-home snapshots cover the whole job.
+    """
+
+    cells: tuple[HomeResult, ...]
+    telemetry: TelemetrySnapshot | None = None
+
+
+class _Captured:
+    """Holder for a block's telemetry delta, filled in as the block exits."""
+
+    snapshot: TelemetrySnapshot | None = None
+
+
+@contextmanager
+def _captured():
+    """Take the enclosed block's counters and timers out of the registry.
+
+    On exit the yielded holder's ``snapshot`` is the block's delta
+    (``None`` while telemetry is off) and the registry is back where it
+    was.  This is how a job ships its own telemetry while the serial
+    path's supervisor-scope counters stay job-free: the supervisor adds
+    the shipped deltas back when it merges totals.
+    """
+    holder = _Captured()
+    if not TELEMETRY.enabled:
+        yield holder
+        return
+    before = TELEMETRY.snapshot()
+    yield holder
+    holder.snapshot = TELEMETRY.snapshot().minus(before)
+    TELEMETRY.restore(before)
+
+
+def profile_name(job: HomeJob) -> str:
+    """The cProfile dump name of one attempt of ``job``.
+
+    The home index alone repeats across a sweep's seeds, and a preset's
+    fingerprint is the same under every seed, so the name carries the
+    first 8 hex digits of the job's cache key, which covers the config,
+    the seed streams, ``days`` and the detectors.  Two jobs of one run
+    share a name only if they would repeat the same work.
+    """
+    return f"home-{job.index:04d}-{job_cache_key(job)[:8]}-a{job.attempt}"
+
+
+def run_home_job(job: HomeJob) -> HomeJobResult:
+    """Simulate one home once and score every cell it owes.  Runs in workers.
+
+    The baseline is scored once; each of ``job.defense_sets`` is then
+    scored with a fresh ``np.random.default_rng(job.defense_seed)``, so
+    every cell's result is bit-identical to that of a job owing that cell
+    alone.  Detector names are validated by
+    :class:`~repro.fleet.spec.FleetSpec` and :meth:`FleetRunner.run_specs`
+    *before* dispatch, so workers never pay for (or crash on) a
+    misspelled ensemble.  Fault injection, when armed via
+    :data:`~repro.fleet.faults.FAULTS_ENV`, fires before any simulation
+    work so a retried job reproduces its result exactly.
     """
     maybe_inject(job.index, job.attempt)
     detectors = tuple((name, FLEET_DETECTORS[name]) for name in job.detectors)
-    before = TELEMETRY.snapshot() if TELEMETRY.enabled else None
-    with maybe_profile(f"home-{job.index:04d}-a{job.attempt}"):
+    scored = []
+    with _captured() as shared, maybe_profile(profile_name(job)):
         with TELEMETRY.timer("stage.job"):
             with TELEMETRY.timer("stage.simulate"):
                 sim = simulate_home(
                     job.config, job.days, np.random.default_rng(job.sim_seed)
                 )
-            pipeline = evaluate_simulation(
-                sim,
-                list(job.defenses),
-                np.random.default_rng(job.defense_seed),
-                detectors,
-            )
-    snapshot = None
-    if before is not None:
-        # ship the job's delta; restore the ambient registry so the
-        # serial path's supervisor-scope counters stay job-free (the
-        # supervisor adds job deltas back when it merges fleet totals)
-        snapshot = TELEMETRY.snapshot().minus(before)
-        TELEMETRY.restore(before)
-    return HomeResult(
-        index=job.index,
-        preset=job.preset,
-        home_name=job.config.name,
-        fingerprint=job.fingerprint,
-        days=job.days,
-        trace_digest=trace_digest(sim.metered),
-        energy_kwh=sim.metered.energy_kwh(),
-        baseline=pipeline.baseline,
-        defenses=pipeline.defenses,
-        telemetry=snapshot,
-    )
+            baseline = evaluate_baseline(sim, detectors)
+            for names in job.defense_sets:
+                with _captured() as own:
+                    pipeline = evaluate_simulation(
+                        sim,
+                        list(names),
+                        np.random.default_rng(job.defense_seed),
+                        detectors,
+                        baseline=baseline,
+                    )
+                scored.append((pipeline.defenses, own.snapshot))
+    digest = trace_digest(sim.metered)
+    energy_kwh = sim.metered.energy_kwh()
+    cells = [
+        HomeResult(
+            index=job.index,
+            preset=job.preset,
+            home_name=job.config.name,
+            fingerprint=job.fingerprint,
+            days=job.days,
+            trace_digest=digest,
+            energy_kwh=energy_kwh,
+            baseline=baseline,
+            defenses=defenses,
+            telemetry=telemetry,
+        )
+        for defenses, telemetry in scored
+    ]
+    telemetry = shared.snapshot
+    if len(cells) == 1 and telemetry is not None:
+        # a one-cell job is its cell's whole cost
+        cells[0] = replace(
+            cells[0], telemetry=telemetry.merged(cells[0].telemetry)
+        )
+        telemetry = None
+    return HomeJobResult(cells=tuple(cells), telemetry=telemetry)
 
 
 def run_stream_job(
@@ -265,8 +336,7 @@ def run_stream_job(
 
     maybe_inject(job.index, job.attempt)
     attack_kwargs = attack_kwargs or {}
-    before = TELEMETRY.snapshot() if TELEMETRY.enabled else None
-    with TELEMETRY.timer("stage.stream.job"):
+    with _captured() as delta, TELEMETRY.timer("stage.stream.job"):
         with TELEMETRY.timer("stage.simulate"):
             sim = simulate_home(
                 job.config, job.days, np.random.default_rng(job.sim_seed)
@@ -293,10 +363,6 @@ def run_stream_job(
             niom_score = score_occupancy_attack(
                 niom_attack.result.occupancy, sim.occupancy
             )
-    snapshot = None
-    if before is not None:
-        snapshot = TELEMETRY.snapshot().minus(before)
-        TELEMETRY.restore(before)
     return HomeStreamResult(
         index=job.index,
         preset=job.preset,
@@ -309,7 +375,7 @@ def run_stream_job(
         results=report.results,
         throughput={name: st.as_dict() for name, st in report.stats.items()},
         niom_score=niom_score,
-        telemetry=snapshot,
+        telemetry=delta.snapshot,
         attack_failures=report.failures,
         guard=report.guard,
         feed_dead=report.feed_dead,
@@ -487,8 +553,9 @@ class FleetRunner:
         and its pool torn down; ``None`` disables.  Only enforced with
         ``workers > 1`` (a hung in-process job cannot be interrupted).
     fail_fast:
-        Abort the sweep at the first permanent failure; unfinished homes
-        are recorded as ``aborted`` failures.
+        Abort the run — a fleet, or every cell of a sweep shard — at the
+        first permanent failure; unfinished home jobs are recorded as
+        ``aborted`` failures.
     retry_backoff_s:
         Base of the exponential backoff (delay before retry *n* is
         ``retry_backoff_s * 2**(n-1)``).  Deterministic — no jitter — so
@@ -510,8 +577,9 @@ class FleetRunner:
         ``trace_digest``s.
     profile_dir:
         Directory for per-job cProfile dumps (one
-        ``home-<index>-a<attempt>.pstats`` per executed job, written by
-        whichever process ran it); ``None`` disables profiling.
+        ``home-<index>-<key>-a<attempt>.pstats`` per executed job attempt,
+        named by :func:`profile_name` and written by whichever process
+        ran it); ``None`` disables profiling.
     backend:
         Executor backend (:data:`BACKENDS`): ``serial`` forces the
         in-process loop regardless of ``workers``; ``process`` submits
@@ -560,63 +628,128 @@ class FleetRunner:
 
     def run(self, spec: FleetSpec) -> FleetResult:
         """Evaluate the whole fleet; per-home results plus failure report."""
+        [fleet], telemetry = self.run_specs([spec])
+        return replace(fleet, telemetry=telemetry)
+
+    def run_specs(
+        self, specs: Sequence[FleetSpec]
+    ) -> tuple[list[FleetResult], TelemetrySnapshot | None]:
+        """Evaluate several fleets at once: one :class:`FleetResult` per spec.
+
+        Specs that differ only in ``defenses`` share one population,
+        built once.  Every (spec, home) pair is looked up in the cache
+        under its own :func:`~repro.fleet.cache.job_cache_key`; each home
+        with at least one miss becomes one :class:`HomeJob` owing those
+        specs' defense tuples, so it is simulated and baseline-scored
+        once (:func:`run_home_job`).  All jobs go to the supervisor in
+        one call — one pool — and each (spec, home) result is cached the
+        moment its home job returns.  A home job that fails permanently
+        appears as the same :class:`HomeFailure` in every spec it owed.
+
+        Returns the fleets and the run's telemetry (``None`` unless the
+        runner collects it): supervisor counters, each job's shared part
+        and every cell's own part, merged.  Each fleet's ``telemetry``
+        holds only what its executed homes carry; its ``elapsed_s``,
+        ``workers_used`` and ``pool_rebuilds`` are the whole run's.
+        """
         start = time.perf_counter()
-        unknown = set(spec.detectors) - set(FLEET_DETECTORS)
+        unknown = {d for spec in specs for d in spec.detectors} - set(
+            FLEET_DETECTORS
+        )
         if unknown:
             raise ValueError(
                 f"unknown detectors: {sorted(unknown)}; "
                 f"available: {sorted(FLEET_DETECTORS)}"
             )
+        defense_sets = [spec.resolved_defenses() for spec in specs]
+        homes: list[dict[int, HomeResult]] = [{} for _ in specs]
+        failures: list[list[HomeFailure]] = [[] for _ in specs]
+        executed = [0] * len(specs)
+        populations: dict[FleetSpec, list[int]] = {}
+        for position, spec in enumerate(specs):
+            populations.setdefault(
+                replace(spec, defenses=None), []
+            ).append(position)
         with self._telemetry_scope() as baseline:
             TELEMETRY.count(f"fleet.backend.{self.backend}")
-            jobs = spec.jobs()
-            results: dict[int, HomeResult] = {}
             pending: list[HomeJob] = []
-            keys: dict[int, str] = {}
+            # id(job) -> (spec position, cache key) per owed cell: the
+            # supervisor hands back the very job objects it was given
+            owed: dict[int, list[tuple[int, str | None]]] = {}
+            for positions in populations.values():
+                for home in specs[positions[0]].jobs():
+                    slots = []
+                    for position in positions:
+                        key = None
+                        if self.cache is not None:
+                            key = job_cache_key(
+                                replace(home, defenses=defense_sets[position])
+                            )
+                            hit = self.cache.get(key)
+                            if hit is not None:
+                                homes[position][home.index] = replace(
+                                    hit, from_cache=True
+                                )
+                                continue
+                        executed[position] += 1
+                        slots.append((position, key))
+                    if slots:
+                        cells = tuple(defense_sets[p] for p, _ in slots)
+                        job = replace(home, defenses=cells[0], cells=cells)
+                        owed[id(job)] = slots
+                        pending.append(job)
 
-            for job in jobs:
-                if self.cache is None:
-                    pending.append(job)
-                    continue
-                key = job_cache_key(job)
-                keys[job.index] = key
-                hit = self.cache.get(key)
-                if hit is not None:
-                    results[job.index] = replace(hit, from_cache=True)
-                else:
-                    pending.append(job)
+            shipped: list = []  # every result whose telemetry merges in
 
-            def store(result: HomeResult) -> None:
-                # streaming sink: cache immediately so a killed run resumes
-                results[result.index] = result
-                if self.cache is not None:
-                    # strip telemetry so entry bytes never depend on
-                    # whether the run was being observed
-                    self.cache.put(
-                        keys[result.index], replace(result, telemetry=None)
-                    )
+            def store(job: HomeJob, result: HomeJobResult) -> None:
+                # streaming sink: cache at once so a killed run resumes
+                shipped.append(result)
+                for (position, key), home in zip(owed[id(job)], result.cells):
+                    homes[position][home.index] = home
+                    shipped.append(home)
+                    if key is not None:
+                        # strip telemetry so entry bytes never depend on
+                        # whether the run was being observed
+                        self.cache.put(key, replace(home, telemetry=None))
 
-            failures: list[HomeFailure] = []
+            job_failures: list[tuple[HomeJob, HomeFailure]] = []
             workers_used = 1
             rebuilds = 0
             if pending:
-                failures, workers_used, rebuilds = self._execute(pending, store)
-
-            ordered = [
-                results[job.index] for job in jobs if job.index in results
-            ]
-            telemetry = self._collect_telemetry(baseline, ordered)
-        return FleetResult(
-            spec=spec,
-            homes=ordered,
-            elapsed_s=time.perf_counter() - start,
-            workers_used=workers_used,
-            executed=len(pending),
-            cache_stats=self.cache.stats if self.cache is not None else None,
-            failures=tuple(sorted(failures, key=lambda f: f.index)),
-            pool_rebuilds=rebuilds,
-            telemetry=telemetry,
-        )
+                job_failures, workers_used, rebuilds = self._execute(
+                    pending, store
+                )
+            for job, failure in job_failures:
+                for position, _ in owed[id(job)]:
+                    failures[position].append(failure)
+            telemetry = self._collect_telemetry(baseline, shipped)
+        elapsed = time.perf_counter() - start
+        fleets = []
+        for position, spec in enumerate(specs):
+            ordered = [homes[position][i] for i in sorted(homes[position])]
+            own = None
+            if telemetry is not None:
+                own = merge_snapshots(
+                    h.telemetry for h in ordered if h.telemetry is not None
+                )
+            fleets.append(
+                FleetResult(
+                    spec=spec,
+                    homes=ordered,
+                    elapsed_s=elapsed,
+                    workers_used=workers_used,
+                    executed=executed[position],
+                    cache_stats=(
+                        self.cache.stats if self.cache is not None else None
+                    ),
+                    failures=tuple(
+                        sorted(failures[position], key=lambda f: f.index)
+                    ),
+                    pool_rebuilds=rebuilds,
+                    telemetry=own,
+                )
+            )
+        return fleets, telemetry
 
     def run_streaming(
         self,
@@ -664,16 +797,17 @@ class FleetRunner:
                 guard_policy=guard_policy,
             )
 
-            def store(result: HomeStreamResult) -> None:
-                results[result.index] = result
+            def store(job: HomeJob, result: HomeStreamResult) -> None:
+                results[job.index] = result
 
             failures: list[HomeFailure] = []
             workers_used = 1
             rebuilds = 0
             if jobs:
-                failures, workers_used, rebuilds = self._execute(
+                pairs, workers_used, rebuilds = self._execute(
                     jobs, store, work=work
                 )
+                failures = [failure for _, failure in pairs]
             for _ in failures:
                 TELEMETRY.count("fleet.stream_failure")
             ordered = [
@@ -704,9 +838,9 @@ class FleetRunner:
         the supervisor: an ``index`` field (unique, orders the results),
         a ``preset``-ish label for failure reports, and ``attempt`` as a
         ``dataclasses.replace``-able field.  ``work(job)`` must be
-        picklable and return an object with ``index`` and ``telemetry``
-        attributes.  Retries, timeouts, crash recovery, backoff, and
-        telemetry merging behave exactly as in :meth:`run`; there is no
+        picklable and return an object with a ``telemetry`` attribute.
+        Retries, timeouts, crash recovery, backoff, and telemetry
+        merging behave exactly as in :meth:`run`; there is no
         result cache.  ``on_result`` (optional) fires as each job
         completes — a progress hook, called in completion order.
         """
@@ -714,8 +848,8 @@ class FleetRunner:
         with self._telemetry_scope() as baseline:
             results: dict[int, object] = {}
 
-            def store(result) -> None:
-                results[result.index] = result
+            def store(job, result) -> None:
+                results[job.index] = result
                 if on_result is not None:
                     on_result(result)
 
@@ -723,9 +857,10 @@ class FleetRunner:
             workers_used = 1
             rebuilds = 0
             if jobs:
-                failures, workers_used, rebuilds = self._execute(
+                pairs, workers_used, rebuilds = self._execute(
                     jobs, store, work=work
                 )
+                failures = [failure for _, failure in pairs]
             ordered = [
                 results[job.index] for job in jobs if job.index in results
             ]
@@ -799,9 +934,9 @@ class FleetRunner:
     def _collect_telemetry(
         self,
         baseline: TelemetrySnapshot | None,
-        homes: list[HomeResult],
+        results: list,
     ) -> TelemetrySnapshot | None:
-        """Supervisor delta + every executed job's snapshot, merged.
+        """Supervisor delta + every shipped job snapshot, merged.
 
         Job deltas are disjoint from the supervisor's (``run_home_job``
         restores the ambient registry after capturing its delta), so the
@@ -811,23 +946,26 @@ class FleetRunner:
             return None
         merged = TELEMETRY.snapshot().minus(baseline)
         TELEMETRY.restore(baseline)
-        for home in homes:
-            if home.telemetry is not None:
-                merged = merged.merged(home.telemetry)
+        for result in results:
+            if result.telemetry is not None:
+                merged = merged.merged(result.telemetry)
         return merged
 
     def _execute(
         self,
         jobs: list[HomeJob],
-        on_result: Callable[[HomeResult], None],
+        on_result: Callable[[HomeJob, object], None],
         work: Callable[[HomeJob], object] = run_home_job,
-    ) -> tuple[list[HomeFailure], int, int]:
+    ) -> tuple[list[tuple[HomeJob, HomeFailure]], int, int]:
         """Run jobs under supervision; returns (failures, workers, rebuilds).
 
         ``work`` is the picklable per-job function — :func:`run_home_job`
         for batch fleets, a :func:`run_stream_job` partial for streamed
         ones; the supervisor's retry/timeout/rebuild machinery is
-        identical either way.  The ``serial`` backend forces the
+        identical either way.  Results and permanent failures come back
+        with the job they belong to — ``on_result(job, result)`` and
+        ``(job, failure)`` pairs — because a job's ``index`` need not be
+        unique in a run (a sweep's seeds repeat home indices).  The ``serial`` backend forces the
         in-process loop regardless of ``workers``.  Degrades to the
         serial loop when a pool cannot be *started* (restricted
         sandboxes, missing semaphores); pool failures mid-run are
@@ -862,12 +1000,25 @@ class FleetRunner:
             self.MAX_BACKOFF_S,
         )
 
+    @staticmethod
+    def _failure(
+        state: _JobState, kind: str, error: str, now: float
+    ) -> tuple[HomeJob, HomeFailure]:
+        return state.job, HomeFailure(
+            index=state.job.index,
+            preset=state.job.preset,
+            kind=kind,
+            error=error,
+            attempts=state.attempts,
+            elapsed_s=state.elapsed(now),
+        )
+
     def _charge(
         self,
         state: _JobState,
         kind: str,
         error: str,
-        failures: list[HomeFailure],
+        failures: list[tuple[HomeJob, HomeFailure]],
         now: float,
     ) -> bool:
         """Record a failed attempt; True when the job is out of retries."""
@@ -875,16 +1026,7 @@ class FleetRunner:
         TELEMETRY.count(f"fleet.attempt_failed.{kind}")
         if state.attempts > self.max_retries:
             TELEMETRY.count("fleet.permanent_failure")
-            failures.append(
-                HomeFailure(
-                    index=state.job.index,
-                    preset=state.job.preset,
-                    kind=kind,
-                    error=error,
-                    attempts=state.attempts,
-                    elapsed_s=state.elapsed(now),
-                )
-            )
+            failures.append(self._failure(state, kind, error, now))
             return True
         backoff = self._backoff(state.attempts)
         TELEMETRY.count("fleet.retry")
@@ -895,20 +1037,18 @@ class FleetRunner:
     def _abort_rest(
         self,
         states: list[_JobState],
-        failures: list[HomeFailure],
+        failures: list[tuple[HomeJob, HomeFailure]],
         now: float,
         culprit: int,
     ) -> None:
         """fail-fast: mark every unfinished job as aborted."""
         for state in states:
             failures.append(
-                HomeFailure(
-                    index=state.job.index,
-                    preset=state.job.preset,
-                    kind="aborted",
-                    error=f"aborted by fail-fast after home {culprit} failed",
-                    attempts=state.attempts,
-                    elapsed_s=state.elapsed(now),
+                self._failure(
+                    state,
+                    "aborted",
+                    f"aborted by fail-fast after home {culprit} failed",
+                    now,
                 )
             )
 
@@ -916,11 +1056,11 @@ class FleetRunner:
     def _run_serial(
         self,
         states: list[_JobState],
-        on_result: Callable[[HomeResult], None],
+        on_result: Callable[[HomeJob, object], None],
         work: Callable[[HomeJob], object] = run_home_job,
-    ) -> list[HomeFailure]:
+    ) -> list[tuple[HomeJob, HomeFailure]]:
         """In-process supervised loop: retries only (no crash/hang guard)."""
-        failures: list[HomeFailure] = []
+        failures: list[tuple[HomeJob, HomeFailure]] = []
         for position, state in enumerate(states):
             state.first_start = time.monotonic()
             while True:
@@ -942,7 +1082,7 @@ class FleetRunner:
                         break
                     time.sleep(max(0.0, state.not_before - now))
                 else:
-                    on_result(result)
+                    on_result(state.job, result)
                     break
         return failures
 
@@ -951,9 +1091,9 @@ class FleetRunner:
         self,
         pool: ProcessPoolExecutor,
         states: list[_JobState],
-        on_result: Callable[[HomeResult], None],
+        on_result: Callable[[HomeJob, object], None],
         work: Callable[[HomeJob], object] = run_home_job,
-    ) -> tuple[list[HomeFailure], int]:
+    ) -> tuple[list[tuple[HomeJob, HomeFailure]], int]:
         """The supervisor loop: per-job submit, isolation, rebuild, retry.
 
         ``queue`` holds runnable jobs; ``isolation`` holds crash suspects.
@@ -963,7 +1103,7 @@ class FleetRunner:
         and charges that job alone.  Innocent bystanders therefore always
         complete, and a poison pill exhausts its attempts by itself.
         """
-        failures: list[HomeFailure] = []
+        failures: list[tuple[HomeJob, HomeFailure]] = []
         queue: list[_JobState] = list(states)
         isolation: list[_JobState] = []
         inflight: dict = {}
@@ -1082,7 +1222,7 @@ class FleetRunner:
                         else:
                             queue.append(state)
                     else:
-                        on_result(result)
+                        on_result(state.job, result)
 
                 now = time.monotonic()
                 if crash_victims:

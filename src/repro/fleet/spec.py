@@ -54,6 +54,14 @@ class HomeJob:
     cache key — a retried home is the same cell — and does not influence
     the simulation seeds, so retries reproduce results bit-identically.
     The fault-injection layer keys on it to model flaky-then-healthy jobs.
+
+    ``cells`` lists the defense tuple of every cell the job scores when
+    several cells share the home (a sweep's cells differ only in their
+    defenses).  The home is simulated and its baseline scored once; each
+    tuple is then scored with a fresh generator from ``defense_seed``,
+    exactly as a job of that tuple alone would score it.  Empty means the
+    one cell ``defenses``.  Each (cell, home) pair is cached under the
+    key of the job whose ``defenses`` is that cell's tuple.
     """
 
     index: int
@@ -66,6 +74,12 @@ class HomeJob:
     defenses: tuple[str, ...]
     detectors: tuple[str, ...] = DEFAULT_FLEET_DETECTORS
     attempt: int = 0
+    cells: tuple[tuple[str, ...], ...] = ()
+
+    @property
+    def defense_sets(self) -> tuple[tuple[str, ...], ...]:
+        """The defense tuples this job scores, one per cell."""
+        return self.cells or (self.defenses,)
 
 
 @dataclass(frozen=True)

@@ -5,28 +5,36 @@ paper's knob story is population-scale — how does the frontier look over
 a service territory, per mechanism, per dial position?  A
 :class:`SweepGrid` declares that grid — (defense × knob setting × fleet
 seed) over a fixed home population — and :class:`SweepRunner` executes
-it as a sequence of :class:`~repro.fleet.spec.FleetSpec` runs on the
-existing fault-tolerant :class:`~repro.fleet.engine.FleetRunner`.
+a shard of it in one :meth:`~repro.fleet.engine.FleetRunner.run_specs`
+call on the fault-tolerant :class:`~repro.fleet.engine.FleetRunner`.
 
 Design choices that make the grid cheap and resumable:
 
-* **One cell = one fleet run with a single parametrized defense.**  The
+* **One cell = one fleet spec with a single parametrized defense.**  The
   cell's defense travels as the string ``name@setting``
-  (:func:`~repro.core.knob.knob_defense_name`), which flows through
-  pickled :class:`~repro.fleet.spec.HomeJob`\\ s and into the
+  (:func:`~repro.core.knob.knob_defense_name`), which flows into the
   content-addressed cache key untouched — so the sweep inherits the
-  fleet cache at per-(home, cell) granularity with zero cache-format
+  fleet cache at per-(cell, home) granularity with zero cache-format
   changes.  A killed sweep, rerun over the same ``cache_dir``, replays
-  finished homes from disk and executes only the remainder.
+  finished (cell, home) pairs from disk and executes only the remainder.
+* **One job per home, not per (cell, home).**  A seed's cells share
+  their homes, so the shard builds each seed's population once and
+  dispatches one home job per home that any cell still owes: the home
+  is simulated and its baseline attacked once, then each owed cell's
+  defense is scored with that cell's own fresh generator, so every
+  result and cache entry is bit-identical to a per-cell run.  The job
+  is the unit of supervision: retries, the job timeout and crash
+  isolation apply to it, a home that fails permanently fails in every
+  cell it owed, and ``fail_fast`` aborts the whole shard.
 * **Shards are a pure function of the cell list.**  ``--shard i/n``
   takes cells ``i-1::n`` of the deterministic cell ordering
   (:meth:`SweepGrid.cells`), so *n* machines sharing nothing but the
   grid file partition the work exactly, and any shard can be re-run
   alone.
-* **Telemetry is merged per cell, then across the sweep** via
-  :func:`repro.obs.merge_snapshots`; each
-  :class:`CellResult` keeps its own snapshot so a cell's cost stays
-  attributable.
+* **Telemetry is attributed once.**  Each :class:`CellResult` keeps the
+  cost of scoring its own defenses; the shared simulation, baseline,
+  ``stage.job`` span and supervisor counters are counted once, in
+  :attr:`SweepResult.telemetry`, which also merges every cell's part.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..core.knob import knob_defense_name, knob_mapping_names
-from ..obs import TelemetrySnapshot, merge_snapshots
+from ..obs import TelemetrySnapshot
 from .engine import DEFAULT_BACKEND, FleetResult, FleetRunner
 from .frontier import FrontierReport
 from .spec import DEFAULT_FLEET_DETECTORS, FleetSpec
@@ -247,7 +255,12 @@ def shard_cells(
 
 @dataclass(frozen=True)
 class CellResult:
-    """One executed cell: its fleet result plus attributable telemetry."""
+    """One executed cell: its fleet result plus attributable telemetry.
+
+    ``telemetry`` is the cost of scoring this cell's defense on the homes
+    it executed.  A home job that owed only this cell (say, after a
+    resumed sweep) charges it the whole job, simulation included.
+    """
 
     cell: SweepCell
     fleet: FleetResult
@@ -265,9 +278,10 @@ class SweepResult:
     shard: tuple[int, int]
     cells: tuple[CellResult, ...]
     elapsed_s: float
-    executed: int  # fleet jobs actually run (not replayed from cache)
-    #: sweep-level totals: every cell's fleet telemetry merged; ``None``
-    #: unless the runner collected telemetry
+    executed: int  # home-cells actually scored (not replayed from cache)
+    #: sweep-level totals: supervisor counters, each home job's shared
+    #: part and every cell's own part; ``None`` unless the runner
+    #: collected telemetry
     telemetry: TelemetrySnapshot | None = None
 
     @property
@@ -287,12 +301,13 @@ class SweepResult:
 
 
 class SweepRunner:
-    """Execute a :class:`SweepGrid` (or one shard of it) cell by cell.
+    """Execute a :class:`SweepGrid` (or one shard of it) as home jobs.
 
     Construction mirrors :class:`~repro.fleet.engine.FleetRunner` — the
     same worker pool, cache directory, and supervision knobs apply to
-    every cell.  One underlying runner instance is reused across cells
-    so cache statistics accumulate over the whole sweep.
+    the shard's home jobs, which all go to the supervisor in one call
+    (one pool per shard).  One underlying runner instance is reused
+    across runs so cache statistics accumulate.
     """
 
     def __init__(
@@ -324,30 +339,29 @@ class SweepRunner:
         shard: tuple[int, int] = (1, 1),
         on_cell=None,
     ) -> SweepResult:
-        """Run this shard's cells in order; per-cell results accumulate.
+        """Run this shard's cells as home jobs; one result per cell.
 
         ``on_cell`` (optional callable of one :class:`CellResult`) fires
-        as each cell completes — the CLI's progress hook.
+        once per cell, in canonical order — the CLI's progress hook.
         """
         start = time.perf_counter()
         cells = shard_cells(grid.cells(), shard)
-        results: list[CellResult] = []
-        executed = 0
-        for cell in cells:
-            fleet = self.runner.run(grid.cell_spec(cell))
-            executed += fleet.executed
-            result = CellResult(cell=cell, fleet=fleet)
-            results.append(result)
-            if on_cell is not None:
+        fleets, telemetry = self.runner.run_specs(
+            [grid.cell_spec(cell) for cell in cells]
+        )
+        results = tuple(
+            CellResult(cell=cell, fleet=fleet)
+            for cell, fleet in zip(cells, fleets)
+        )
+        if on_cell is not None:
+            for result in results:
                 on_cell(result)
-        snapshots = [r.telemetry for r in results if r.telemetry is not None]
-        telemetry = merge_snapshots(snapshots) if snapshots else None
         return SweepResult(
             grid=grid,
             shard=shard,
-            cells=tuple(results),
+            cells=results,
             elapsed_s=time.perf_counter() - start,
-            executed=executed,
+            executed=sum(fleet.executed for fleet in fleets),
             telemetry=telemetry,
         )
 

@@ -8,9 +8,10 @@ a directory is configured, so the default path costs one dict lookup.
 The directory crosses the process boundary through :data:`PROFILE_DIR_ENV`
 (the same env-inheritance trick as fault injection and telemetry), so
 ``repro fleet --profile DIR`` profiles every worker job no matter which
-process runs it.  Inspect the dumps with::
+process runs it.  Fleet jobs dump ``home-<index>-<key>-a<attempt>``
+(see :func:`repro.fleet.engine.profile_name`); inspect one with::
 
-    python -m pstats DIR/home-0003-a0.pstats
+    python -m pstats DIR/home-0003-1f2e3d4c-a0.pstats
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ injection (:mod:`repro.fleet.faults`) rather than trusted on faith:
 * corrupt cache entries (torn bytes, wrong type, stale envelope) read as
   misses, never as results;
 * results stream into the cache as they complete, so a failed sweep
-  resumes from what finished.
+  resumes from what finished;
+* in a knob sweep the home job is the unit of supervision: a poisoned
+  home fails in every cell that owed it, its neighbours' results are
+  untouched, and ``fail_fast`` aborts the whole shard.
 
 The CI chaos canary re-runs this file with 2 workers.
 """
@@ -35,6 +38,8 @@ from repro.fleet import (
     FleetRunner,
     FleetSpec,
     ResultCache,
+    SweepGrid,
+    SweepRunner,
     job_cache_key,
     run_fleet,
 )
@@ -208,6 +213,81 @@ class TestTimeouts:
         assert not result.failures
         assert result.pool_rebuilds >= 1
         assert surviving_digests(result) == clean_digests
+
+
+#: a 2-seed sweep over chaos-fleet-sized homes: each home job owes the
+#: two cells of its seed
+CHAOS_GRID = SweepGrid(
+    defenses=("nill",),
+    settings=(0.5, 1.0),
+    n_homes=SPEC.n_homes,
+    days=SPEC.days,
+    seeds=(9, 10),
+    mix=SPEC.mix,
+    detectors=SPEC.detectors,
+)
+
+
+@pytest.fixture(scope="module")
+def clean_sweep_homes():
+    """Per-cell ``{index: HomeResult}`` of an uninjected serial sweep."""
+    result = SweepRunner().run(CHAOS_GRID)
+    assert result.ok
+    return {
+        c.cell: {h.index: h for h in c.fleet.homes} for c in result.cells
+    }
+
+
+def run_chaos_sweep(monkeypatch, plan, workers=POOL_WORKERS, **supervision):
+    """Sweep :data:`CHAOS_GRID` with ``plan`` armed the way a user arms
+    ``repro sweep``: through the environment."""
+    monkeypatch.setenv(FAULTS_ENV, plan.to_json())
+    return SweepRunner(workers, **supervision).run(CHAOS_GRID)
+
+
+class TestSweepFailureRouting:
+    @pytest.mark.parametrize("kind", ["error", "crash"])
+    def test_poisoned_home_fails_in_every_cell(
+        self, clean_sweep_homes, monkeypatch, kind
+    ):
+        result = run_chaos_sweep(
+            monkeypatch, FaultPlan(kind=kind, indices=(2,))
+        )
+        assert result.n_cells == CHAOS_GRID.n_cells
+        for cell_result in result.cells:
+            fleet = cell_result.fleet
+            [failure] = fleet.failures
+            assert (failure.index, failure.kind) == (2, kind)
+            assert failure.attempts == 3  # first try + 2 default retries
+            # every survivor is the clean run's result, bit for bit
+            clean = clean_sweep_homes[cell_result.cell]
+            assert {h.index: h for h in fleet.homes} == {
+                i: h for i, h in clean.items() if i != 2
+            }
+
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_fail_fast_aborts_the_shard(self, monkeypatch, workers):
+        result = run_chaos_sweep(
+            monkeypatch, FaultPlan(kind="error", indices=(0,)),
+            workers=workers, max_retries=0, fail_fast=True,
+        )
+        assert not result.ok
+        for cell_result in result.cells:
+            fleet = cell_result.fleet
+            # every home is accounted for exactly once, in every cell
+            assert fleet.n_homes + fleet.n_failed == CHAOS_GRID.n_homes
+            indices = sorted(
+                [h.index for h in fleet.homes]
+                + [f.index for f in fleet.failures]
+            )
+            assert indices == list(range(CHAOS_GRID.n_homes))
+            if cell_result.cell.seed == CHAOS_GRID.seeds[0]:
+                assert fleet.failures[0].kind == "error"
+            else:
+                # the first seed's poisoned home stopped the whole shard
+                # before any of the second seed's home jobs ran
+                assert not fleet.homes
+                assert {f.kind for f in fleet.failures} == {"aborted"}
 
 
 class TestCacheRobustness:

@@ -8,6 +8,12 @@ MCCs/accuracies, utility scores, energy costs) while excluding runtime
 facts, so the digest is a stable fingerprint of the whole
 simulate→defend→attack pipeline.
 
+The sweep pins do the same for :class:`~repro.fleet.SweepRunner`: one
+digest per grid cell, computed when every cell was still its own fleet
+run, so a sweep that shares each home's simulation and baseline across
+cells must reproduce a per-cell run bit for bit — digests and cache
+entry bytes alike.
+
 If a future kernel or refactor PR changes one of these values, it
 changed observable results — either fix the regression or, if the change
 is an intentional semantic fix, re-pin the digests *in that PR* with the
@@ -17,10 +23,19 @@ to be stable across platforms and supported interpreter versions.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.fleet import BACKENDS, FleetSpec, result_digest, run_fleet
+from repro.fleet import (
+    BACKENDS,
+    FleetRunner,
+    FleetSpec,
+    SweepGrid,
+    SweepRunner,
+    result_digest,
+    run_fleet,
+)
 
 #: the pinned presets: one uses the dialed-defense (``name@setting``)
 #: path so the knob mapping layer is inside the pinned surface
@@ -128,3 +143,90 @@ class TestGoldenDigests:
     def test_specs_disagree(self):
         """The two pinned presets are genuinely different pipelines."""
         assert GOLDEN["home-a"][1] != GOLDEN["fig2"][1]
+
+
+#: a sweep grid mixing a fixed preset with a ``random`` one, over two
+#: seeds, two defenses and two dial positions: 8 cells x 2 homes
+GOLDEN_GRID = SweepGrid(
+    defenses=("dp-laplace", "nill"),
+    settings=(0.5, 1.0),
+    n_homes=2,
+    days=1,
+    seeds=(3, 4),
+    mix=("home-a", "random"),
+)
+GOLDEN_CELLS = {
+    "dp-laplace@0.5 seed=3":
+        "b08feac79c4d3cc3c3e191cdf416976d7a61f6b5232f614d114f1bb7a6e953e9",
+    "dp-laplace@0.5 seed=4":
+        "19934d6c79ce144b63cb1ab411dcb05de9c15a2fc5ef00cb0f60509edb938f32",
+    "dp-laplace@1 seed=3":
+        "9884fbec0b5c8db5fbd949c1cb5188a526a96e9b88f7f17194bdc1bd0061a921",
+    "dp-laplace@1 seed=4":
+        "17f3a67c4c4218c011c8d9ba5ab1568bc0d737f2f3ce49552131c55dbbaca7f0",
+    "nill@0.5 seed=3":
+        "103b1f83ef7f68d4d418fed7722b2160f19e4659eaec643fe7f8cf6708db36fd",
+    "nill@0.5 seed=4":
+        "8206541e4be0354c0e68bf8cf14f5586b83c30163a82a819426d3412f481f9f1",
+    "nill@1 seed=3":
+        "1a95367536ee126db81702b74cd7c472b01eac7d7ac1ea0f8fe91ebdac9ba5a3",
+    "nill@1 seed=4":
+        "a52e7d143c9c2c154a91e799a4c33fdb723029aab8545a2a73f322ecb3051d6a",
+}
+
+
+def cache_entries(cache_dir: Path) -> dict:
+    return {
+        p.relative_to(cache_dir): p.read_bytes()
+        for p in sorted(cache_dir.glob("*/*.pkl"))
+    }
+
+
+@pytest.fixture(scope="module")
+def per_cell_entries(tmp_path_factory):
+    """Cache entries written by one plain fleet run per grid cell."""
+    cache_dir = tmp_path_factory.mktemp("per-cell")
+    runner = FleetRunner(cache_dir=cache_dir)
+    for cell in GOLDEN_GRID.cells():
+        runner.run(GOLDEN_GRID.cell_spec(cell))
+    return cache_entries(cache_dir)
+
+
+class TestGoldenSweep:
+    HOME_CELLS = GOLDEN_GRID.n_cells * GOLDEN_GRID.n_homes
+
+    def test_per_cell_runs_write_one_entry_per_home_cell(
+        self, per_cell_entries
+    ):
+        assert len(per_cell_entries) == self.HOME_CELLS
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cell_digests_on_every_backend(
+        self, per_cell_entries, backend, tmp_path
+    ):
+        workers = 1 if backend == "serial" else 2
+        result = SweepRunner(workers, tmp_path, backend=backend).run(
+            GOLDEN_GRID
+        )
+        digests = {c.cell.label(): result_digest(c.fleet) for c in result.cells}
+        assert digests == GOLDEN_CELLS
+        assert result.executed == self.HOME_CELLS
+        # the sweep's cache entries are the ones per-cell runs write
+        assert cache_entries(tmp_path) == per_cell_entries
+
+    def test_half_filled_cache_runs_only_the_misses(
+        self, per_cell_entries, tmp_path
+    ):
+        """The grid-extension shape: half the home-cells are cached."""
+        SweepRunner(cache_dir=tmp_path).run(
+            replace(GOLDEN_GRID, settings=(0.5,))
+        )
+        result = SweepRunner(2, tmp_path).run(GOLDEN_GRID)
+        for cell_result in result.cells:
+            cached = cell_result.cell.setting == 0.5
+            misses = 0 if cached else GOLDEN_GRID.n_homes
+            assert cell_result.fleet.executed == misses
+            label = cell_result.cell.label()
+            assert result_digest(cell_result.fleet) == GOLDEN_CELLS[label]
+        assert result.executed == self.HOME_CELLS // 2
+        assert cache_entries(tmp_path) == per_cell_entries

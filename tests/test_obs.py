@@ -22,7 +22,14 @@ import pytest
 
 from repro.attacks.profiling import meal_profile
 from repro.defenses.local import LocalAnalyticsHub
-from repro.fleet import FleetReport, FleetSpec, run_fleet
+from repro.fleet import (
+    FleetReport,
+    FleetSpec,
+    SweepGrid,
+    SweepRunner,
+    run_fleet,
+)
+from repro.fleet.engine import profile_name
 from repro.obs import (
     TELEMETRY,
     Telemetry,
@@ -297,9 +304,23 @@ class TestProfiling:
         result = run_fleet(SPEC, workers=1, profile_dir=profile_dir)
         assert result.ok
         dumps = sorted(p.name for p in profile_dir.glob("*.pstats"))
-        assert dumps == [
-            f"home-{i:04d}-a0.pstats" for i in range(SPEC.n_homes)
-        ]
+        assert dumps == sorted(
+            f"{profile_name(SPEC.job(i))}.pstats" for i in range(SPEC.n_homes)
+        )
+        assert all(name.startswith("home-") for name in dumps)
+
+    def test_sweep_profile_dir_one_dump_per_home_job(self, tmp_path):
+        """Preset homes fingerprint alike under every seed, and home
+        indices repeat across seeds: the dump names must still differ."""
+        grid = SweepGrid(
+            defenses=("nill",), settings=(0.0, 1.0), n_homes=2, days=1,
+            seeds=(0, 1), mix=("home-a", "home-b"),
+            detectors=("threshold-15m",),
+        )
+        result = SweepRunner(profile_dir=tmp_path).run(grid)
+        assert result.ok
+        home_jobs = len(grid.seeds) * grid.n_homes
+        assert len(list(tmp_path.glob("*.pstats"))) == home_jobs
 
 
 # ---------------------------------------------------------------------------

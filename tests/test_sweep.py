@@ -163,17 +163,27 @@ class TestResume:
 class TestTelemetry:
     def test_cells_carry_merged_telemetry(self):
         result = run_sweep(SMALL, telemetry=True)
-        # every cell has an attributable snapshot...
+        timers = result.telemetry.timers
+        # one home job per home: each is simulated (and its baseline
+        # attacked) once, counted once, in the sweep's totals
+        home_jobs = SMALL.n_homes * len(SMALL.seeds)
+        assert timers["stage.job"].count == home_jobs
+        assert timers["stage.simulate"].count == home_jobs
+        # every cell carries the cost of its own defenses only...
         for cell_result in result.cells:
-            assert cell_result.telemetry is not None
-            assert cell_result.telemetry.timers["stage.job"].count > 0
-        # ...and the sweep-level merge adds up across cells
-        assert result.telemetry is not None
-        total_jobs = sum(
-            c.telemetry.timers["stage.job"].count for c in result.cells
+            own = cell_result.telemetry.timers
+            assert "stage.simulate" not in own and "stage.job" not in own
+            assert own["stage.defend"].count == SMALL.n_homes
+            assert own["stage.attack"].count == SMALL.n_homes
+        # ...and the cells' defend counts add up to the sweep's, which is
+        # one per executed home-cell
+        defended = sum(
+            c.telemetry.timers["stage.defend"].count for c in result.cells
         )
-        assert result.telemetry.timers["stage.job"].count == total_jobs
-        assert total_jobs == SMALL.n_cells * SMALL.n_homes
+        assert defended == timers["stage.defend"].count == result.executed
+        assert result.executed == SMALL.n_cells * SMALL.n_homes
+        # the baseline is attacked once per home job, beside the cells
+        assert timers["stage.attack"].count == home_jobs + result.executed
 
     def test_telemetry_off_by_default(self):
         result = run_sweep(SMALL)
