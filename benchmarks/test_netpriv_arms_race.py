@@ -30,7 +30,7 @@ import json
 import os
 
 from repro.core.knob import knob_mapping_names
-from repro.fleet import NetprivGrid, run_netpriv_sweep
+from repro.fleet import NetprivGrid, NetprivSweepRunner
 
 OUT_ENV = "REPRO_BENCH_NETPRIV_OUT"
 DEFAULT_OUT = "BENCH_netpriv_arms_race.json"
@@ -65,7 +65,7 @@ def run_benchmarks(workers: int | None = None) -> dict:
     )
     if workers is None:
         workers = min(4, os.cpu_count() or 1)
-    result = run_netpriv_sweep(grid, workers=workers, telemetry=True)
+    result = NetprivSweepRunner(workers=workers, telemetry=True).run(grid)
     frontier = result.frontier()
     violations = frontier.monotone_violations(MONOTONE_TOLERANCE)
 
@@ -83,7 +83,7 @@ def run_benchmarks(workers: int | None = None) -> dict:
         "elapsed_s": round(result.elapsed_s, 2),
         "workers": result.workers_used,
         "ok": result.ok,
-        "points": [p.as_dict() for p in frontier.points],
+        "points": frontier.as_dict()["points"],
         "mid_dial_adaptive_gaps": mid_gaps,
         "adaptive_wins_at_mid_dial": adaptive_wins,
         "monotone_tolerance": MONOTONE_TOLERANCE,

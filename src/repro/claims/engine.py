@@ -12,8 +12,8 @@ concrete metric names per row, and then applies the claim's semantics:
   violation line naming the cell, metric, value, and bound.
 * **monotone** — resolved rows are grouped into dial series per
   (artifact, defense, seed, metric) and each series must be
-  non-increasing within ``tolerance`` under the same running-minimum
-  rule as :meth:`repro.fleet.frontier.FrontierReport.monotone_violations`.
+  non-increasing within ``tolerance`` under the running-minimum rule
+  both frontiers gate on, :func:`repro.core.knob.dial_violations`.
 
 A claim that resolves to nothing is **inconclusive**, never a silent
 pass: "selector matched no cells" when no row has the right
@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.claims import CLAIM_OPS, Claim, ClaimSet, resolve_metrics
+from repro.core.knob import dial_violations
 from repro.fleet.artifacts import Artifact, ArtifactRow
 
 from repro.claims.report import CellCoverage, ClaimVerdict, ClaimsReport
@@ -123,16 +124,17 @@ def _eval_monotone(
         if len(settings) < 2:
             continue
         seen_series = True
-        running_min = float("inf")
-        for setting, value, cell in sorted(pts):
-            checks += 1
-            if value > running_min + claim.tolerance + _EXACT_TOL:
-                violations.append(
-                    f"{cell}: {metric} = {value:.6g} exceeds running min "
-                    f"{running_min:.6g} + tolerance {claim.tolerance:g} "
-                    f"(defense {defense}, seed {seed})"
-                )
-            running_min = min(running_min, value)
+        pts.sort()
+        checks += len(pts)
+        values = [value for _, value, _ in pts]
+        tolerance = claim.tolerance + _EXACT_TOL
+        for i, running_min in dial_violations(values, tolerance):
+            _, value, cell = pts[i]
+            violations.append(
+                f"{cell}: {metric} = {value:.6g} exceeds running min "
+                f"{running_min:.6g} + tolerance {claim.tolerance:g} "
+                f"(defense {defense}, seed {seed})"
+            )
     if not seen_series:
         return ClaimVerdict(
             claim=claim,

@@ -28,6 +28,11 @@ import numpy as np
 from .home.presets import preset_names
 
 
+def _split(text: str, kind: type = str) -> tuple:
+    """A comma-separated flag value as a tuple of ``kind``; blanks skipped."""
+    return tuple(kind(item.strip()) for item in text.split(",") if item.strip())
+
+
 def _add_home_args(p: argparse.ArgumentParser) -> None:
     """The shared single-home selection flags, sourced from the preset
     registry so subcommands can't drift as presets are added."""
@@ -425,18 +430,12 @@ def cmd_knob(args) -> int:
 def cmd_fleet(args) -> int:
     from .fleet import FleetReport, FleetSpec, run_fleet
 
-    mix = tuple(name.strip() for name in args.mix.split(",") if name.strip())
-    defenses = (
-        None
-        if args.defenses == "all"
-        else tuple(d.strip() for d in args.defenses.split(",") if d.strip())
-    )
     spec = FleetSpec(
         n_homes=args.homes,
         days=args.days,
         seed=args.seed,
-        mix=mix,
-        defenses=defenses,
+        mix=_split(args.mix),
+        defenses=None if args.defenses == "all" else _split(args.defenses),
     )
     result = run_fleet(
         spec,
@@ -488,14 +487,7 @@ def cmd_fleet(args) -> int:
         report.to_json(args.json)
         print(f"report JSON written to {args.json}")
     if args.telemetry and report.telemetry is not None:
-        import json as json_mod
-        from pathlib import Path
-
-        out = Path(args.telemetry)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json_mod.dumps(report.telemetry, indent=2, sort_keys=True) + "\n"
-        )
+        _write_json(args.telemetry, report.telemetry)
         timers = report.telemetry["totals"]["timers"]
         stages = {
             name.split(".", 1)[1]: stat["total_s"]
@@ -524,20 +516,12 @@ def cmd_sweep(args) -> int:
             grid = load_grid(args.grid)
         elif inline_grid_flags:
             grid = SweepGrid(
-                defenses=tuple(
-                    d.strip() for d in args.defenses.split(",") if d.strip()
-                ),
-                settings=tuple(
-                    float(s) for s in args.settings.split(",") if s.strip()
-                ),
+                defenses=_split(args.defenses),
+                settings=_split(args.settings, float),
                 n_homes=args.homes,
                 days=args.days,
-                seeds=tuple(
-                    int(s) for s in args.seeds.split(",") if s.strip()
-                ),
-                mix=tuple(
-                    name.strip() for name in args.mix.split(",") if name.strip()
-                ),
+                seeds=_split(args.seeds, int),
+                mix=_split(args.mix),
             )
         else:
             raise SweepError("need --grid FILE or --defenses (see 'info' for names)")
@@ -559,87 +543,34 @@ def cmd_sweep(args) -> int:
 
     def on_cell(cell_result) -> None:
         fleet = cell_result.fleet
-        cached = fleet.n_homes - fleet.executed
+        cached = fleet.n_homes + fleet.n_failed - fleet.executed
         line = (f"  cell {cell_result.cell.label():<24s} "
                 f"{fleet.n_homes} homes ({cached} cached)")
         if fleet.failures:
             line += f"  [{fleet.n_failed} FAILED]"
         print(line)
 
-    n_shard_cells = len(grid.cells()[shard[0] - 1 :: shard[1]])
-    print(f"sweep: {len(grid.defenses)} defense(s) x "
-          f"{len(grid.settings)} setting(s) x {len(grid.seeds)} seed(s) "
-          f"over {grid.n_homes} homes x {grid.days} day(s); "
-          f"shard {shard[0]}/{shard[1]} runs {n_shard_cells}/{grid.n_cells} cells")
+    _print_grid(args, grid, shard, f"{grid.n_homes} homes x {grid.days} day(s)")
     result = runner.run(grid, shard, on_cell=on_cell)
     frontier = result.frontier()
     print(frontier.format_table())
-    total_jobs = sum(c.fleet.n_homes + c.fleet.n_failed for c in result.cells)
-    print(f"ran {result.executed}/{total_jobs} home jobs "
-          f"({total_jobs - result.executed} cached) in {result.elapsed_s:.2f}s")
+    home_cells = sum(c.fleet.n_homes + c.fleet.n_failed for c in result.cells)
+    print(f"ran {result.executed}/{home_cells} home-cells "
+          f"({home_cells - result.executed} cached) in {result.elapsed_s:.2f}s")
     if not result.ok:
-        print(f"WARNING: {result.n_failed_homes} home job(s) failed "
+        print(f"WARNING: {result.n_failed_homes} home-cell(s) failed "
               "(frontier covers survivors only)")
-
-    if args.csv:
-        path = frontier.to_csv(args.csv)
-        print(f"frontier CSV written to {path}")
-    if args.json:
-        frontier.to_json(args.json)
-        print(f"frontier JSON written to {args.json}")
-    if args.telemetry and result.telemetry is not None:
-        import json as json_mod
-        from pathlib import Path
-
-        out = Path(args.telemetry)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json_mod.dumps(result.telemetry.as_dict(), indent=2, sort_keys=True)
-            + "\n"
-        )
-        stages = {
-            name.split(".", 1)[1]: stat.total_s
-            for name, stat in result.telemetry.timers.items()
-            if name.startswith("stage.") and name != "stage.job"
-        }
-        if stages:
-            print("telemetry: " + ", ".join(
-                f"{name} {seconds:.2f}s" for name, seconds in stages.items()
-            ))
-        print(f"sweep telemetry JSON written to {args.telemetry}")
-    if args.profile:
-        print(f"per-job cProfile dumps written to {args.profile}/")
-
-    violations = frontier.monotone_violations(args.tolerance)
-    if violations:
-        print(f"frontier monotonicity: {len(violations)} violation(s)")
-        for violation in violations:
-            print(f"  {violation}")
-        if args.check_monotone:
-            return 1
-    elif args.check_monotone:
-        print("frontier monotonicity: ok")
-    return 1 if not result.ok else 0
+    return _finish_grid(args, result, frontier, "stage.job")
 
 
 def cmd_netpriv(args) -> int:
-    from .fleet import (
-        NetprivGrid,
-        NetprivSweepRunner,
-        SweepError,
-        parse_shard,
-        shard_cells,
-    )
+    from .fleet import NetprivGrid, NetprivSweepRunner, SweepError, parse_shard
 
     try:
         grid = NetprivGrid(
-            defenses=tuple(
-                d.strip() for d in args.defenses.split(",") if d.strip()
-            ),
-            settings=tuple(
-                float(s) for s in args.settings.split(",") if s.strip()
-            ),
-            seeds=tuple(int(s) for s in args.seeds.split(",") if s.strip()),
+            defenses=_split(args.defenses),
+            settings=_split(args.settings, float),
+            seeds=_split(args.seeds, int),
             n_lans=args.lans,
             days=args.days,
             lan=args.lan,
@@ -665,11 +596,9 @@ def cmd_netpriv(args) -> int:
               f"adaptive mcc {outcome.adaptive.occupancy_mcc:+.3f}  "
               f"cover {outcome.cover_mb_per_day:.1f} MB/day")
 
-    n_shard_cells = len(shard_cells(grid.cells(), shard))
-    print(f"netpriv: {len(grid.defenses)} defense(s) x "
-          f"{len(grid.settings)} setting(s) x {len(grid.seeds)} seed(s) "
-          f"over {grid.n_lans} LAN(s) x {grid.days} day(s) [{grid.lan}]; "
-          f"shard {shard[0]}/{shard[1]} runs {n_shard_cells}/{grid.n_cells} cells")
+    _print_grid(
+        args, grid, shard, f"{grid.n_lans} LAN(s) x {grid.days} day(s) [{grid.lan}]"
+    )
     result = runner.run(grid, shard, on_result=on_result)
     frontier = result.frontier()
     print(frontier.format_table())
@@ -678,7 +607,30 @@ def cmd_netpriv(args) -> int:
     if not result.ok:
         print(f"WARNING: {len(result.failures)} LAN job(s) failed "
               "(frontier covers survivors only)")
+    return _finish_grid(
+        args, result, frontier, "stage.netpriv_job", {"netpriv.flows": "flows"}
+    )
 
+
+def _print_grid(args, grid, shard: tuple[int, int], population: str) -> None:
+    """The opening line of ``sweep`` and ``netpriv``: the grid and the shard."""
+    from .fleet import shard_cells
+
+    n_shard_cells = len(shard_cells(grid.cells(), shard))
+    print(f"{args.command}: {len(grid.defenses)} defense(s) x "
+          f"{len(grid.settings)} setting(s) x {len(grid.seeds)} seed(s) "
+          f"over {population}; "
+          f"shard {shard[0]}/{shard[1]} runs {n_shard_cells}/{grid.n_cells} cells")
+
+
+def _finish_grid(args, result, frontier, job_stage: str, counts=None) -> int:
+    """The shared end of ``sweep`` and ``netpriv``.
+
+    Writes the frontier CSV/JSON and the telemetry JSON, prints the
+    telemetry line (each ``counts`` counter, then every ``stage.*`` timer
+    but the per-job span ``job_stage``), and runs the monotone gate.
+    Exit code: 1 on a gated violation or any failed job, else 0.
+    """
     if args.csv:
         path = frontier.to_csv(args.csv)
         print(f"frontier CSV written to {path}")
@@ -686,20 +638,21 @@ def cmd_netpriv(args) -> int:
         frontier.to_json(args.json)
         print(f"frontier JSON written to {args.json}")
     if args.telemetry and result.telemetry is not None:
-        _write_json(args.telemetry, result.telemetry.as_dict())
-        flows = result.telemetry.counters.get("netpriv.flows", 0.0)
-        stages = {
-            name.split(".", 1)[1]: stat.total_s
-            for name, stat in result.telemetry.timers.items()
-            if name.startswith("stage.") and name != "stage.netpriv_job"
-        }
-        line = f"telemetry: {flows:.0f} flows"
-        if stages:
-            line += ", " + ", ".join(
-                f"{name} {seconds:.2f}s" for name, seconds in stages.items()
-            )
-        print(line)
-        print(f"netpriv telemetry JSON written to {args.telemetry}")
+        telemetry = result.telemetry
+        _write_json(args.telemetry, telemetry.as_dict())
+        parts = [
+            f"{telemetry.counters.get(name, 0.0):.0f} {label}"
+            for name, label in (counts or {}).items()
+        ] + [
+            f"{name.split('.', 1)[1]} {stat.total_s:.2f}s"
+            for name, stat in telemetry.timers.items()
+            if name.startswith("stage.") and name != job_stage
+        ]
+        if parts:
+            print("telemetry: " + ", ".join(parts))
+        print(f"{args.command} telemetry JSON written to {args.telemetry}")
+    if getattr(args, "profile", None):
+        print(f"per-job cProfile dumps written to {args.profile}/")
 
     violations = frontier.monotone_violations(args.tolerance)
     if violations:
@@ -726,7 +679,7 @@ def cmd_stream(args) -> int:
     from .obs import TELEMETRY
     from .stream import stream_attack_names
 
-    attacks = tuple(a.strip() for a in args.attacks.split(",") if a.strip())
+    attacks = _split(args.attacks)
     unknown = set(attacks) - set(stream_attack_names())
     if unknown:
         print(f"stream: unknown attacks {sorted(unknown)}; "
@@ -894,9 +847,8 @@ def _guard_policy(args):
 def _stream_fleet(args, attacks, attack_kwargs, guard_policy) -> int:
     from .fleet import FleetRunner, FleetSpec
 
-    mix = tuple(name.strip() for name in args.mix.split(",") if name.strip())
     spec = FleetSpec(
-        n_homes=args.homes, days=args.days, seed=args.seed, mix=mix
+        n_homes=args.homes, days=args.days, seed=args.seed, mix=_split(args.mix)
     )
     runner = FleetRunner(
         workers=args.workers,

@@ -1,4 +1,8 @@
-"""Core: evaluation pipeline, privacy knob, claims model, registries."""
+"""Core: evaluation pipeline, privacy knob, claims model, registries.
+
+The knob module also holds :func:`dial_violations`, the running-minimum
+rule that both sweep frontiers and ``monotone`` claims gate on.
+"""
 
 from .claims import (
     Claim,
@@ -21,6 +25,7 @@ from .evaluation import (
 from .knob import (
     KnobStage,
     PrivacyKnob,
+    dial_violations,
     knob_defense,
     knob_defense_name,
     knob_domains,
@@ -63,6 +68,7 @@ __all__ = [
     "occupancy_privacy",
     "KnobStage",
     "PrivacyKnob",
+    "dial_violations",
     "knob_defense",
     "knob_defense_name",
     "knob_domains",

@@ -9,13 +9,15 @@ single setting in [0, 1].
 
 :class:`PrivacyKnob` maps a knob setting to a configured defense stack and
 :func:`sweep_knob` traces the resulting privacy-utility frontier, which is
-the ``sec3-frontier`` experiment of DESIGN.md.
+the ``sec3-frontier`` experiment of DESIGN.md.  :func:`dial_violations`
+is the rule every frontier is held to: dialing up must not help the
+attacker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -144,6 +146,30 @@ class PrivacyKnob:
             comfort_violation_fraction=comfort,
             utility_distortion=distortion,
         )
+
+
+def dial_violations(
+    values: Sequence[float], tolerance: float
+) -> list[tuple[int, float]]:
+    """Positions where a dial series rises above its running minimum.
+
+    ``values`` is one series in increasing-setting order, e.g. attack
+    MCC at each dial position.  Turning the dial up must not make the
+    attack better, but the estimates are noisy, so a value violates only
+    when it exceeds the running minimum of the values before it plus
+    ``tolerance``.  Returns ``(position, running_min)`` per violation.
+    Both sweep frontiers' ``monotone_violations`` and ``monotone``
+    claims apply this rule.
+    """
+    if tolerance < 0:
+        raise ValueError("tolerance must be >= 0")
+    violations = []
+    running_min = float("inf")
+    for position, value in enumerate(values):
+        if value > running_min + tolerance:
+            violations.append((position, running_min))
+        running_min = min(running_min, value)
+    return violations
 
 
 def sweep_knob(

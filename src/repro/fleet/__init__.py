@@ -26,6 +26,14 @@ turns the single-home pipeline into a population instrument:
   owe (simulated once, scored per cell) and resumable through the same
   cache; reduced by :class:`FrontierReport` into privacy-utility
   frontier points;
+- :class:`NetprivGrid` / :class:`NetprivSweepRunner` — the Sec. IV
+  arms race over the same dial axes (:class:`KnobGrid`) and cells
+  (:class:`SweepCell`), one supervised job per LAN, reduced by
+  :class:`NetprivFrontierReport`; both reports are one
+  :class:`Frontier` shell (reduction, running-min monotone gate, JSON
+  and CSV exports);
+- :func:`load_artifact` / :func:`artifact_from_report` — the claim-facing
+  view of a frontier or stream report (see :mod:`repro.claims`);
 - telemetry (``telemetry=True`` / ``repro fleet --telemetry``) — per-stage
   counter/timer snapshots from :mod:`repro.obs`, captured inside each
   worker, merged into fleet totals on :class:`FleetResult` and surfaced in
@@ -42,9 +50,7 @@ from .artifacts import (
     Artifact,
     ArtifactError,
     ArtifactRow,
-    artifact_from_frontier,
-    artifact_from_netpriv,
-    artifact_from_stream,
+    artifact_from_report,
     load_artifact,
 )
 from .cache import CACHE_FORMAT_VERSION, CacheStats, ResultCache, job_cache_key
@@ -68,7 +74,7 @@ from .engine import (
     trace_digest,
 )
 from .faults import FAULTS_ENV, FaultInjected, FaultPlan
-from .frontier import FrontierPoint, FrontierReport
+from .frontier import Frontier, FrontierPoint, FrontierReport
 from .netpriv import (
     NETPRIV_LAN_CONFIGS,
     NetprivFrontierPoint,
@@ -80,7 +86,6 @@ from .netpriv import (
     NetprivSweepRunner,
     netpriv_lan_config,
     run_netpriv_job,
-    run_netpriv_sweep,
 )
 from .report import (
     BASELINE,
@@ -91,6 +96,7 @@ from .report import (
 from .spec import DEFAULT_FLEET_DETECTORS, FleetSpec, HomeJob
 from .sweep import (
     CellResult,
+    KnobGrid,
     SweepCell,
     SweepError,
     SweepGrid,
@@ -106,9 +112,7 @@ __all__ = [
     "Artifact",
     "ArtifactError",
     "ArtifactRow",
-    "artifact_from_frontier",
-    "artifact_from_netpriv",
-    "artifact_from_stream",
+    "artifact_from_report",
     "load_artifact",
     "BACKENDS",
     "BASELINE",
@@ -126,6 +130,7 @@ __all__ = [
     "FleetResult",
     "FleetRunner",
     "FleetSpec",
+    "Frontier",
     "FrontierPoint",
     "FrontierReport",
     "HomeFailure",
@@ -134,6 +139,7 @@ __all__ = [
     "HomeResult",
     "HomeStreamResult",
     "JobsResult",
+    "KnobGrid",
     "NETPRIV_LAN_CONFIGS",
     "NetprivFrontierPoint",
     "NetprivFrontierReport",
@@ -144,7 +150,6 @@ __all__ = [
     "NetprivSweepRunner",
     "netpriv_lan_config",
     "run_netpriv_job",
-    "run_netpriv_sweep",
     "PopulationStats",
     "ResultCache",
     "StreamFleetResult",

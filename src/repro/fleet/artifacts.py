@@ -12,9 +12,8 @@ to floats (``"mcc.mean"``, ``"adaptive_mcc.p90"``,
 :func:`load_artifact` sniffs the JSON shape and refuses loudly — a
 foreign or truncated file raises :class:`ArtifactError` instead of
 evaluating to an empty artifact that would let every claim silently
-pass.  In-memory reports take the direct constructors
-(:func:`artifact_from_frontier`, :func:`artifact_from_netpriv`,
-:func:`artifact_from_stream`).
+pass.  In-memory reports (either frontier, or a stream report) take
+:func:`artifact_from_report`.
 """
 
 from __future__ import annotations
@@ -27,9 +26,10 @@ from typing import TYPE_CHECKING
 
 from repro.core.knob import knob_defense_name
 
+from .frontier import Frontier, FrontierReport
+from .netpriv import NetprivFrontierReport
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.frontier import FrontierReport
-    from repro.fleet.netpriv import NetprivFrontierReport
     from repro.stream.session import StreamReport
 
 
@@ -40,15 +40,8 @@ class ArtifactError(ValueError):
 #: Recognised artifact kinds, in sniffing order.
 ARTIFACT_KINDS = ("sweep-frontier", "netpriv-frontier", "stream")
 
-_SWEEP_AXES = ("mcc", "distortion_w", "bill_error", "extra_kwh")
-_NETPRIV_AXES = (
-    "naive_mcc",
-    "adaptive_mcc",
-    "naive_fingerprint_acc",
-    "adaptive_fingerprint_acc",
-    "cover_mb_per_day",
-    "mean_added_delay_s",
-)
+_SWEEP_AXES = tuple(FrontierReport.AXES)
+_NETPRIV_AXES = tuple(NetprivFrontierReport.AXES)
 
 
 @dataclass(frozen=True)
@@ -255,25 +248,16 @@ def load_artifact(path: str | Path) -> Artifact:
     return artifact_from_dict(doc, source=str(path))
 
 
-def artifact_from_frontier(
-    report: "FrontierReport", source: str = "<FrontierReport>"
+def artifact_from_report(
+    report: "Frontier | StreamReport", source: str | None = None
 ) -> Artifact:
-    """Wrap an in-memory sweep :class:`~repro.fleet.frontier.FrontierReport`."""
-    return artifact_from_dict(report.as_dict(), source=source)
+    """Wrap an in-memory report: either frontier, or a stream report.
 
-
-def artifact_from_netpriv(
-    report: "NetprivFrontierReport", source: str = "<NetprivFrontierReport>"
-) -> Artifact:
-    """Wrap an in-memory :class:`~repro.fleet.netpriv.NetprivFrontierReport`."""
-    return artifact_from_dict(report.as_dict(), source=source)
-
-
-def artifact_from_stream(
-    report: "StreamReport", source: str = "<StreamReport>"
-) -> Artifact:
-    """Wrap an in-memory :class:`~repro.stream.session.StreamReport`."""
-    return artifact_from_dict(report.as_dict(), source=source)
+    ``source`` defaults to the report's type name in angle brackets.
+    """
+    return artifact_from_dict(
+        report.as_dict(), source=source or f"<{type(report).__name__}>"
+    )
 
 
 __all__ = [
@@ -282,8 +266,6 @@ __all__ = [
     "ArtifactError",
     "ArtifactRow",
     "artifact_from_dict",
-    "artifact_from_frontier",
-    "artifact_from_netpriv",
-    "artifact_from_stream",
+    "artifact_from_report",
     "load_artifact",
 ]

@@ -554,8 +554,10 @@ class FleetRunner:
         ``workers > 1`` (a hung in-process job cannot be interrupted).
     fail_fast:
         Abort the run — a fleet, or every cell of a sweep shard — at the
-        first permanent failure; unfinished home jobs are recorded as
-        ``aborted`` failures.
+        first permanent failure; home jobs not yet reported are recorded
+        as ``aborted`` failures.  Results are reported in submission
+        order, as the serial loop reports them, so every job behind the
+        failed one is aborted even if a worker had already finished it.
     retry_backoff_s:
         Base of the exponential backoff (delay before retry *n* is
         ``retry_backoff_s * 2**(n-1)``).  Deterministic — no jitter — so
@@ -1041,7 +1043,7 @@ class FleetRunner:
         now: float,
         culprit: int,
     ) -> None:
-        """fail-fast: mark every unfinished job as aborted."""
+        """fail-fast: mark every job not yet reported as aborted."""
         for state in states:
             failures.append(
                 self._failure(
@@ -1102,12 +1104,44 @@ class FleetRunner:
         one-at-a-time; a crash with a single job in flight is attributable
         and charges that job alone.  Innocent bystanders therefore always
         complete, and a poison pill exhausts its attempts by itself.
+
+        Under fail-fast, results are reported in submission order, as the
+        serial loop reports them: a finished job waits in ``held`` until
+        every job before it has been reported.  No job behind the first
+        permanent failure is then ever reported done, whichever order
+        the pool happened to finish them in.
         """
         failures: list[tuple[HomeJob, HomeFailure]] = []
         queue: list[_JobState] = list(states)
         isolation: list[_JobState] = []
         inflight: dict = {}
         rebuilds = 0
+        order = {id(state): i for i, state in enumerate(states)}
+        held: dict[int, tuple[_JobState, object]] = {}
+        next_report = 0
+
+        def report(state: _JobState, result: object) -> None:
+            nonlocal next_report
+            if not self.fail_fast:
+                on_result(state.job, result)
+                return
+            held[order[id(state)]] = (state, result)
+            while next_report in held:
+                ready, ready_result = held.pop(next_report)
+                on_result(ready.job, ready_result)
+                next_report += 1
+
+        def unreported() -> list[_JobState]:
+            return [state for state, _ in held.values()]
+
+        def finish_serially() -> tuple[list[tuple[HomeJob, HomeFailure]], int]:
+            # can no longer start pools: held jobs re-run in their turn
+            rest = sorted(
+                isolation + queue + unreported(), key=lambda s: order[id(s)]
+            )
+            held.clear()
+            failures.extend(self._run_serial(rest, on_result, work))
+            return failures, rebuilds
 
         def submit(state: _JobState) -> None:
             fut = pool.submit(
@@ -1177,10 +1211,7 @@ class FleetRunner:
                     # broken pool with nothing running: nobody to blame
                     teardown(kill=False)
                     if not rebuild():
-                        failures.extend(
-                            self._run_serial(isolation + queue, on_result, work)
-                        )
-                        return failures, rebuilds
+                        return finish_serially()
                     continue
 
                 if inflight:
@@ -1213,6 +1244,7 @@ class FleetRunner:
                                     + crash_victims
                                     + isolation
                                     + queue
+                                    + unreported()
                                 )
                                 teardown(kill=True)
                                 self._abort_rest(
@@ -1222,7 +1254,7 @@ class FleetRunner:
                         else:
                             queue.append(state)
                     else:
-                        on_result(state.job, result)
+                        report(state, result)
 
                 now = time.monotonic()
                 if crash_victims:
@@ -1242,7 +1274,7 @@ class FleetRunner:
                             if self.fail_fast:
                                 teardown(kill=False)
                                 self._abort_rest(
-                                    isolation + queue,
+                                    isolation + queue + unreported(),
                                     failures,
                                     now,
                                     state.job.index,
@@ -1254,11 +1286,7 @@ class FleetRunner:
                         isolation.extend(victims)
                     teardown(kill=False)
                     if not rebuild():
-                        # can no longer start pools: finish serially
-                        failures.extend(
-                            self._run_serial(isolation + queue, on_result, work)
-                        )
-                        return failures, rebuilds
+                        return finish_serially()
                     continue
 
                 if self.job_timeout is not None and inflight:
@@ -1292,7 +1320,7 @@ class FleetRunner:
                                 queue.append(state)
                         if culprit is not None and self.fail_fast:
                             self._abort_rest(
-                                innocents + isolation + queue,
+                                innocents + isolation + queue + unreported(),
                                 failures,
                                 now,
                                 culprit,
@@ -1300,12 +1328,7 @@ class FleetRunner:
                             return failures, rebuilds
                         queue[:0] = innocents
                         if not rebuild():
-                            failures.extend(
-                                self._run_serial(
-                                    isolation + queue, on_result, work
-                                )
-                            )
-                            return failures, rebuilds
+                            return finish_serially()
             return failures, rebuilds
         finally:
             pool.shutdown(wait=True, cancel_futures=True)

@@ -3,10 +3,12 @@
 A sweep cell answers "what happens at *this* dial position of *this*
 defense, over *this* seeded population"; the paper's Fig. 6 story is the
 resulting *curve* — attack success traded against what the dial costs.
-:class:`FrontierReport` reduces each cell's per-home
-:class:`~repro.core.evaluation.TradeoffPoint` list into one
-:class:`FrontierPoint` carrying population distributions of the four
-frontier axes:
+:class:`Frontier` is the shell both knob experiments share: it reduces
+each cell's members (homes or LANs) into one point of population
+statistics per axis, gates the dial's shape, and exports JSON and CSV.
+:class:`FrontierReport` is the energy sweep's frontier; it reduces each
+cell's per-home :class:`~repro.core.evaluation.TradeoffPoint` list into
+one :class:`FrontierPoint` carrying the four frontier axes:
 
 * ``mcc`` — worst-case attack MCC (privacy lost to the best detector);
 * ``distortion_w`` — load-profile RMSE (what grid analytics lose);
@@ -14,22 +16,144 @@ frontier axes:
 * ``extra_kwh`` — energy the defense itself burned.
 
 The report also knows the *shape* the knob semantics promise: turning the
-dial up must not make the attack better.  :meth:`monotone_violations`
-checks that per (defense, seed) series, which is the acceptance gate
+dial up must not make the attack better.  :meth:`Frontier.monotone_violations`
+checks that per (defense, seed) series with
+:func:`~repro.core.knob.dial_violations`, which is the acceptance gate
 ``tests/test_sweep.py`` runs against every built-in knob mapping.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, get_type_hints
 
+from ..core.knob import dial_violations
 from .report import PopulationStats
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (sweep imports us)
-    from .sweep import CellResult
+    from .sweep import CellResult, SweepCell
+
+
+@dataclass(frozen=True)
+class Frontier:
+    """Frontier points plus the reduction, shape gate and exports they share.
+
+    A report subclass names its point dataclass (``POINT``, whose first
+    five fields are defense, setting, seed, population size and
+    ``n_failed``), the axes it summarises (``AXES``: axis name -> what
+    that axis measures on one home's or one LAN's outcome), the axis the
+    monotone gate watches (``MONOTONE_AXIS``) and its CSV layout
+    (``CSV_HEADER`` / ``csv_rows``).  Its constructor only groups its
+    inputs into ``(cell, members, n_failed)`` triples for :meth:`_reduce`.
+    """
+
+    points: tuple
+
+    POINT: ClassVar[type]
+    AXES: ClassVar[dict[str, Callable[[object], float]]]
+    MONOTONE_AXIS: ClassVar[str]
+    CSV_HEADER: ClassVar[tuple[str, ...]]
+
+    @classmethod
+    def _reduce(
+        cls, groups: Iterable[tuple["SweepCell", list, int]]
+    ) -> "Frontier":
+        """One point per cell, in (defense, setting, seed) order."""
+        points = [
+            cls.POINT(
+                cell.defense,
+                cell.setting,
+                cell.seed,
+                len(members),
+                n_failed,
+                **{
+                    axis: PopulationStats.of([measure(m) for m in members])
+                    for axis, measure in cls.AXES.items()
+                },
+            )
+            for cell, members, n_failed in groups
+            # a fully failed cell contributes no point; the sweep's
+            # failure report carries the post-mortem
+            if members
+        ]
+        points.sort(key=lambda p: (p.defense, p.setting, p.seed))
+        return cls(points=tuple(points))
+
+    # ------------------------------------------------------------------
+    # Frontier-shape checks
+    # ------------------------------------------------------------------
+    def monotone_violations(self, tolerance: float = 0.05) -> list[str]:
+        """Knob semantics check: higher setting must not raise the attack.
+
+        Each (defense, seed) series of ``MONOTONE_AXIS`` means, sorted by
+        setting, goes through :func:`~repro.core.knob.dial_violations`:
+        MCC estimates are noisy (finite homes, stochastic defenses), so
+        each point is compared against the *running minimum* of its
+        series with a tolerance, not against the previous point exactly.
+        Returns human-readable violation descriptions (empty = frontier
+        is sane).
+        """
+        series: dict[tuple[str, int], list] = {}
+        for point in self.points:
+            series.setdefault((point.defense, point.seed), []).append(point)
+        axis = self.MONOTONE_AXIS.replace("_", " ")
+        violations = []
+        for (defense, seed), pts in sorted(series.items()):
+            pts.sort(key=lambda p: p.setting)
+            means = [getattr(p, self.MONOTONE_AXIS).mean for p in pts]
+            for i, running_min in dial_violations(means, tolerance):
+                violations.append(
+                    f"{defense}@{pts[i].setting:g} (seed {seed}): "
+                    f"{axis} {means[i]:.3f} exceeds running min "
+                    f"{running_min:.3f} + {tolerance:g}"
+                )
+        return violations
+
+    # ------------------------------------------------------------------
+    # Exports
+    # ------------------------------------------------------------------
+    def as_dict(self) -> dict:
+        return {"points": [asdict(p) for p in self.points]}
+
+    def to_json(self, path: str | Path | None = None) -> str:
+        doc = json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        if path is not None:
+            Path(path).write_text(doc + "\n")
+        return doc
+
+    @classmethod
+    def from_json(cls, path: str | Path) -> "Frontier":
+        """Round-trip a :meth:`to_json` export back into a report.
+
+        Each value is coerced to its point field's declared type.
+        """
+
+        def coerce(kind: type, value):
+            return kind(**value) if is_dataclass(kind) else kind(value)
+
+        hints = get_type_hints(cls.POINT)
+        doc = json.loads(Path(path).read_text())
+        return cls(
+            points=tuple(
+                cls.POINT(
+                    **{
+                        f.name: coerce(hints[f.name], row[f.name])
+                        for f in fields(cls.POINT)
+                    }
+                )
+                for row in doc["points"]
+            )
+        )
+
+    def to_csv(self, path: str | Path) -> Path:
+        from ..datasets.io import save_rows_csv
+
+        path = Path(path)
+        save_rows_csv(path, self.CSV_HEADER, self.csv_rows())
+        return path
 
 
 @dataclass(frozen=True)
@@ -46,124 +170,30 @@ class FrontierPoint:
     bill_error: PopulationStats
     extra_kwh: PopulationStats
 
-    def as_dict(self) -> dict:
-        return {
-            "defense": self.defense,
-            "setting": self.setting,
-            "seed": self.seed,
-            "n_homes": self.n_homes,
-            "n_failed": self.n_failed,
-            "mcc": self.mcc.as_dict(),
-            "distortion_w": self.distortion_w.as_dict(),
-            "bill_error": self.bill_error.as_dict(),
-            "extra_kwh": self.extra_kwh.as_dict(),
-        }
 
-
-@dataclass(frozen=True)
-class FrontierReport:
+class FrontierReport(Frontier):
     """The sweep's deliverable: frontier points plus their sanity checks."""
 
-    points: tuple[FrontierPoint, ...]
+    POINT = FrontierPoint
+    #: each axis as measured on one home's tradeoff point for the cell
+    AXES = {
+        "mcc": attrgetter("privacy.worst_case_mcc"),
+        "distortion_w": attrgetter("utility.profile_rmse_w"),
+        "bill_error": attrgetter("utility.energy_error_fraction"),
+        "extra_kwh": attrgetter("extra_energy_kwh"),
+    }
+    MONOTONE_AXIS = "mcc"
 
     @classmethod
     def from_cells(cls, cells: Iterable["CellResult"]) -> "FrontierReport":
-        points = []
-        for cell_result in cells:
-            homes = cell_result.fleet.homes
-            if not homes:
-                # a fully failed cell contributes no point; the sweep's
-                # failure report carries the post-mortem
-                continue
-            tradeoffs = [
-                home.defenses[cell_result.cell.knob_name] for home in homes
-            ]
-            points.append(
-                FrontierPoint(
-                    defense=cell_result.cell.defense,
-                    setting=cell_result.cell.setting,
-                    seed=cell_result.cell.seed,
-                    n_homes=len(homes),
-                    n_failed=cell_result.fleet.n_failed,
-                    mcc=PopulationStats.of(
-                        [t.privacy.worst_case_mcc for t in tradeoffs]
-                    ),
-                    distortion_w=PopulationStats.of(
-                        [t.utility.profile_rmse_w for t in tradeoffs]
-                    ),
-                    bill_error=PopulationStats.of(
-                        [t.utility.energy_error_fraction for t in tradeoffs]
-                    ),
-                    extra_kwh=PopulationStats.of(
-                        [t.extra_energy_kwh for t in tradeoffs]
-                    ),
-                )
+        return cls._reduce(
+            (
+                c.cell,
+                [home.defenses[c.cell.knob_name] for home in c.fleet.homes],
+                c.fleet.n_failed,
             )
-        points.sort(key=lambda p: (p.defense, p.setting, p.seed))
-        return cls(points=tuple(points))
-
-    # ------------------------------------------------------------------
-    # Frontier-shape checks
-    # ------------------------------------------------------------------
-    def monotone_violations(self, tolerance: float = 0.05) -> list[str]:
-        """Knob semantics check: higher setting must not raise attack MCC.
-
-        MCC estimates are noisy (finite homes, stochastic defenses), so
-        each point is compared against the *running minimum* of its
-        (defense, seed) series with a tolerance, not against the previous
-        point exactly.  Returns human-readable violation descriptions
-        (empty = frontier is sane).
-        """
-        if tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
-        series: dict[tuple[str, int], list[FrontierPoint]] = {}
-        for point in self.points:
-            series.setdefault((point.defense, point.seed), []).append(point)
-        violations = []
-        for (defense, seed), pts in sorted(series.items()):
-            running_min = float("inf")
-            for point in sorted(pts, key=lambda p: p.setting):
-                if point.mcc.mean > running_min + tolerance:
-                    violations.append(
-                        f"{defense}@{point.setting:g} (seed {seed}): "
-                        f"mcc {point.mcc.mean:.3f} exceeds running min "
-                        f"{running_min:.3f} + {tolerance:g}"
-                    )
-                running_min = min(running_min, point.mcc.mean)
-        return violations
-
-    # ------------------------------------------------------------------
-    # Exports
-    # ------------------------------------------------------------------
-    def as_dict(self) -> dict:
-        return {"points": [p.as_dict() for p in self.points]}
-
-    def to_json(self, path: str | Path | None = None) -> str:
-        doc = json.dumps(self.as_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            Path(path).write_text(doc + "\n")
-        return doc
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "FrontierReport":
-        """Round-trip a :meth:`to_json` export back into a report."""
-        doc = json.loads(Path(path).read_text())
-        points = []
-        for row in doc["points"]:
-            points.append(
-                FrontierPoint(
-                    defense=row["defense"],
-                    setting=float(row["setting"]),
-                    seed=int(row["seed"]),
-                    n_homes=int(row["n_homes"]),
-                    n_failed=int(row["n_failed"]),
-                    mcc=PopulationStats(**row["mcc"]),
-                    distortion_w=PopulationStats(**row["distortion_w"]),
-                    bill_error=PopulationStats(**row["bill_error"]),
-                    extra_kwh=PopulationStats(**row["extra_kwh"]),
-                )
-            )
-        return cls(points=tuple(points))
+            for c in cells
+        )
 
     CSV_HEADER = (
         "defense", "setting", "seed", "n_homes", "n_failed",
@@ -184,13 +214,6 @@ class FrontierReport:
             ]
             for p in self.points
         ]
-
-    def to_csv(self, path: str | Path) -> Path:
-        from ..datasets.io import save_rows_csv
-
-        path = Path(path)
-        save_rows_csv(path, self.CSV_HEADER, self.csv_rows())
-        return path
 
     def format_table(self) -> str:
         """Aligned text view: one line per frontier point."""

@@ -7,35 +7,36 @@ over simulated *LANs*, pitting naive and adaptive attackers
 ``defense@setting`` dial.  The grid rides the same supervised execution
 substrate — :meth:`repro.fleet.engine.FleetRunner.run_jobs` provides the
 retries, timeouts, crash recovery and telemetry merging — and the
-deliverable mirrors :class:`~repro.fleet.frontier.FrontierReport`: a
-:class:`NetprivFrontierReport` of population statistics per cell, with
-the same running-min monotone-shape gate (turning a defense dial up must
-not make the *adaptive* attack better).
+deliverable is a :class:`~repro.fleet.frontier.Frontier` like the energy
+sweep's: a :class:`NetprivFrontierReport` of population statistics per
+cell, with the same running-min monotone-shape gate
+(:func:`~repro.core.knob.dial_violations`) watching the *adaptive*
+attacker (turning a defense dial up must not make it better).
 
-Sharding, cell ordering, and ``name@setting`` labels reuse the sweep
-module's conventions so ``repro netpriv`` and ``repro sweep`` feel like
-the same tool pointed at different threat surfaces.
+The grid axes, cells, sharding and ``name@setting`` labels are the sweep
+module's (:class:`~repro.fleet.sweep.KnobGrid`,
+:class:`~repro.fleet.sweep.SweepCell`), so ``repro netpriv`` and
+``repro sweep`` are the same tool pointed at different threat surfaces.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..core.knob import knob_defense_name, knob_mapping_names
 from ..netpriv.adaptive import ArmsRaceOutcome, evaluate_arms_race
 from ..netpriv.devices import DeviceType
 from ..netpriv.lan import LanConfig
 from ..netpriv.shaping import NETPRIV_KNOB_DOMAIN
 from ..obs import TELEMETRY, TelemetrySnapshot
-from .engine import DEFAULT_BACKEND, FleetRunner, HomeFailure
+from .engine import DEFAULT_BACKEND, FleetRunner, HomeFailure, _captured
+from .frontier import Frontier
 from .report import PopulationStats
-from .sweep import SweepError
+from .sweep import KnobGrid, SweepCell, SweepError, shard_cells
 
 
 def _small_lan() -> LanConfig:
@@ -71,22 +72,6 @@ def netpriv_lan_config(name: str) -> LanConfig:
 
 
 @dataclass(frozen=True)
-class NetprivCell:
-    """One grid point: a dialed traffic defense over one seed's LANs."""
-
-    defense: str
-    setting: float
-    seed: int
-
-    @property
-    def knob_name(self) -> str:
-        return knob_defense_name(self.defense, self.setting)
-
-    def label(self) -> str:
-        return f"{self.knob_name} seed={self.seed}"
-
-
-@dataclass(frozen=True)
 class NetprivJob:
     """One picklable arms-race experiment: a cell's ``lan_index``-th LAN.
 
@@ -111,8 +96,7 @@ class NetprivJob:
 
 def run_netpriv_job(job: NetprivJob) -> "NetprivJobResult":
     """Run one arms-race experiment.  Runs inside workers; picklable."""
-    before = TELEMETRY.snapshot() if TELEMETRY.enabled else None
-    with TELEMETRY.timer("stage.netpriv_job"):
+    with _captured() as delta, TELEMETRY.timer("stage.netpriv_job"):
         outcome = evaluate_arms_race(
             job.defense,
             job.setting,
@@ -120,12 +104,6 @@ def run_netpriv_job(job: NetprivJob) -> "NetprivJobResult":
             seed=np.random.SeedSequence(job.seed, spawn_key=(job.lan_index,)),
             lan_config=netpriv_lan_config(job.lan),
         )
-    snapshot = None
-    if before is not None:
-        # ship the job's delta; restore the ambient registry (see
-        # run_home_job for why the supervisor needs job-free counters)
-        snapshot = TELEMETRY.snapshot().minus(before)
-        TELEMETRY.restore(before)
     return NetprivJobResult(
         index=job.index,
         preset=job.preset,
@@ -134,7 +112,7 @@ def run_netpriv_job(job: NetprivJob) -> "NetprivJobResult":
         seed=job.seed,
         lan_index=job.lan_index,
         outcome=outcome,
-        telemetry=snapshot,
+        telemetry=delta.snapshot,
     )
 
 
@@ -153,45 +131,23 @@ class NetprivJobResult:
 
 
 @dataclass(frozen=True)
-class NetprivGrid:
+class NetprivGrid(KnobGrid):
     """Declarative netpriv sweep: defenses × settings × seeds × LANs.
 
-    ``n_lans`` is the per-cell population size (independent LAN
-    simulations sharing the cell's seed stream); ``lan`` names the
-    composition in :data:`NETPRIV_LAN_CONFIGS`.  Validation happens here,
-    once, not per job deep inside a worker.
+    The dial axes are :class:`~repro.fleet.sweep.KnobGrid`'s, in the
+    netpriv knob domain.  ``n_lans`` is the per-cell population size
+    (independent LAN simulations sharing the cell's seed stream); ``lan``
+    names the composition in :data:`NETPRIV_LAN_CONFIGS`.
     """
 
-    defenses: tuple[str, ...]
-    settings: tuple[float, ...]
-    seeds: tuple[int, ...] = (0,)
+    DOMAIN = NETPRIV_KNOB_DOMAIN
+
     n_lans: int = 1
     days: int = 2
     lan: str = "small"
 
     def __post_init__(self) -> None:
-        if not self.defenses:
-            raise SweepError("grid needs at least one defense")
-        if not self.settings:
-            raise SweepError("grid needs at least one knob setting")
-        if not self.seeds:
-            raise SweepError("grid needs at least one seed")
-        available = knob_mapping_names(NETPRIV_KNOB_DOMAIN)
-        unknown = set(self.defenses) - set(available)
-        if unknown:
-            raise SweepError(
-                f"no netpriv knob mapping for: {sorted(unknown)}; "
-                f"available: {available}"
-            )
-        for s in self.settings:
-            if not 0.0 <= s <= 1.0:
-                raise SweepError(f"knob setting {s!r} outside [0, 1]")
-        if len(set(self.settings)) != len(self.settings):
-            raise SweepError("duplicate knob settings in grid")
-        if len(set(self.defenses)) != len(self.defenses):
-            raise SweepError("duplicate defenses in grid")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise SweepError("duplicate seeds in grid")
+        super().__post_init__()
         if self.n_lans < 1:
             raise SweepError("n_lans must be >= 1")
         if self.days < 1:
@@ -199,24 +155,10 @@ class NetprivGrid:
         netpriv_lan_config(self.lan)  # raises on unknown name
 
     @property
-    def n_cells(self) -> int:
-        return len(self.defenses) * len(self.settings) * len(self.seeds)
-
-    @property
     def n_jobs(self) -> int:
         return self.n_cells * self.n_lans
 
-    def cells(self) -> list[NetprivCell]:
-        """Canonical (defense, sorted setting, seed) order — the shard
-        contract, identical on every machine given the same grid."""
-        return [
-            NetprivCell(defense=d, setting=float(s), seed=int(seed))
-            for d in self.defenses
-            for s in sorted(self.settings)
-            for seed in self.seeds
-        ]
-
-    def jobs_for(self, cells: Sequence[NetprivCell]) -> list[NetprivJob]:
+    def jobs_for(self, cells: Sequence[SweepCell]) -> list[NetprivJob]:
         """Flat supervised-job list for a cell subset (e.g. one shard)."""
         jobs = []
         for i, cell in enumerate(cells):
@@ -234,16 +176,6 @@ class NetprivGrid:
                     )
                 )
         return jobs
-
-    def as_dict(self) -> dict:
-        return {
-            "defenses": list(self.defenses),
-            "settings": list(self.settings),
-            "seeds": list(self.seeds),
-            "n_lans": self.n_lans,
-            "days": self.days,
-            "lan": self.lan,
-        }
 
 
 @dataclass(frozen=True)
@@ -268,39 +200,13 @@ class NetprivFrontierPoint:
     cover_mb_per_day: PopulationStats
     mean_added_delay_s: PopulationStats
 
-    def as_dict(self) -> dict:
-        return {
-            "defense": self.defense,
-            "setting": self.setting,
-            "seed": self.seed,
-            "n_lans": self.n_lans,
-            "n_failed": self.n_failed,
-            "naive_mcc": self.naive_mcc.as_dict(),
-            "adaptive_mcc": self.adaptive_mcc.as_dict(),
-            "naive_fingerprint_acc": self.naive_fingerprint_acc.as_dict(),
-            "adaptive_fingerprint_acc": self.adaptive_fingerprint_acc.as_dict(),
-            "cover_mb_per_day": self.cover_mb_per_day.as_dict(),
-            "mean_added_delay_s": self.mean_added_delay_s.as_dict(),
-        }
-
     @property
     def adaptive_advantage(self) -> float:
         """Mean occupancy-MCC the retrained attacker claws back."""
         return self.adaptive_mcc.mean - self.naive_mcc.mean
 
 
-_POINT_STATS = (
-    "naive_mcc",
-    "adaptive_mcc",
-    "naive_fingerprint_acc",
-    "adaptive_fingerprint_acc",
-    "cover_mb_per_day",
-    "mean_added_delay_s",
-)
-
-
-@dataclass(frozen=True)
-class NetprivFrontierReport:
+class NetprivFrontierReport(Frontier):
     """The netpriv sweep's deliverable, shaped like ``FrontierReport``.
 
     The monotone gate runs on the **adaptive** attacker's occupancy MCC:
@@ -308,106 +214,32 @@ class NetprivFrontierReport:
     privacy, merely obscurity, and the frontier should say so.
     """
 
-    points: tuple[NetprivFrontierPoint, ...]
+    POINT = NetprivFrontierPoint
+    #: each axis as measured on one LAN's arms-race outcome
+    AXES = {
+        "naive_mcc": attrgetter("naive.occupancy_mcc"),
+        "adaptive_mcc": attrgetter("adaptive.occupancy_mcc"),
+        "naive_fingerprint_acc": attrgetter("naive.fingerprint_accuracy"),
+        "adaptive_fingerprint_acc": attrgetter("adaptive.fingerprint_accuracy"),
+        "cover_mb_per_day": attrgetter("cover_mb_per_day"),
+        "mean_added_delay_s": attrgetter("mean_added_delay_s"),
+    }
+    MONOTONE_AXIS = "adaptive_mcc"
 
     @classmethod
     def from_results(
         cls, results: Iterable[NetprivJobResult], failures: Iterable[HomeFailure] = ()
     ) -> "NetprivFrontierReport":
-        grouped: dict[tuple[str, float, int], list[NetprivJobResult]] = {}
-        for result in results:
-            key = (result.defense, result.setting, result.seed)
-            grouped.setdefault(key, []).append(result)
-        failed = list(failures)
-        points = []
-        for (defense, setting, seed), cell_results in sorted(grouped.items()):
-            outcomes = [r.outcome for r in cell_results]
-            label = knob_defense_name(defense, setting)
-            n_failed = sum(
-                1 for f in failed if f.preset.startswith(f"{label} seed={seed} ")
-            )
-            points.append(
-                NetprivFrontierPoint(
-                    defense=defense,
-                    setting=setting,
-                    seed=seed,
-                    n_lans=len(outcomes),
-                    n_failed=n_failed,
-                    naive_mcc=PopulationStats.of(
-                        [o.naive.occupancy_mcc for o in outcomes]
-                    ),
-                    adaptive_mcc=PopulationStats.of(
-                        [o.adaptive.occupancy_mcc for o in outcomes]
-                    ),
-                    naive_fingerprint_acc=PopulationStats.of(
-                        [o.naive.fingerprint_accuracy for o in outcomes]
-                    ),
-                    adaptive_fingerprint_acc=PopulationStats.of(
-                        [o.adaptive.fingerprint_accuracy for o in outcomes]
-                    ),
-                    cover_mb_per_day=PopulationStats.of(
-                        [o.cover_mb_per_day for o in outcomes]
-                    ),
-                    mean_added_delay_s=PopulationStats.of(
-                        [o.mean_added_delay_s for o in outcomes]
-                    ),
-                )
-            )
-        return cls(points=tuple(points))
-
-    def monotone_violations(self, tolerance: float = 0.05) -> list[str]:
-        """Dial-up must not raise the adaptive attacker's occupancy MCC.
-
-        Same running-min-with-tolerance shape check as
-        :meth:`repro.fleet.frontier.FrontierReport.monotone_violations`.
-        """
-        if tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
-        series: dict[tuple[str, int], list[NetprivFrontierPoint]] = {}
-        for point in self.points:
-            series.setdefault((point.defense, point.seed), []).append(point)
-        violations = []
-        for (defense, seed), pts in sorted(series.items()):
-            running_min = float("inf")
-            for point in sorted(pts, key=lambda p: p.setting):
-                if point.adaptive_mcc.mean > running_min + tolerance:
-                    violations.append(
-                        f"{defense}@{point.setting:g} (seed {seed}): "
-                        f"adaptive mcc {point.adaptive_mcc.mean:.3f} exceeds "
-                        f"running min {running_min:.3f} + {tolerance:g}"
-                    )
-                running_min = min(running_min, point.adaptive_mcc.mean)
-        return violations
-
-    def as_dict(self) -> dict:
-        return {"points": [p.as_dict() for p in self.points]}
-
-    def to_json(self, path: str | Path | None = None) -> str:
-        doc = json.dumps(self.as_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            Path(path).write_text(doc + "\n")
-        return doc
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "NetprivFrontierReport":
-        """Round-trip a :meth:`to_json` export back into a report."""
-        doc = json.loads(Path(path).read_text())
-        points = []
-        for row in doc["points"]:
-            points.append(
-                NetprivFrontierPoint(
-                    defense=row["defense"],
-                    setting=float(row["setting"]),
-                    seed=int(row["seed"]),
-                    n_lans=int(row["n_lans"]),
-                    n_failed=int(row["n_failed"]),
-                    **{
-                        name: PopulationStats(**row[name])
-                        for name in _POINT_STATS
-                    },
-                )
-            )
-        return cls(points=tuple(points))
+        grouped: dict[SweepCell, list[ArmsRaceOutcome]] = {}
+        for r in results:
+            cell = SweepCell(r.defense, r.setting, r.seed)
+            grouped.setdefault(cell, []).append(r.outcome)
+        # a job's failure label is its cell's label plus " lan=<i>"
+        failed = [f.preset for f in failures]
+        return cls._reduce(
+            (cell, outcomes, sum(p.startswith(f"{cell.label()} ") for p in failed))
+            for cell, outcomes in grouped.items()
+        )
 
     CSV_HEADER = (
         "defense", "setting", "seed", "n_lans", "n_failed",
@@ -430,13 +262,6 @@ class NetprivFrontierReport:
             ]
             for p in self.points
         ]
-
-    def to_csv(self, path: str | Path) -> Path:
-        from ..datasets.io import save_rows_csv
-
-        path = Path(path)
-        save_rows_csv(path, self.CSV_HEADER, self.csv_rows())
-        return path
 
     def format_table(self) -> str:
         """Aligned text view: one line per frontier point."""
@@ -516,8 +341,6 @@ class NetprivSweepRunner:
         on_result: Callable[[NetprivJobResult], None] | None = None,
     ) -> NetprivSweepResult:
         """Run the shard's cells; returns results plus the failure report."""
-        from .sweep import shard_cells
-
         start = time.perf_counter()
         cells = shard_cells(grid.cells(), shard)
         jobs = grid.jobs_for(cells)
@@ -534,20 +357,9 @@ class NetprivSweepRunner:
         )
 
 
-def run_netpriv_sweep(
-    grid: NetprivGrid,
-    workers: int = 1,
-    shard: tuple[int, int] = (1, 1),
-    **runner_kwargs,
-) -> NetprivSweepResult:
-    """One-call convenience mirroring :func:`repro.fleet.sweep.run_sweep`."""
-    return NetprivSweepRunner(workers=workers, **runner_kwargs).run(grid, shard)
-
-
 __all__ = [
     "NETPRIV_LAN_CONFIGS",
     "netpriv_lan_config",
-    "NetprivCell",
     "NetprivJob",
     "NetprivJobResult",
     "run_netpriv_job",
@@ -556,5 +368,4 @@ __all__ = [
     "NetprivFrontierReport",
     "NetprivSweepResult",
     "NetprivSweepRunner",
-    "run_netpriv_sweep",
 ]

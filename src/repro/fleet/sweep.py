@@ -3,10 +3,11 @@
 :func:`~repro.core.knob.sweep_knob` dials one home along one axis; the
 paper's knob story is population-scale — how does the frontier look over
 a service territory, per mechanism, per dial position?  A
-:class:`SweepGrid` declares that grid — (defense × knob setting × fleet
-seed) over a fixed home population — and :class:`SweepRunner` executes
-a shard of it in one :meth:`~repro.fleet.engine.FleetRunner.run_specs`
-call on the fault-tolerant :class:`~repro.fleet.engine.FleetRunner`.
+:class:`SweepGrid` declares that grid — the (defense × knob setting ×
+seed) axes of :class:`KnobGrid`, which the netpriv arms race shares,
+over a fixed home population — and :class:`SweepRunner` executes a shard
+of it in one :meth:`~repro.fleet.engine.FleetRunner.run_specs` call on
+the fault-tolerant :class:`~repro.fleet.engine.FleetRunner`.
 
 Design choices that make the grid cheap and resumable:
 
@@ -41,9 +42,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from ..core.knob import knob_defense_name, knob_mapping_names
 from ..obs import TelemetrySnapshot
@@ -74,24 +75,20 @@ class SweepCell:
 
 
 @dataclass(frozen=True)
-class SweepGrid:
-    """The declarative sweep: which dials, which positions, which fleet.
+class KnobGrid:
+    """The dial axes every knob sweep fans out: defenses × settings × seeds.
 
-    Every combination of ``defenses`` × ``settings`` × ``seeds`` becomes
-    one :class:`SweepCell`; all cells share the same home population
-    shape (``n_homes``, ``days``, ``mix``, ``detectors``).  Within one
-    ``seed`` the *homes* are identical across cells (fleet seeding is a
-    pure function of the fleet seed), so cells differ only by the dialed
-    defense — which is exactly what a frontier comparison needs.
+    ``DOMAIN`` names the knob-mapping domain the defenses are dialed in
+    (:func:`~repro.core.knob.knob_mapping_names`).  Subclasses add the
+    population each cell is evaluated over; validation of the axes
+    happens here, once, not per job deep inside a worker.
     """
+
+    DOMAIN: ClassVar[str] = "energy"
 
     defenses: tuple[str, ...]
     settings: tuple[float, ...]
-    n_homes: int = 20
-    days: int = 1
     seeds: tuple[int, ...] = (0,)
-    mix: tuple[str, ...] = ("random",)
-    detectors: tuple[str, ...] = DEFAULT_FLEET_DETECTORS
 
     def __post_init__(self) -> None:
         if not self.defenses:
@@ -100,11 +97,12 @@ class SweepGrid:
             raise SweepError("grid needs at least one knob setting")
         if not self.seeds:
             raise SweepError("grid needs at least one seed")
-        unknown = set(self.defenses) - set(knob_mapping_names())
+        available = knob_mapping_names(self.DOMAIN)
+        unknown = set(self.defenses) - set(available)
         if unknown:
             raise SweepError(
-                f"no knob mapping for: {sorted(unknown)}; "
-                f"available: {knob_mapping_names()}"
+                f"no knob mapping for: {sorted(unknown)} in domain "
+                f"{self.DOMAIN!r}; available: {available}"
             )
         for s in self.settings:
             if not 0.0 <= s <= 1.0:
@@ -115,9 +113,6 @@ class SweepGrid:
             raise SweepError("duplicate defenses in grid")
         if len(set(self.seeds)) != len(self.seeds):
             raise SweepError("duplicate seeds in grid")
-        # population-shape validation is delegated to FleetSpec, once,
-        # here — not per cell deep inside a shard on another machine
-        self.cell_spec(SweepCell(self.defenses[0], self.settings[0], self.seeds[0]))
 
     @property
     def n_cells(self) -> int:
@@ -136,6 +131,36 @@ class SweepGrid:
             for seed in self.seeds
         ]
 
+    def as_dict(self) -> dict:
+        return {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
+        }
+
+
+@dataclass(frozen=True)
+class SweepGrid(KnobGrid):
+    """The declarative sweep: which dials, which positions, which fleet.
+
+    Every combination of ``defenses`` × ``settings`` × ``seeds`` becomes
+    one :class:`SweepCell`; all cells share the same home population
+    shape (``n_homes``, ``days``, ``mix``, ``detectors``).  Within one
+    ``seed`` the *homes* are identical across cells (fleet seeding is a
+    pure function of the fleet seed), so cells differ only by the dialed
+    defense — which is exactly what a frontier comparison needs.
+    """
+
+    n_homes: int = 20
+    days: int = 1
+    mix: tuple[str, ...] = ("random",)
+    detectors: tuple[str, ...] = DEFAULT_FLEET_DETECTORS
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # population-shape validation is delegated to FleetSpec, once,
+        # here — not per cell deep inside a shard on another machine
+        self.cell_spec(SweepCell(self.defenses[0], self.settings[0], self.seeds[0]))
+
     def cell_spec(self, cell: SweepCell) -> FleetSpec:
         """The fleet run computing one cell."""
         return FleetSpec(
@@ -147,30 +172,50 @@ class SweepGrid:
             detectors=self.detectors,
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "defenses": list(self.defenses),
-            "settings": list(self.settings),
-            "n_homes": self.n_homes,
-            "days": self.days,
-            "seeds": list(self.seeds),
-            "mix": list(self.mix),
-            "detectors": list(self.detectors),
-        }
 
-
+#: grid-file key -> (entry type, whether the key holds a list of them)
 _GRID_KEYS = {
-    "defenses", "settings", "n_homes", "days", "seeds", "mix", "detectors",
+    "defenses": (str, True),
+    "settings": (float, True),
+    "n_homes": (int, False),
+    "days": (int, False),
+    "seeds": (int, True),
+    "mix": (str, True),
+    "detectors": (str, True),
 }
+
+
+def _grid_value(path: Path, key: str, value: object, kind: type, many: bool):
+    """Check one grid-file value's shape and convert it to ``kind``."""
+    if many:
+        if not isinstance(value, list):
+            raise SweepError(
+                f"grid key {key!r} in {path} must be a list, got {value!r}"
+            )
+        return tuple(_grid_value(path, key, v, kind, False) for v in value)
+    if kind is str:
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if kind(value) == value:  # refuses 2.5 as an int, and NaN
+                return kind(value)
+        except (OverflowError, ValueError):
+            pass
+    raise SweepError(
+        f"grid key {key!r} in {path}: {value!r} is not "
+        + {str: "a string", float: "a number", int: "an integer"}[kind]
+    )
 
 
 def load_grid(path: str | Path) -> SweepGrid:
     """Read a grid from a small TOML or JSON file.
 
     The file holds exactly the :meth:`SweepGrid.as_dict` keys (all
-    optional except ``defenses`` and ``settings``); extension picks the
-    parser.  TOML needs no dependency — :mod:`tomllib` ships with the
-    interpreter.
+    optional except ``defenses`` and ``settings``), each shaped as that
+    dict shapes it; extension picks the parser.  Every malformed file
+    raises :class:`SweepError` naming the file.  TOML needs no
+    dependency — :mod:`tomllib` ships with the interpreter.
     """
     path = Path(path)
     try:
@@ -195,7 +240,7 @@ def load_grid(path: str | Path) -> SweepGrid:
         )
     if not isinstance(doc, dict):
         raise SweepError(f"grid file {path} must hold a table/object")
-    unknown = set(doc) - _GRID_KEYS
+    unknown = set(doc) - set(_GRID_KEYS)
     if unknown:
         raise SweepError(
             f"unknown grid keys in {path}: {sorted(unknown)}; "
@@ -204,16 +249,10 @@ def load_grid(path: str | Path) -> SweepGrid:
     missing = {"defenses", "settings"} - set(doc)
     if missing:
         raise SweepError(f"grid file {path} missing keys: {sorted(missing)}")
-    kwargs: dict = {}
-    for key, value in doc.items():
-        if key in ("n_homes", "days"):
-            kwargs[key] = int(value)
-        elif key == "settings":
-            kwargs[key] = tuple(float(v) for v in value)
-        elif key == "seeds":
-            kwargs[key] = tuple(int(v) for v in value)
-        else:
-            kwargs[key] = tuple(str(v) for v in value)
+    kwargs = {
+        key: _grid_value(path, key, value, *_GRID_KEYS[key])
+        for key, value in doc.items()
+    }
     try:
         return SweepGrid(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -7,6 +7,7 @@ artifact must refuse loudly (exit 2), never evaluate to "no violations".
 """
 
 import json
+import re
 
 import pytest
 
@@ -18,12 +19,13 @@ from repro.claims import (
 )
 from repro.cli import main
 from repro.core.claims import Claim, ClaimSet, Selector, Span, parse_span
+from repro.fleet import FrontierReport, NetprivFrontierReport
 from repro.fleet.artifacts import (
     Artifact,
     ArtifactError,
     ArtifactRow,
     artifact_from_dict,
-    artifact_from_frontier,
+    artifact_from_report,
     load_artifact,
 )
 
@@ -210,7 +212,7 @@ class TestArtifacts:
         path = tmp_path / "frontier.json"
         path.write_text(json.dumps(SWEEP))
         report = FrontierReport.from_json(path)
-        art = artifact_from_frontier(report)
+        art = artifact_from_report(report)
         assert art.kind == "sweep-frontier"
         assert len(art.rows) == len(report.points)
 
@@ -331,6 +333,67 @@ class TestEngine:
     def test_artifact_row_defaults(self):
         row = ArtifactRow(label="x", defense=None, setting=None, seed=None)
         assert row.metrics == {}
+
+
+#: one violating dial series per report kind, next to a sane one: both
+#: reports and the claims engine must flag exactly the same cells
+AGREEMENT_CASES = {
+    "sweep": (
+        FrontierReport,
+        "mcc.mean",
+        _sweep_doc([
+            ("nill", 0.0, 0, 0.9, 0.0),
+            ("nill", 0.5, 0, 0.3, 0.0),
+            ("nill", 1.0, 0, 0.6, 0.0),  # above the running min 0.3
+            ("nill", 0.0, 1, 0.9, 0.0),
+            ("nill", 1.0, 1, 0.5, 0.0),
+            ("chpr", 0.0, 0, 0.4, 0.0),
+            ("chpr", 0.5, 0, 0.8, 0.0),  # above the running min 0.4
+            ("chpr", 1.0, 0, 0.42, 0.0),  # within tolerance of 0.4
+        ]),
+        {"nill@1 seed=0", "chpr@0.5 seed=0"},
+    ),
+    "netpriv": (
+        NetprivFrontierReport,
+        "adaptive_mcc.mean",
+        _netpriv_doc([
+            ("cover", 0.0, 0, 0.85, 0.75),
+            ("cover", 0.5, 0, 0.00, 0.30),
+            ("cover", 1.0, 0, 0.00, 0.70),  # adaptive attacker recovers
+            ("jitter", 0.0, 0, 0.80, 0.80),
+            ("jitter", 1.0, 0, 0.70, 0.60),
+        ]),
+        {"cover@1 seed=0"},
+    ),
+}
+
+
+class TestMonotoneAgreement:
+    @pytest.mark.parametrize("kind", sorted(AGREEMENT_CASES))
+    def test_claim_fails_on_the_cells_the_frontier_names(self, kind, tmp_path):
+        report_type, metric, doc, expected = AGREEMENT_CASES[kind]
+        path = tmp_path / "frontier.json"
+        path.write_text(json.dumps(doc))
+        frontier = report_type.from_json(path)
+        # "nill@1 (seed 0): mcc ..." -> the cell label "nill@1 seed=0"
+        named = {
+            re.sub(r"^(\S+) \(seed (\d+)\):.*", r"\1 seed=\2", violation)
+            for violation in frontier.monotone_violations(0.05)
+        }
+        (verdict,) = evaluate_claims(
+            ClaimSet.from_dict({"title": "t", "claims": [
+                {"id": "mono", "kind": "monotone", "metric": metric,
+                 "tolerance": 0.05},
+            ]}),
+            [artifact_from_report(frontier)],
+        ).verdicts
+        assert verdict.verdict == "fail"
+        # "<Report> :: nill@1 seed=0: mcc.mean = ..." -> "nill@1 seed=0"
+        failed = {
+            violation.split(" :: ", 1)[1].split(":", 1)[0]
+            for violation in verdict.violations
+        }
+        assert named == failed == expected
 
 
 class TestClaimsCLI:

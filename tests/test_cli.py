@@ -87,7 +87,7 @@ class TestSweepCLI:
         out = capsys.readouterr().out
         assert "shard 1/1 runs 4/4 cells" in out
         assert "nill" in out and "smoothing" in out
-        assert "ran 8/8 home jobs" in out
+        assert "ran 8/8 home-cells" in out
 
     def test_grid_file_runs(self, tmp_path, capsys):
         grid = tmp_path / "grid.toml"
@@ -137,13 +137,40 @@ class TestSweepCLI:
         assert "shard 1/2 runs 2/4 cells" in capsys.readouterr().out
         # the other shard plus the cache completes the grid
         assert main(SWEEP_ARGS + ["--cache-dir", cache]) == 0
-        assert "ran 4/8 home jobs (4 cached)" in capsys.readouterr().out
+        assert "ran 4/8 home-cells (4 cached)" in capsys.readouterr().out
 
     def test_bad_grid_file_exits_2(self, tmp_path, capsys):
         grid = tmp_path / "grid.toml"
         grid.write_text('defenses = ["nill"]\nsettings = [0.5]\nfrobs = 1\n')
         assert main(["sweep", "--grid", str(grid)]) == 2
         assert "unknown grid keys" in capsys.readouterr().err
+
+    def test_malformed_grid_value_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "grid.toml"
+        grid.write_text('defenses = ["nill"]\nsettings = 0.5\n')
+        assert main(["sweep", "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert "'settings'" in err and str(grid) in err
+
+    def test_failed_home_counts(self, monkeypatch, capsys):
+        """A failed home is neither cached nor a job per cell it owed."""
+        from repro.fleet import FAULTS_ENV, FaultPlan
+
+        monkeypatch.setenv(
+            FAULTS_ENV, FaultPlan(kind="error", indices=(1,)).to_json()
+        )
+        assert main([
+            "sweep", "--defenses", "nill", "--settings", "0,0.5,1",
+            "--homes", "2", "--days", "1", "--mix", "home-a,home-b",
+            "--max-retries", "0",
+        ]) == 1
+        out = capsys.readouterr().out
+        cell_lines = [line for line in out.splitlines() if "  cell " in line]
+        assert len(cell_lines) == 3
+        for line in cell_lines:
+            assert "1 homes (0 cached)  [1 FAILED]" in line
+        assert "ran 6/6 home-cells (0 cached)" in out
+        assert "WARNING: 3 home-cell(s) failed" in out
 
     def test_missing_grid_source_exits_2(self, capsys):
         assert main(["sweep"]) == 2

@@ -9,6 +9,7 @@ from repro.core import (
     RegistryError,
     analytics_utility,
     defense_names,
+    dial_violations,
     evaluate_defense_outcome,
     make_defense,
     make_niom_attack,
@@ -139,6 +140,35 @@ class TestKnob:
         # some occupancy structure survives even the full stack — masking
         # is substantial but not total (that is what CHPr adds)
         assert points[1].privacy.worst_case_mcc < 0.7 * points[0].privacy.worst_case_mcc
+
+
+class TestDialViolations:
+    """The running-minimum rule every frontier and monotone claim uses."""
+
+    def test_empty_series_never_violates(self):
+        assert dial_violations([], 0.05) == []
+
+    def test_first_point_never_violates(self):
+        assert dial_violations([0.9], 0.0) == []
+        assert dial_violations([0.9, 0.2], 0.0) == []
+
+    def test_reports_position_and_running_min(self):
+        # 0.6 sits 0.3 above the running min 0.3; 0.35 is within 0.05
+        assert dial_violations([0.8, 0.3, 0.6, 0.35], 0.05) == [(2, 0.3)]
+
+    def test_running_min_not_previous_point(self):
+        # 0.5 is below its predecessor 0.7 but above the running min 0.2
+        assert dial_violations([0.2, 0.7, 0.5], 0.1) == [(1, 0.2), (2, 0.2)]
+
+    def test_value_at_running_min_plus_tolerance_passes(self):
+        assert dial_violations([0.5, 0.75], 0.25) == []
+        assert dial_violations([0.5, 0.5], 0.0) == []
+
+    def test_negative_tolerance_raises(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            dial_violations([0.5, 0.4], -0.01)
+        with pytest.raises(ValueError, match="tolerance"):
+            dial_violations([], -1.0)
 
 
 class TestDatasets:

@@ -158,6 +158,20 @@ class TestErrorIsolation:
         )
         assert indices == list(range(SPEC.n_homes))
 
+    def test_fail_fast_aborts_jobs_finished_behind_the_culprit(self):
+        # home 0 hangs until its timeout while the other homes finish on
+        # the free worker; they were submitted after it, so fail-fast
+        # must report them aborted, not done
+        result = run_fleet(
+            SPEC, workers=POOL_WORKERS, max_retries=0, fail_fast=True,
+            job_timeout=1.0, faults=FaultPlan(kind="hang", indices=(0,)),
+            **FAST,
+        )
+        assert not result.homes
+        assert {f.index: f.kind for f in result.failures} == {
+            0: "timeout", 1: "aborted", 2: "aborted", 3: "aborted",
+        }
+
 
 class TestCrashRecovery:
     def test_transient_crash_rebuilds_pool_no_duplicates(self, clean_digests):

@@ -22,6 +22,7 @@ NumPy pipeline (no platform-dependent fast math), so they are expected
 to be stable across platforms and supported interpreter versions.
 """
 
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -175,6 +176,27 @@ GOLDEN_CELLS = {
 }
 
 
+#: sha256 of the bytes GOLDEN_GRID's ``frontier().to_json(path)`` and
+#: ``.to_csv(path)`` write: the sweep's exported deliverable, pinned
+GOLDEN_FRONTIER_JSON = (
+    "6c65a59bb09510e80dd5cc855c1d2b7a201a3101b34344468f554e3fb10012a4"
+)
+GOLDEN_FRONTIER_CSV = (
+    "128705dfb0333935e527f5a36d0302dd0ae4a345d69fc1818a348eab777e9d41"
+)
+
+
+def export_digests(frontier, out: Path) -> tuple[str, str]:
+    """sha256 of the JSON and CSV files a frontier report writes."""
+    json_path, csv_path = out / "frontier.json", out / "frontier.csv"
+    frontier.to_json(json_path)
+    frontier.to_csv(csv_path)
+    return tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (json_path, csv_path)
+    )
+
+
 def cache_entries(cache_dir: Path) -> dict:
     return {
         p.relative_to(cache_dir): p.read_bytes()
@@ -213,6 +235,10 @@ class TestGoldenSweep:
         assert result.executed == self.HOME_CELLS
         # the sweep's cache entries are the ones per-cell runs write
         assert cache_entries(tmp_path) == per_cell_entries
+        assert export_digests(result.frontier(), tmp_path) == (
+            GOLDEN_FRONTIER_JSON,
+            GOLDEN_FRONTIER_CSV,
+        )
 
     def test_half_filled_cache_runs_only_the_misses(
         self, per_cell_entries, tmp_path

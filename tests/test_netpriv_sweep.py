@@ -1,5 +1,6 @@
 """Netpriv grid/sweep machinery, its frontier report, and the CLI."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -177,8 +178,18 @@ class TestNetprivFrontierReport:
         assert "adapt" in table.splitlines()[0]
 
 
+#: sha256 of the bytes ``to_json(path)`` / ``to_csv(path)`` write for the
+#: frontier of the ``cover`` x (0.0, 0.5) grid below
+SERIAL_FRONTIER_JSON = (
+    "59997b7edf1868a026218ea29e236518aed02a689cbc42106d31aa9fb89e5d6b"
+)
+SERIAL_FRONTIER_CSV = (
+    "7997311eac5a404ae62f143b338ed4891e7ab1835ca85ea18c66f50abb05c672"
+)
+
+
 class TestNetprivSweep:
-    def test_serial_sweep_end_to_end(self):
+    def test_serial_sweep_end_to_end(self, tmp_path):
         grid = NetprivGrid(
             defenses=("cover",), settings=(0.0, 0.5), seeds=(0,), days=1
         )
@@ -192,6 +203,13 @@ class TestNetprivSweep:
         by_setting = {p.setting: p for p in frontier.points}
         assert by_setting[0.0].naive_mcc.mean > by_setting[0.5].naive_mcc.mean
         assert by_setting[0.5].adaptive_advantage > 0.2
+        frontier.to_json(tmp_path / "frontier.json")
+        frontier.to_csv(tmp_path / "frontier.csv")
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("frontier.json", "frontier.csv")
+        ]
+        assert digests == [SERIAL_FRONTIER_JSON, SERIAL_FRONTIER_CSV]
 
     def test_failures_reported_not_raised(self, monkeypatch):
         import repro.fleet.netpriv as fn

@@ -221,12 +221,42 @@ class TestGridFiles:
             "bad-defense.toml": 'defenses = ["no-such"]\nsettings = [0.5]\n',
             "bad-ext.yaml": "defenses: [nill]\n",
         }
+        # wrong value shapes: the error names the offending key and file
+        shapes = {
+            "scalar-axis.toml": ("settings", 'defenses = ["nill"]\nsettings = 0.5\n'),
+            "string-axis.toml": ("defenses", 'defenses = "nill"\nsettings = [0.5]\n'),
+            "list-homes.toml": (
+                "n_homes", 'defenses = ["nill"]\nsettings = [0.5]\nn_homes = [3]\n'
+            ),
+            "null-seed.json": (
+                "seeds", '{"defenses": ["nill"], "settings": [0.5], "seeds": [null]}'
+            ),
+            "bool-setting.toml": ("settings", 'defenses = ["nill"]\nsettings = [true]\n'),
+            "bool-homes.json": (
+                "n_homes", '{"defenses": ["nill"], "settings": [0.5], "n_homes": true}'
+            ),
+            "number-mix.toml": (
+                "mix", 'defenses = ["nill"]\nsettings = [0.5]\nmix = [1]\n'
+            ),
+            "fractional-homes.toml": (
+                "n_homes", 'defenses = ["nill"]\nsettings = [0.5]\nn_homes = 2.5\n'
+            ),
+            "fractional-days.json": (
+                "days", '{"defenses": ["nill"], "settings": [0.5], "days": 1.5}'
+            ),
+        }
         for name, text in cases.items():
             path = tmp_path / name
             if text is not None:
                 path.write_text(text)
             with pytest.raises(SweepError):
                 load_grid(path)
+        for name, (key, text) in shapes.items():
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(SweepError, match=repr(key)) as info:
+                load_grid(path)
+            assert str(path) in str(info.value)
 
 
 class TestFrontierExports:
