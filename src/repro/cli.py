@@ -437,17 +437,7 @@ def cmd_fleet(args) -> int:
         mix=_split(args.mix),
         defenses=None if args.defenses == "all" else _split(args.defenses),
     )
-    result = run_fleet(
-        spec,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        fail_fast=args.fail_fast,
-        telemetry=args.telemetry is not None,
-        profile_dir=args.profile,
-        backend=args.backend,
-    )
+    result = run_fleet(spec, **_supervisor(args))
 
     def print_failures():
         for failure in result.failures:
@@ -506,7 +496,7 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .fleet import SweepError, SweepGrid, SweepRunner, load_grid, parse_shard
+    from .fleet import SweepError, SweepGrid, load_grid, parse_shard
 
     inline_grid_flags = args.defenses is not None
     try:
@@ -530,18 +520,10 @@ def cmd_sweep(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
 
-    runner = SweepRunner(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        fail_fast=args.fail_fast,
-        telemetry=args.telemetry is not None,
-        profile_dir=args.profile,
-        backend=args.backend,
+    result = _run_grid(
+        args, grid, shard, f"{grid.n_homes} homes x {grid.days} day(s)"
     )
-
-    def on_cell(cell_result) -> None:
+    for cell_result in result.cells:
         fleet = cell_result.fleet
         cached = fleet.n_homes + fleet.n_failed - fleet.executed
         line = (f"  cell {cell_result.cell.label():<24s} "
@@ -549,9 +531,6 @@ def cmd_sweep(args) -> int:
         if fleet.failures:
             line += f"  [{fleet.n_failed} FAILED]"
         print(line)
-
-    _print_grid(args, grid, shard, f"{grid.n_homes} homes x {grid.days} day(s)")
-    result = runner.run(grid, shard, on_cell=on_cell)
     frontier = result.frontier()
     print(frontier.format_table())
     home_cells = sum(c.fleet.n_homes + c.fleet.n_failed for c in result.cells)
@@ -564,7 +543,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_netpriv(args) -> int:
-    from .fleet import NetprivGrid, NetprivSweepRunner, SweepError, parse_shard
+    from .fleet import NetprivGrid, SweepError, parse_shard
 
     try:
         grid = NetprivGrid(
@@ -580,26 +559,15 @@ def cmd_netpriv(args) -> int:
         print(f"netpriv: {exc}", file=sys.stderr)
         return 2
 
-    runner = NetprivSweepRunner(
-        workers=args.workers,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        fail_fast=args.fail_fast,
-        telemetry=args.telemetry is not None,
-        backend=args.backend,
+    result = _run_grid(
+        args, grid, shard, f"{grid.n_lans} LAN(s) x {grid.days} day(s) [{grid.lan}]"
     )
-
-    def on_result(job_result) -> None:
+    for job_result in result.results:
         outcome = job_result.outcome
         print(f"  {job_result.preset:<30s} "
               f"naive mcc {outcome.naive.occupancy_mcc:+.3f}  "
               f"adaptive mcc {outcome.adaptive.occupancy_mcc:+.3f}  "
               f"cover {outcome.cover_mb_per_day:.1f} MB/day")
-
-    _print_grid(
-        args, grid, shard, f"{grid.n_lans} LAN(s) x {grid.days} day(s) [{grid.lan}]"
-    )
-    result = runner.run(grid, shard, on_result=on_result)
     frontier = result.frontier()
     print(frontier.format_table())
     print(f"ran {len(result.results)} LAN job(s) in {result.elapsed_s:.2f}s "
@@ -612,15 +580,16 @@ def cmd_netpriv(args) -> int:
     )
 
 
-def _print_grid(args, grid, shard: tuple[int, int], population: str) -> None:
-    """The opening line of ``sweep`` and ``netpriv``: the grid and the shard."""
-    from .fleet import shard_cells
+def _run_grid(args, grid, shard: tuple[int, int], population: str):
+    """Print the opening line of ``sweep`` and ``netpriv``, run the shard."""
+    from .fleet import SweepRunner, shard_cells
 
     n_shard_cells = len(shard_cells(grid.cells(), shard))
     print(f"{args.command}: {len(grid.defenses)} defense(s) x "
           f"{len(grid.settings)} setting(s) x {len(grid.seeds)} seed(s) "
           f"over {population}; "
           f"shard {shard[0]}/{shard[1]} runs {n_shard_cells}/{grid.n_cells} cells")
+    return SweepRunner(**_supervisor(args)).run(grid, shard)
 
 
 def _finish_grid(args, result, frontier, job_stage: str, counts=None) -> int:
@@ -712,9 +681,9 @@ def cmd_stream(args) -> int:
     from .stream import (
         Checkpointer,
         FeedGuard,
+        StreamFaultPlan,
         StreamSession,
         TraceReplaySource,
-        active_stream_plan,
         drive_stream,
         has_checkpoint,
         load_checkpoint,
@@ -733,7 +702,7 @@ def cmd_stream(args) -> int:
         occupancy = source.occupancy
         feed = f"{args.home} ({args.days} days, seed {args.seed})"
 
-    fault_plan = active_stream_plan()
+    fault_plan = StreamFaultPlan.active()
     kill_after = _os.environ.get("REPRO_STREAM_KILL_AFTER")
     kill_after = int(kill_after) if kill_after else None
     checkpointer = (
@@ -850,22 +819,16 @@ def _stream_fleet(args, attacks, attack_kwargs, guard_policy) -> int:
     spec = FleetSpec(
         n_homes=args.homes, days=args.days, seed=args.seed, mix=_split(args.mix)
     )
-    runner = FleetRunner(
-        workers=args.workers,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        telemetry=args.telemetry is not None,
-    )
-    result = runner.run_streaming(
+    result = FleetRunner(**_supervisor(args)).run_streaming(
         spec,
         attacks=attacks,
         chunk_samples=args.chunk,
         attack_kwargs=attack_kwargs,
         guard_policy=guard_policy,
     )
-    print(f"stream fleet: {result.n_homes} home(s) x {args.days} day(s) "
+    print(f"stream fleet: {len(result.results)} home(s) x {args.days} day(s) "
           f"on {result.workers_used} worker(s) in {result.elapsed_s:.2f}s")
-    for home in result.homes:
+    for home in result.results:
         parts = [f"{home.total_samples} samples"]
         if home.niom_score is not None:
             parts.append(f"niom mcc {home.niom_score['mcc']:+.3f}")
@@ -883,7 +846,15 @@ def _stream_fleet(args, attacks, attack_kwargs, guard_policy) -> int:
         print(f"  FAILED home {failure.index} ({failure.preset}) after "
               f"{failure.attempts} attempt(s): {failure.error}")
     if args.json:
-        _write_json(args.json, result.as_dict())
+        _write_json(args.json, {
+            "n_homes": len(result.results),
+            "elapsed_s": result.elapsed_s,
+            "workers_used": result.workers_used,
+            "ok": result.ok,
+            "pool_rebuilds": result.pool_rebuilds,
+            "homes": [home.as_dict() for home in result.results],
+            "failures": [f.as_dict() for f in result.failures],
+        })
         print(f"stream fleet JSON written to {args.json}")
     if args.telemetry and result.telemetry is not None:
         _write_json(args.telemetry, result.telemetry.as_dict())
@@ -965,6 +936,49 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _supervisor(args) -> dict:
+    """:class:`~repro.fleet.FleetRunner`'s arguments from the flags a
+    supervised command defines."""
+    kwargs = {
+        "workers": args.workers,
+        "max_retries": args.max_retries,
+        "job_timeout": args.job_timeout,
+        "telemetry": args.telemetry is not None,
+    }
+    for name, flag in (
+        ("cache_dir", "cache_dir"),
+        ("fail_fast", "fail_fast"),
+        ("profile_dir", "profile"),
+        ("backend", "backend"),
+    ):
+        if hasattr(args, flag):
+            kwargs[name] = getattr(args, flag)
+    return kwargs
+
+
+def _preflight(args) -> str | None:
+    """Why a supervised command must not start, or ``None``: out-of-range
+    supervisor and gate flags, or a malformed fault plan in the env, are
+    refused before any job runs."""
+    from .fleet.faults import FaultPlan
+    from .obs import FaultPlanError
+    from .stream.faults import StreamFaultPlan
+
+    if args.max_retries < 0:
+        return "--max-retries must be >= 0"
+    # written so that NaN fails too: a NaN tolerance passes every gate
+    if args.job_timeout is not None and not args.job_timeout > 0:
+        return "--job-timeout must be > 0"
+    if not getattr(args, "tolerance", 0.0) >= 0:
+        return "--tolerance must be >= 0"
+    try:
+        FaultPlan.active()
+        StreamFaultPlan.active()
+    except FaultPlanError as exc:
+        return str(exc)
+    return None
+
+
 COMMANDS = {
     "simulate": cmd_simulate,
     "attack": cmd_attack,
@@ -980,8 +994,17 @@ COMMANDS = {
 }
 
 
+#: the commands that run jobs under the fleet supervisor
+SUPERVISED = ("fleet", "sweep", "netpriv", "stream")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command in SUPERVISED:
+        problem = _preflight(args)
+        if problem is not None:
+            print(f"{args.command}: {problem}", file=sys.stderr)
+            return 2
     return COMMANDS[args.command](args)
 
 

@@ -13,12 +13,15 @@ turns the single-home pipeline into a population instrument:
   fallback for pool-less platforms; two executor backends
   (``--backend serial|process``, :data:`BACKENDS`), pinned
   bit-identical to each other by the golden tests;
+  :meth:`FleetRunner.run_jobs` (a :class:`JobsResult`) is the one
+  supervised call, and batch, sweep, stream and netpriv runs are job
+  factories over it;
 - :class:`FleetReport` — per-defense population distributions
   (mean/median/p10/p90 of worst-case MCC, utility, energy cost) plus
   the sweep's :class:`HomeFailure` records;
 - :mod:`repro.fleet.faults` — deterministic fault injection (worker
   errors, crashes, hangs) so the recovery paths above are *tested*, not
-  trusted;
+  trusted (:class:`FaultPlan` shares its base with the stream's plan);
 - :class:`SweepGrid` / :class:`SweepRunner` / :func:`run_sweep` — the
   Sec. III-E knob grid: (defense × knob setting × seed) cells, each one
   fleet spec of a single ``name@setting`` parametrized defense, sharded
@@ -26,9 +29,10 @@ turns the single-home pipeline into a population instrument:
   owe (simulated once, scored per cell) and resumable through the same
   cache; reduced by :class:`FrontierReport` into privacy-utility
   frontier points;
-- :class:`NetprivGrid` / :class:`NetprivSweepRunner` — the Sec. IV
-  arms race over the same dial axes (:class:`KnobGrid`) and cells
-  (:class:`SweepCell`), one supervised job per LAN, reduced by
+- :class:`NetprivGrid` — the Sec. IV arms race over the same dial axes
+  (:class:`KnobGrid`) and cells (:class:`SweepCell`), one supervised
+  job per LAN, run by the same grid runner (:class:`SweepRunner`, also
+  named ``NetprivSweepRunner``) and reduced by
   :class:`NetprivFrontierReport`; both reports are one
   :class:`Frontier` shell (reduction, running-min monotone gate, JSON
   and CSV exports);
@@ -65,7 +69,6 @@ from .engine import (
     HomeResult,
     HomeStreamResult,
     JobsResult,
-    StreamFleetResult,
     result_digest,
     run_fleet,
     run_home_job,
@@ -152,7 +155,6 @@ __all__ = [
     "run_netpriv_job",
     "PopulationStats",
     "ResultCache",
-    "StreamFleetResult",
     "SweepCell",
     "SweepError",
     "SweepGrid",

@@ -6,7 +6,11 @@ workers under either fork or spawn start methods.  A job simulates one
 home once and scores every fleet cell that owes it (a sweep's cells
 share their homes).  :class:`FleetRunner` drives it with a *supervisor
 loop* rather than ``pool.map``: every job is submitted individually and
-each home succeeds or fails on its own.
+each home succeeds or fails on its own.  :meth:`FleetRunner.run_jobs` is
+the one supervised call; batch fleets and sweeps
+(:meth:`~FleetRunner.run_specs`), streamed fleets
+(:meth:`~FleetRunner.run_streaming`) and netpriv grids are job factories
+plus work functions over it.
 
 Failure isolation semantics (see DESIGN.md "Failure semantics"):
 
@@ -34,6 +38,7 @@ any simulation work, preserving that contract.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
@@ -60,7 +65,7 @@ from ..obs import (
 )
 from ..timeseries import PowerTrace
 from .cache import CacheStats, ResultCache, job_cache_key
-from .faults import FAULTS_ENV, FaultPlan, maybe_inject
+from .faults import FaultPlan, maybe_inject
 from .spec import FleetSpec, HomeJob
 
 #: Name -> detector factory, resolved inside the worker so only names
@@ -195,11 +200,12 @@ class HomeFailure:
 class HomeJobResult:
     """What one :class:`~repro.fleet.spec.HomeJob` returns: a result per cell.
 
-    ``cells`` follows ``job.defense_sets``.  Each cell's ``telemetry`` is
-    the cost of scoring its own defenses; the part the cells share — the
-    ``stage.job`` span, the simulation and the baseline — rides once on
-    ``telemetry``.  A one-cell job folds that part into its one cell, so
-    a plain fleet's per-home snapshots cover the whole job.
+    ``cells`` follows ``job.defense_sets``.  ``telemetry`` is the whole
+    job's cost: the part the cells share — the ``stage.job`` span, the
+    simulation and the baseline — plus every cell's own part.  Each
+    cell's ``telemetry`` is the cost of scoring its own defenses; a
+    one-cell job's cell carries the whole job, so a plain fleet's
+    per-home snapshots cover every job.
     """
 
     cells: tuple[HomeResult, ...]
@@ -295,12 +301,11 @@ def run_home_job(job: HomeJob) -> HomeJobResult:
         for defenses, telemetry in scored
     ]
     telemetry = shared.snapshot
-    if len(cells) == 1 and telemetry is not None:
-        # a one-cell job is its cell's whole cost
-        cells[0] = replace(
-            cells[0], telemetry=telemetry.merged(cells[0].telemetry)
-        )
-        telemetry = None
+    if telemetry is not None:
+        telemetry = merge_snapshots([telemetry] + [own for _, own in scored])
+        if len(cells) == 1:
+            # a one-cell job is its cell's whole cost
+            cells[0] = replace(cells[0], telemetry=telemetry)
     return HomeJobResult(cells=tuple(cells), telemetry=telemetry)
 
 
@@ -327,9 +332,9 @@ def run_stream_job(
     from ..stream import (
         FeedGuard,
         StreamClock,
+        StreamFaultPlan,
         StreamSession,
         TraceReplaySource,
-        active_stream_plan,
         drive_stream,
         make_stream_attack,
     )
@@ -354,7 +359,7 @@ def run_stream_job(
             TraceReplaySource(metered),
             guard,
             chunk_samples,
-            fault_plan=active_stream_plan(),
+            fault_plan=StreamFaultPlan.active(),
         )
         niom_attack = session.attacks.get("niom")
         report = session.finalize(guard=guard)
@@ -432,39 +437,6 @@ class HomeStreamResult:
 
 
 @dataclass(frozen=True)
-class StreamFleetResult:
-    """A fleet scored online: per-home streamed results plus failures."""
-
-    spec: FleetSpec
-    homes: list["HomeStreamResult"]
-    elapsed_s: float
-    workers_used: int
-    failures: tuple[HomeFailure, ...] = ()
-    pool_rebuilds: int = 0
-    telemetry: TelemetrySnapshot | None = None
-
-    @property
-    def n_homes(self) -> int:
-        return len(self.homes)
-
-    @property
-    def ok(self) -> bool:
-        """No permanently failed homes *and* every completed home clean."""
-        return not self.failures and all(home.ok for home in self.homes)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_homes": self.n_homes,
-            "elapsed_s": self.elapsed_s,
-            "workers_used": self.workers_used,
-            "ok": self.ok,
-            "pool_rebuilds": self.pool_rebuilds,
-            "homes": [home.as_dict() for home in self.homes],
-            "failures": [f.as_dict() for f in self.failures],
-        }
-
-
-@dataclass(frozen=True)
 class FleetResult:
     """Everything one runner pass produced — including its casualties."""
 
@@ -496,26 +468,29 @@ class FleetResult:
 
 @dataclass(frozen=True)
 class JobsResult:
-    """Generic supervised-run result for :meth:`FleetRunner.run_jobs`.
+    """What one :meth:`FleetRunner.run_jobs` call produced.
 
-    ``results`` holds whatever the work function returned, ordered by job
-    order (permanently failed jobs simply absent — they appear in
-    ``failures`` instead).  The energy fleet's :class:`FleetResult` and
-    :class:`StreamFleetResult` predate this type; new job families (e.g.
-    :mod:`repro.fleet.netpriv`) should build on this instead of cloning
-    the supervisor plumbing.
+    ``results`` holds whatever the work function returned, in submission
+    order (permanently failed jobs are absent — they appear in
+    ``failures`` instead, sorted by index).  ``failed_jobs`` holds the
+    job of each failure, position for position, so a caller can route
+    it: an ``index`` need not be unique (a sweep's seeds repeat them).
     """
 
     results: list
     elapsed_s: float
     workers_used: int
     failures: tuple[HomeFailure, ...] = ()
+    failed_jobs: tuple = ()
     pool_rebuilds: int = 0
     telemetry: TelemetrySnapshot | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """No permanent failures, and every result that has an ``ok`` is ok."""
+        return not self.failures and all(
+            getattr(result, "ok", True) for result in self.results
+        )
 
 
 @dataclass
@@ -523,6 +498,7 @@ class _JobState:
     """Supervisor-side bookkeeping for one job's attempts."""
 
     job: HomeJob
+    position: int  # submission order within the run_jobs call
     attempts: int = 0  # failed attempts so far; next try runs as this number
     not_before: float = 0.0  # monotonic backoff gate for the next submit
     started: float = 0.0  # monotonic submit time of the current attempt
@@ -533,7 +509,7 @@ class _JobState:
 
 
 class FleetRunner:
-    """Execute a :class:`FleetSpec` under supervision, caching as asked.
+    """Execute jobs under supervision: :meth:`run_jobs` and its factories.
 
     Parameters
     ----------
@@ -643,16 +619,17 @@ class FleetRunner:
         under its own :func:`~repro.fleet.cache.job_cache_key`; each home
         with at least one miss becomes one :class:`HomeJob` owing those
         specs' defense tuples, so it is simulated and baseline-scored
-        once (:func:`run_home_job`).  All jobs go to the supervisor in
+        once (:func:`run_home_job`).  All jobs go to :meth:`run_jobs` in
         one call — one pool — and each (spec, home) result is cached the
-        moment its home job returns.  A home job that fails permanently
-        appears as the same :class:`HomeFailure` in every spec it owed.
+        moment its home job is reported.  A home job that fails
+        permanently appears as the same :class:`HomeFailure` in every
+        spec it owed.
 
         Returns the fleets and the run's telemetry (``None`` unless the
-        runner collects it): supervisor counters, each job's shared part
-        and every cell's own part, merged.  Each fleet's ``telemetry``
-        holds only what its executed homes carry; its ``elapsed_s``,
-        ``workers_used`` and ``pool_rebuilds`` are the whole run's.
+        runner collects it): the cache look-ups plus :meth:`run_jobs`'
+        totals.  Each fleet's ``telemetry`` holds only what its executed
+        homes carry; its ``elapsed_s``, ``workers_used`` and
+        ``pool_rebuilds`` are the whole run's.
         """
         start = time.perf_counter()
         unknown = {d for spec in specs for d in spec.detectors} - set(
@@ -673,7 +650,6 @@ class FleetRunner:
                 replace(spec, defenses=None), []
             ).append(position)
         with self._telemetry_scope() as baseline:
-            TELEMETRY.count(f"fleet.backend.{self.backend}")
             pending: list[HomeJob] = []
             # id(job) -> (spec position, cache key) per owed cell: the
             # supervisor hands back the very job objects it was given
@@ -701,30 +677,20 @@ class FleetRunner:
                         owed[id(job)] = slots
                         pending.append(job)
 
-            shipped: list = []  # every result whose telemetry merges in
-
             def store(job: HomeJob, result: HomeJobResult) -> None:
                 # streaming sink: cache at once so a killed run resumes
-                shipped.append(result)
                 for (position, key), home in zip(owed[id(job)], result.cells):
                     homes[position][home.index] = home
-                    shipped.append(home)
                     if key is not None:
                         # strip telemetry so entry bytes never depend on
                         # whether the run was being observed
                         self.cache.put(key, replace(home, telemetry=None))
 
-            job_failures: list[tuple[HomeJob, HomeFailure]] = []
-            workers_used = 1
-            rebuilds = 0
-            if pending:
-                job_failures, workers_used, rebuilds = self._execute(
-                    pending, store
-                )
-            for job, failure in job_failures:
+            batch = self.run_jobs(pending, run_home_job, on_result=store)
+            for job, failure in zip(batch.failed_jobs, batch.failures):
                 for position, _ in owed[id(job)]:
                     failures[position].append(failure)
-            telemetry = self._collect_telemetry(baseline, shipped)
+            telemetry = self._collect_telemetry(baseline, [batch])
         elapsed = time.perf_counter() - start
         fleets = []
         for position, spec in enumerate(specs):
@@ -739,15 +705,13 @@ class FleetRunner:
                     spec=spec,
                     homes=ordered,
                     elapsed_s=elapsed,
-                    workers_used=workers_used,
+                    workers_used=batch.workers_used,
                     executed=executed[position],
                     cache_stats=(
                         self.cache.stats if self.cache is not None else None
                     ),
-                    failures=tuple(
-                        sorted(failures[position], key=lambda f: f.index)
-                    ),
-                    pool_rebuilds=rebuilds,
+                    failures=tuple(failures[position]),
+                    pool_rebuilds=batch.pool_rebuilds,
                     telemetry=own,
                 )
             )
@@ -760,25 +724,23 @@ class FleetRunner:
         chunk_samples: int = 60,
         attack_kwargs: dict | None = None,
         guard_policy=None,
-    ) -> StreamFleetResult:
+    ) -> JobsResult:
         """Score the fleet through guarded streamed sessions.
 
-        Streamed jobs now run under the *same* supervisor as batch jobs
-        — per-job submit, bounded retries with deterministic backoff,
-        per-job timeouts, crash recovery via pool rebuild — because a
-        replayed evaluation feed (unlike a live one) can be re-run, and
-        a fleet sweep losing a home to a transient worker death is pure
-        waste.  What stays different from :meth:`run` is the absence of
-        the result cache: streamed reports carry throughput numbers that
-        are not content-addressable.  Seeds come from the same spawned
-        streams as the batch path, so ``trace_digest`` values match
-        :meth:`run` home-for-home; ``guard_policy`` rides to every job's
-        :class:`~repro.stream.guard.FeedGuard`.  Each home's
+        A job factory over :meth:`run_jobs`: one :func:`run_stream_job`
+        per home, so streamed jobs get the batch path's retries,
+        timeouts and crash recovery — a replayed evaluation feed (unlike
+        a live one) can be re-run.  There is no result cache: streamed
+        reports carry throughput numbers that are not
+        content-addressable.  Seeds come from the same spawned streams
+        as the batch path, so ``trace_digest`` values match :meth:`run`
+        home-for-home; ``guard_policy`` rides to every job's
+        :class:`~repro.stream.guard.FeedGuard`.  ``results`` holds one
+        :class:`HomeStreamResult` per completed home, and each home's
         ``stream.*`` telemetry (gap samples, quarantined values, attack
-        failures, checkpoint writes) merges into the fleet totals.
+        failures, checkpoint writes) merges into the totals.  Attack
+        names are checked before any job is dispatched.
         """
-        import functools
-
         from ..stream import stream_attack_names
 
         unknown = set(attacks) - set(stream_attack_names())
@@ -787,91 +749,76 @@ class FleetRunner:
                 f"unknown stream attacks: {sorted(unknown)}; "
                 f"available: {stream_attack_names()}"
             )
-        start = time.perf_counter()
-        with self._telemetry_scope() as baseline:
-            jobs = spec.jobs()
-            results: dict[int, HomeStreamResult] = {}
-            work = functools.partial(
-                run_stream_job,
-                chunk_samples=chunk_samples,
-                attacks=tuple(attacks),
-                attack_kwargs=attack_kwargs,
-                guard_policy=guard_policy,
-            )
-
-            def store(job: HomeJob, result: HomeStreamResult) -> None:
-                results[job.index] = result
-
-            failures: list[HomeFailure] = []
-            workers_used = 1
-            rebuilds = 0
-            if jobs:
-                pairs, workers_used, rebuilds = self._execute(
-                    jobs, store, work=work
-                )
-                failures = [failure for _, failure in pairs]
-            for _ in failures:
-                TELEMETRY.count("fleet.stream_failure")
-            ordered = [
-                results[job.index] for job in jobs if job.index in results
-            ]
-            telemetry = self._collect_telemetry(baseline, ordered)
-        return StreamFleetResult(
-            spec=spec,
-            homes=ordered,
-            elapsed_s=time.perf_counter() - start,
-            workers_used=workers_used,
-            failures=tuple(sorted(failures, key=lambda f: f.index)),
-            pool_rebuilds=rebuilds,
-            telemetry=telemetry,
+        work = functools.partial(
+            run_stream_job,
+            chunk_samples=chunk_samples,
+            attacks=tuple(attacks),
+            attack_kwargs=attack_kwargs,
+            guard_policy=guard_policy,
         )
+        with self._telemetry_scope() as baseline:
+            batch = self.run_jobs(spec.jobs(), work)
+            return replace(
+                batch, telemetry=self._collect_telemetry(baseline, [batch])
+            )
 
     def run_jobs(
         self,
-        jobs: list,
+        jobs: Sequence,
         work: Callable,
-        on_result: Callable[[object], None] | None = None,
+        on_result: Callable[[object, object], None] | None = None,
     ) -> JobsResult:
-        """Run arbitrary picklable jobs under the fleet supervisor.
+        """Run picklable jobs under supervision: the engine's one entry point.
 
-        The public face of :meth:`_execute` for job families beyond the
-        energy fleet (the netpriv arms-race sweep is the first customer).
-        Jobs must look enough like :class:`~repro.fleet.spec.HomeJob` for
-        the supervisor: an ``index`` field (unique, orders the results),
-        a ``preset``-ish label for failure reports, and ``attempt`` as a
+        A job must look enough like :class:`~repro.fleet.spec.HomeJob`:
+        an ``index`` (which need not be unique), a ``preset``-ish label
+        for failure reports, and ``attempt`` as a
         ``dataclasses.replace``-able field.  ``work(job)`` must be
-        picklable and return an object with a ``telemetry`` attribute.
-        Retries, timeouts, crash recovery, backoff, and telemetry
-        merging behave exactly as in :meth:`run`; there is no
-        result cache.  ``on_result`` (optional) fires as each job
-        completes — a progress hook, called in completion order.
+        picklable; with telemetry on, its result carries a ``telemetry``
+        snapshot.  Results come back in submission order, and
+        ``on_result(job, result)`` fires as each job is reported (under
+        ``fail_fast``, in submission order).  The ``serial`` backend
+        forces the in-process loop regardless of ``workers``.  Degrades
+        to the serial loop when a pool cannot be *started* (restricted
+        sandboxes, missing semaphores); pool failures mid-run are
+        handled by the supervisor itself.
         """
         start = time.perf_counter()
+        results: dict[int, object] = {}
+
+        def report(state: _JobState, result: object) -> None:
+            results[state.position] = result
+            if on_result is not None:
+                on_result(state.job, result)
+
         with self._telemetry_scope() as baseline:
-            results: dict[int, object] = {}
-
-            def store(job, result) -> None:
-                results[job.index] = result
-                if on_result is not None:
-                    on_result(result)
-
-            failures: list[HomeFailure] = []
-            workers_used = 1
-            rebuilds = 0
-            if jobs:
-                pairs, workers_used, rebuilds = self._execute(
-                    jobs, store, work=work
-                )
-                failures = [failure for _, failure in pairs]
-            ordered = [
-                results[job.index] for job in jobs if job.index in results
-            ]
+            TELEMETRY.count(f"fleet.backend.{self.backend}")
+            states = [_JobState(job, i) for i, job in enumerate(jobs)]
+            workers_used, rebuilds = 1, 0
+            with self._env_exported():
+                pool = None
+                if (
+                    self.backend != "serial"
+                    and self.workers > 1
+                    and len(jobs) > 1
+                ):
+                    pool = self._new_pool()
+                if pool is not None:
+                    failed, rebuilds = self._run_supervised(
+                        pool, states, report, work
+                    )
+                    workers_used = self.workers
+                else:
+                    failed = self._run_serial(states, report, work)
+            ordered = [results[position] for position in sorted(results)]
             telemetry = self._collect_telemetry(baseline, ordered)
+        failed.sort(key=lambda pair: pair[1].index)
         return JobsResult(
             results=ordered,
             elapsed_s=time.perf_counter() - start,
             workers_used=workers_used,
-            failures=tuple(sorted(failures, key=lambda f: f.index)),
+            failures=tuple(failure for _, failure in failed),
+            failed_jobs=tuple(job for job, _ in failed),
             pool_rebuilds=rebuilds,
             telemetry=telemetry,
         )
@@ -888,15 +835,11 @@ class FleetRunner:
         inherited identically under fork and spawn.  The serial path runs
         under the same exports, keeping both paths observably identical.
         """
-        wanted: dict[str, str] = {}
-        if self.faults is not None:
-            wanted[FAULTS_ENV] = self.faults.to_json()
-        if self.stream_faults is not None:
-            # local import: repro.fleet stays importable without the
-            # streaming subsystem loaded
-            from ..stream.faults import STREAM_FAULTS_ENV
-
-            wanted[STREAM_FAULTS_ENV] = self.stream_faults.to_json()
+        wanted = {
+            plan.ENV: plan.to_json()
+            for plan in (self.faults, self.stream_faults)
+            if plan is not None
+        }
         if self.telemetry:
             wanted[TELEMETRY_ENV] = "1"
         if self.profile_dir is not None:
@@ -922,6 +865,8 @@ class FleetRunner:
         Yields ``None`` when telemetry is off; otherwise the registry
         snapshot taken at run start, which :meth:`_collect_telemetry`
         subtracts so one runner's totals never bleed into the next.
+        Scopes nest: an inner scope's collection takes its own delta out
+        of the registry, and the outer one merges the inner totals back.
         """
         if not self.telemetry:
             yield None
@@ -938,7 +883,7 @@ class FleetRunner:
         baseline: TelemetrySnapshot | None,
         results: list,
     ) -> TelemetrySnapshot | None:
-        """Supervisor delta + every shipped job snapshot, merged.
+        """Supervisor delta + every shipped snapshot, merged.
 
         Job deltas are disjoint from the supervisor's (``run_home_job``
         restores the ambient registry after capturing its delta), so the
@@ -952,43 +897,6 @@ class FleetRunner:
             if result.telemetry is not None:
                 merged = merged.merged(result.telemetry)
         return merged
-
-    def _execute(
-        self,
-        jobs: list[HomeJob],
-        on_result: Callable[[HomeJob, object], None],
-        work: Callable[[HomeJob], object] = run_home_job,
-    ) -> tuple[list[tuple[HomeJob, HomeFailure]], int, int]:
-        """Run jobs under supervision; returns (failures, workers, rebuilds).
-
-        ``work`` is the picklable per-job function — :func:`run_home_job`
-        for batch fleets, a :func:`run_stream_job` partial for streamed
-        ones; the supervisor's retry/timeout/rebuild machinery is
-        identical either way.  Results and permanent failures come back
-        with the job they belong to — ``on_result(job, result)`` and
-        ``(job, failure)`` pairs — because a job's ``index`` need not be
-        unique in a run (a sweep's seeds repeat home indices).  The ``serial`` backend forces the
-        in-process loop regardless of ``workers``.  Degrades to the
-        serial loop when a pool cannot be *started* (restricted
-        sandboxes, missing semaphores); pool failures mid-run are
-        handled by the supervisor itself.
-        """
-        with self._env_exported():
-            if (
-                self.backend != "serial"
-                and self.workers > 1
-                and len(jobs) > 1
-            ):
-                pool = self._new_pool()
-                if pool is not None:
-                    failures, rebuilds = self._run_supervised(
-                        pool, [_JobState(job) for job in jobs], on_result, work
-                    )
-                    return failures, self.workers, rebuilds
-            failures = self._run_serial(
-                [_JobState(job) for job in jobs], on_result, work
-            )
-            return failures, 1, 0
 
     def _new_pool(self) -> ProcessPoolExecutor | None:
         try:
@@ -1058,8 +966,8 @@ class FleetRunner:
     def _run_serial(
         self,
         states: list[_JobState],
-        on_result: Callable[[HomeJob, object], None],
-        work: Callable[[HomeJob], object] = run_home_job,
+        on_result: Callable[[_JobState, object], None],
+        work: Callable[[HomeJob], object],
     ) -> list[tuple[HomeJob, HomeFailure]]:
         """In-process supervised loop: retries only (no crash/hang guard)."""
         failures: list[tuple[HomeJob, HomeFailure]] = []
@@ -1084,7 +992,7 @@ class FleetRunner:
                         break
                     time.sleep(max(0.0, state.not_before - now))
                 else:
-                    on_result(state.job, result)
+                    on_result(state, result)
                     break
         return failures
 
@@ -1093,8 +1001,8 @@ class FleetRunner:
         self,
         pool: ProcessPoolExecutor,
         states: list[_JobState],
-        on_result: Callable[[HomeJob, object], None],
-        work: Callable[[HomeJob], object] = run_home_job,
+        on_result: Callable[[_JobState, object], None],
+        work: Callable[[HomeJob], object],
     ) -> tuple[list[tuple[HomeJob, HomeFailure]], int]:
         """The supervisor loop: per-job submit, isolation, rebuild, retry.
 
@@ -1116,19 +1024,18 @@ class FleetRunner:
         isolation: list[_JobState] = []
         inflight: dict = {}
         rebuilds = 0
-        order = {id(state): i for i, state in enumerate(states)}
         held: dict[int, tuple[_JobState, object]] = {}
         next_report = 0
 
         def report(state: _JobState, result: object) -> None:
             nonlocal next_report
             if not self.fail_fast:
-                on_result(state.job, result)
+                on_result(state, result)
                 return
-            held[order[id(state)]] = (state, result)
+            held[state.position] = (state, result)
             while next_report in held:
                 ready, ready_result = held.pop(next_report)
-                on_result(ready.job, ready_result)
+                on_result(ready, ready_result)
                 next_report += 1
 
         def unreported() -> list[_JobState]:
@@ -1137,7 +1044,7 @@ class FleetRunner:
         def finish_serially() -> tuple[list[tuple[HomeJob, HomeFailure]], int]:
             # can no longer start pools: held jobs re-run in their turn
             rest = sorted(
-                isolation + queue + unreported(), key=lambda s: order[id(s)]
+                isolation + queue + unreported(), key=lambda s: s.position
             )
             held.clear()
             failures.extend(self._run_serial(rest, on_result, work))

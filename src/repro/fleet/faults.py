@@ -34,11 +34,11 @@ uninjected run — the determinism contract the engine tests pin.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass
+
+from ..obs import SeededPlan
 
 #: Environment hook read inside workers; JSON of :meth:`FaultPlan.to_json`.
 FAULTS_ENV = "REPRO_FLEET_FAULTS"
@@ -54,7 +54,7 @@ class FaultInjected(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(SeededPlan):
     """Which (home index, attempt) cells to sabotage, and how.
 
     Parameters
@@ -76,6 +76,8 @@ class FaultPlan:
     hang_s:
         Sleep duration for ``hang`` faults.
     """
+
+    ENV = FAULTS_ENV
 
     kind: str
     indices: tuple[int, ...] = ()
@@ -100,55 +102,7 @@ class FaultPlan:
             return False
         if index in self.indices:
             return True
-        if self.rate > 0.0:
-            digest = hashlib.sha256(
-                f"{self.seed}:{index}:{attempt}".encode()
-            ).digest()
-            draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-            return draw < self.rate
-        return False
-
-    # -- env round-trip -------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "indices": list(self.indices),
-                "rate": self.rate,
-                "seed": self.seed,
-                "max_attempt": self.max_attempt,
-                "hang_s": self.hang_s,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, doc: str) -> "FaultPlan":
-        raw = json.loads(doc)
-        return cls(
-            kind=raw["kind"],
-            indices=tuple(int(i) for i in raw.get("indices", ())),
-            rate=float(raw.get("rate", 0.0)),
-            seed=int(raw.get("seed", 0)),
-            max_attempt=(
-                None
-                if raw.get("max_attempt") is None
-                else int(raw["max_attempt"])
-            ),
-            hang_s=float(raw.get("hang_s", 3600.0)),
-        )
-
-
-def active_plan() -> FaultPlan | None:
-    """The plan exported through :data:`FAULTS_ENV`, if any.
-
-    A malformed value raises rather than silently disarming the harness:
-    a chaos test whose faults never fire would pass vacuously.
-    """
-    doc = os.environ.get(FAULTS_ENV)
-    if not doc:
-        return None
-    return FaultPlan.from_json(doc)
+        return self.rate > 0.0 and self.draw(index, attempt) < self.rate
 
 
 def maybe_inject(index: int, attempt: int) -> None:
@@ -158,7 +112,7 @@ def maybe_inject(index: int, attempt: int) -> None:
     retried-past fault leaves the home's result byte-identical to an
     uninjected run.
     """
-    plan = active_plan()
+    plan = FaultPlan.active()
     if plan is None or not plan.targets(index, attempt):
         return
     if plan.kind == "error":

@@ -5,7 +5,9 @@ over simulated *meters*; this module fans the Sec. IV traffic defenses
 over simulated *LANs*, pitting naive and adaptive attackers
 (:func:`repro.netpriv.adaptive.evaluate_arms_race`) against every
 ``defense@setting`` dial.  The grid rides the same supervised execution
-substrate — :meth:`repro.fleet.engine.FleetRunner.run_jobs` provides the
+substrate — the one grid runner (:class:`~repro.fleet.sweep.SweepRunner`,
+also named :data:`NetprivSweepRunner`) hands a shard's jobs to
+:meth:`repro.fleet.engine.FleetRunner.run_jobs`, which provides the
 retries, timeouts, crash recovery and telemetry merging — and the
 deliverable is a :class:`~repro.fleet.frontier.Frontier` like the energy
 sweep's: a :class:`NetprivFrontierReport` of population statistics per
@@ -21,7 +23,6 @@ module's (:class:`~repro.fleet.sweep.KnobGrid`,
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -33,10 +34,10 @@ from ..netpriv.devices import DeviceType
 from ..netpriv.lan import LanConfig
 from ..netpriv.shaping import NETPRIV_KNOB_DOMAIN
 from ..obs import TELEMETRY, TelemetrySnapshot
-from .engine import DEFAULT_BACKEND, FleetRunner, HomeFailure, _captured
+from .engine import FleetRunner, HomeFailure, JobsResult, _captured
 from .frontier import Frontier
 from .report import PopulationStats
-from .sweep import KnobGrid, SweepCell, SweepError, shard_cells
+from .sweep import KnobGrid, SweepCell, SweepError, SweepRunner
 
 
 def _small_lan() -> LanConfig:
@@ -177,6 +178,13 @@ class NetprivGrid(KnobGrid):
                 )
         return jobs
 
+    def run_cells(
+        self, runner: FleetRunner, cells: Sequence[SweepCell]
+    ) -> "NetprivSweepResult":
+        """Run ``cells``' LAN jobs in one ``runner.run_jobs`` call."""
+        batch = runner.run_jobs(self.jobs_for(cells), run_netpriv_job)
+        return NetprivSweepResult(grid=self, **vars(batch))
+
 
 @dataclass(frozen=True)
 class NetprivFrontierPoint:
@@ -284,77 +292,19 @@ class NetprivFrontierReport(Frontier):
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class NetprivSweepResult:
-    """Everything one netpriv sweep pass (one shard) produced."""
+@dataclass(frozen=True, kw_only=True)
+class NetprivSweepResult(JobsResult):
+    """One netpriv shard: its supervised batch of LAN jobs, and its grid."""
 
     grid: NetprivGrid
-    shard: tuple[int, int]
-    results: tuple[NetprivJobResult, ...]
-    failures: tuple[HomeFailure, ...]
-    elapsed_s: float
-    workers_used: int
-    pool_rebuilds: int = 0
-    telemetry: TelemetrySnapshot | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    shard: tuple[int, int] = (1, 1)
 
     def frontier(self) -> NetprivFrontierReport:
         return NetprivFrontierReport.from_results(self.results, self.failures)
 
 
-class NetprivSweepRunner:
-    """Execute a :class:`NetprivGrid` (or one shard) under supervision.
-
-    All of the shard's jobs go to :meth:`FleetRunner.run_jobs` as one
-    batch, so worker parallelism spans cells (a cell is often a single
-    LAN).  ``on_result`` fires per completed job in completion order —
-    the CLI's progress line.
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        *,
-        max_retries: int = 2,
-        job_timeout: float | None = None,
-        fail_fast: bool = False,
-        telemetry: bool = False,
-        backend: str = DEFAULT_BACKEND,
-    ) -> None:
-        self.runner = FleetRunner(
-            workers=workers,
-            cache_dir=None,
-            max_retries=max_retries,
-            job_timeout=job_timeout,
-            fail_fast=fail_fast,
-            telemetry=telemetry,
-            backend=backend,
-        )
-
-    def run(
-        self,
-        grid: NetprivGrid,
-        shard: tuple[int, int] = (1, 1),
-        on_result: Callable[[NetprivJobResult], None] | None = None,
-    ) -> NetprivSweepResult:
-        """Run the shard's cells; returns results plus the failure report."""
-        start = time.perf_counter()
-        cells = shard_cells(grid.cells(), shard)
-        jobs = grid.jobs_for(cells)
-        batch = self.runner.run_jobs(jobs, run_netpriv_job, on_result=on_result)
-        return NetprivSweepResult(
-            grid=grid,
-            shard=shard,
-            results=tuple(batch.results),
-            failures=batch.failures,
-            elapsed_s=time.perf_counter() - start,
-            workers_used=batch.workers_used,
-            pool_rebuilds=batch.pool_rebuilds,
-            telemetry=batch.telemetry,
-        )
+#: the one grid runner under the name the netpriv tooling knows it by
+NetprivSweepRunner = SweepRunner
 
 
 __all__ = [

@@ -5,9 +5,11 @@ paper's knob story is population-scale — how does the frontier look over
 a service territory, per mechanism, per dial position?  A
 :class:`SweepGrid` declares that grid — the (defense × knob setting ×
 seed) axes of :class:`KnobGrid`, which the netpriv arms race shares,
-over a fixed home population — and :class:`SweepRunner` executes a shard
-of it in one :meth:`~repro.fleet.engine.FleetRunner.run_specs` call on
-the fault-tolerant :class:`~repro.fleet.engine.FleetRunner`.
+over a fixed home population — and :class:`SweepRunner`, the one grid
+runner, executes a shard of it in one
+:meth:`~repro.fleet.engine.FleetRunner.run_specs` call on the
+fault-tolerant :class:`~repro.fleet.engine.FleetRunner` (a netpriv grid
+shard goes through the same runner, as arms-race jobs).
 
 Design choices that make the grid cheap and resumable:
 
@@ -42,13 +44,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import ClassVar, Sequence
 
 from ..core.knob import knob_defense_name, knob_mapping_names
 from ..obs import TelemetrySnapshot
-from .engine import DEFAULT_BACKEND, FleetResult, FleetRunner
+from .engine import FleetResult, FleetRunner
 from .frontier import FrontierReport
 from .spec import DEFAULT_FLEET_DETECTORS, FleetSpec
 
@@ -80,8 +82,9 @@ class KnobGrid:
 
     ``DOMAIN`` names the knob-mapping domain the defenses are dialed in
     (:func:`~repro.core.knob.knob_mapping_names`).  Subclasses add the
-    population each cell is evaluated over; validation of the axes
-    happens here, once, not per job deep inside a worker.
+    population each cell is evaluated over, and ``run_cells(runner,
+    cells)`` for :class:`SweepRunner`; validation of the axes happens
+    here, once, not per job deep inside a worker.
     """
 
     DOMAIN: ClassVar[str] = "energy"
@@ -170,6 +173,23 @@ class SweepGrid(KnobGrid):
             mix=self.mix,
             defenses=(cell.knob_name,),
             detectors=self.detectors,
+        )
+
+    def run_cells(
+        self, runner: FleetRunner, cells: Sequence[SweepCell]
+    ) -> "SweepResult":
+        """Run ``cells`` as home jobs in one ``runner.run_specs`` call."""
+        fleets, telemetry = runner.run_specs(
+            [self.cell_spec(cell) for cell in cells]
+        )
+        return SweepResult(
+            grid=self,
+            cells=tuple(
+                CellResult(cell=cell, fleet=fleet)
+                for cell, fleet in zip(cells, fleets)
+            ),
+            executed=sum(fleet.executed for fleet in fleets),
+            telemetry=telemetry,
         )
 
 
@@ -314,14 +334,14 @@ class SweepResult:
     """Everything one sweep pass (one shard) produced."""
 
     grid: SweepGrid
-    shard: tuple[int, int]
     cells: tuple[CellResult, ...]
-    elapsed_s: float
     executed: int  # home-cells actually scored (not replayed from cache)
     #: sweep-level totals: supervisor counters, each home job's shared
     #: part and every cell's own part; ``None`` unless the runner
     #: collected telemetry
     telemetry: TelemetrySnapshot | None = None
+    shard: tuple[int, int] = (1, 1)
+    elapsed_s: float = 0.0
 
     @property
     def n_cells(self) -> int:
@@ -340,68 +360,30 @@ class SweepResult:
 
 
 class SweepRunner:
-    """Execute a :class:`SweepGrid` (or one shard of it) as home jobs.
+    """The grid runner: execute one shard of any knob grid, supervised.
 
-    Construction mirrors :class:`~repro.fleet.engine.FleetRunner` — the
-    same worker pool, cache directory, and supervision knobs apply to
-    the shard's home jobs, which all go to the supervisor in one call
-    (one pool per shard).  One underlying runner instance is reused
-    across runs so cache statistics accumulate.
+    The grid runs its cells on one :class:`~repro.fleet.engine.FleetRunner`
+    (built from these arguments, and reused so cache statistics
+    accumulate) in one supervised call, one pool per shard: a
+    :class:`SweepGrid` as cached home jobs, a
+    :class:`~repro.fleet.netpriv.NetprivGrid` as LAN jobs, which ignore
+    ``cache_dir`` and ``profile_dir``.
     """
 
     def __init__(
         self,
         workers: int = 1,
         cache_dir: str | Path | None = None,
-        *,
-        max_retries: int = 2,
-        job_timeout: float | None = None,
-        fail_fast: bool = False,
-        telemetry: bool = False,
-        profile_dir: str | Path | None = None,
-        backend: str = DEFAULT_BACKEND,
+        **supervisor: object,
     ) -> None:
-        self.runner = FleetRunner(
-            workers,
-            cache_dir=cache_dir,
-            max_retries=max_retries,
-            job_timeout=job_timeout,
-            fail_fast=fail_fast,
-            telemetry=telemetry,
-            profile_dir=profile_dir,
-            backend=backend,
-        )
+        self.runner = FleetRunner(workers, cache_dir, **supervisor)
 
-    def run(
-        self,
-        grid: SweepGrid,
-        shard: tuple[int, int] = (1, 1),
-        on_cell=None,
-    ) -> SweepResult:
-        """Run this shard's cells as home jobs; one result per cell.
-
-        ``on_cell`` (optional callable of one :class:`CellResult`) fires
-        once per cell, in canonical order — the CLI's progress hook.
-        """
+    def run(self, grid: KnobGrid, shard: tuple[int, int] = (1, 1)):
+        """Run this shard's cells; the grid's result, stamped with the shard."""
         start = time.perf_counter()
-        cells = shard_cells(grid.cells(), shard)
-        fleets, telemetry = self.runner.run_specs(
-            [grid.cell_spec(cell) for cell in cells]
-        )
-        results = tuple(
-            CellResult(cell=cell, fleet=fleet)
-            for cell, fleet in zip(cells, fleets)
-        )
-        if on_cell is not None:
-            for result in results:
-                on_cell(result)
-        return SweepResult(
-            grid=grid,
-            shard=shard,
-            cells=results,
-            elapsed_s=time.perf_counter() - start,
-            executed=sum(fleet.executed for fleet in fleets),
-            telemetry=telemetry,
+        result = grid.run_cells(self.runner, shard_cells(grid.cells(), shard))
+        return replace(
+            result, shard=shard, elapsed_s=time.perf_counter() - start
         )
 
 

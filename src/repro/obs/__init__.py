@@ -12,8 +12,12 @@ from.  It has two deliberately small parts:
 Both are off by default and arm across process boundaries via
 environment variables, so instrumented library code never needs to know
 whether it is running in a worker, the supervisor, or a plain script.
+:mod:`repro.obs.plan` holds :class:`SeededPlan`, the base of the two
+fault-injection plans that arm the same way (the fleet's and the
+stream's), with their one seeded draw and one strict JSON codec.
 """
 
+from .plan import FaultPlanError, SeededPlan
 from .profiling import PROFILE_DIR_ENV, active_profile_dir, maybe_profile
 from .telemetry import (
     TELEMETRY,
@@ -25,7 +29,9 @@ from .telemetry import (
 )
 
 __all__ = [
+    "FaultPlanError",
     "PROFILE_DIR_ENV",
+    "SeededPlan",
     "TELEMETRY",
     "TELEMETRY_ENV",
     "Telemetry",

@@ -37,8 +37,8 @@ section 2 of ``docs/PERFORMANCE.md``):
 * ``fleet.*`` — supervisor counters (``fleet.retry``,
   ``fleet.pool_rebuild``, ``fleet.attempt_failed.<kind>``,
   ``fleet.permanent_failure``, ``fleet.backoff_wait_s``,
-  ``fleet.jobs_built``, ``fleet.stream_failure``) and
-  ``fleet.backend.<name>`` marking which executor backend ran the sweep;
+  ``fleet.jobs_built``) and ``fleet.backend.<name>`` marking which
+  executor backend ran each supervised call;
 * ``hmm.*`` / ``fhmm.*`` — model fits, EM iterations, E-step kernel
   dispatch and joint-space sizes;
 * ``stream.*`` — samples pushed, guard scrubs and rejections,

@@ -40,7 +40,6 @@ from .edges import StreamingEdgeDetector, StreamingHartPairer
 from .faults import (
     STREAM_FAULTS_ENV,
     StreamFaultPlan,
-    active_stream_plan,
     inject_stream_faults,
 )
 from .guard import FeedDead, FeedGuard, GuardPolicy, GuardStats
@@ -95,7 +94,6 @@ __all__ = [
     "StreamingHartPairer",
     "StreamingThresholdNIOM",
     "TraceReplaySource",
-    "active_stream_plan",
     "drive_stream",
     "has_checkpoint",
     "inject_stream_faults",

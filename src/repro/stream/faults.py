@@ -36,13 +36,12 @@ and by the ``repro stream`` CLI.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from ..obs import SeededPlan
 
 #: Environment hook; JSON of :meth:`StreamFaultPlan.to_json`.
 STREAM_FAULTS_ENV = "REPRO_STREAM_FAULTS"
@@ -53,7 +52,7 @@ CORRUPT_KINDS = ("nan", "inf", "negative")
 
 
 @dataclass(frozen=True)
-class StreamFaultPlan:
+class StreamFaultPlan(SeededPlan):
     """Which chunks to degrade, and how.
 
     Each fault kind has an independent rate in ``[0, 1]``; whether kind
@@ -64,6 +63,8 @@ class StreamFaultPlan:
     ``corrupt_kind`` what they become.  ``stall_chunks`` is how many
     subsequent chunks overtake a stalled one.
     """
+
+    ENV = STREAM_FAULTS_ENV
 
     seed: int = 0
     dropout_rate: float = 0.0
@@ -93,12 +94,6 @@ class StreamFaultPlan:
         if self.stall_chunks < 1:
             raise ValueError("stall_chunks must be >= 1")
 
-    def _draw(self, chunk_index: int, kind: str) -> float:
-        digest = hashlib.sha256(
-            f"{self.seed}:{chunk_index}:{kind}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
     def targets(self, chunk_index: int, kind: str) -> bool:
         """True when fault ``kind`` fires at ``chunk_index``."""
         if kind not in STREAM_FAULT_KINDS:
@@ -106,7 +101,7 @@ class StreamFaultPlan:
         rate = getattr(self, f"{kind}_rate")
         if rate <= 0.0:
             return False
-        return self._draw(chunk_index, kind) < rate
+        return self.draw(chunk_index, kind) < rate
 
     def corrupt(self, chunk_index: int, values: np.ndarray) -> np.ndarray:
         """A poisoned copy of ``values`` (which samples, from the digest)."""
@@ -114,10 +109,7 @@ class StreamFaultPlan:
         if n == 0:
             return values
         n_bad = max(1, int(round(n * self.corrupt_fraction)))
-        digest = hashlib.sha256(
-            f"{self.seed}:{chunk_index}:positions".encode()
-        ).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+        rng = np.random.default_rng(self.bits(chunk_index, "positions"))
         positions = rng.choice(n, size=min(n_bad, n), replace=False)
         out = values.copy()
         if self.corrupt_kind == "nan":
@@ -127,48 +119,6 @@ class StreamFaultPlan:
         else:
             out[positions] = -np.abs(out[positions]) - 1.0
         return out
-
-    # -- env round-trip -------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "dropout_rate": self.dropout_rate,
-                "corrupt_rate": self.corrupt_rate,
-                "duplicate_rate": self.duplicate_rate,
-                "stall_rate": self.stall_rate,
-                "corrupt_fraction": self.corrupt_fraction,
-                "corrupt_kind": self.corrupt_kind,
-                "stall_chunks": self.stall_chunks,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, doc: str) -> "StreamFaultPlan":
-        raw = json.loads(doc)
-        return cls(
-            seed=int(raw.get("seed", 0)),
-            dropout_rate=float(raw.get("dropout_rate", 0.0)),
-            corrupt_rate=float(raw.get("corrupt_rate", 0.0)),
-            duplicate_rate=float(raw.get("duplicate_rate", 0.0)),
-            stall_rate=float(raw.get("stall_rate", 0.0)),
-            corrupt_fraction=float(raw.get("corrupt_fraction", 0.25)),
-            corrupt_kind=str(raw.get("corrupt_kind", "nan")),
-            stall_chunks=int(raw.get("stall_chunks", 2)),
-        )
-
-
-def active_stream_plan() -> StreamFaultPlan | None:
-    """The plan exported through :data:`STREAM_FAULTS_ENV`, if any.
-
-    A malformed value raises rather than silently disarming the
-    harness: a chaos test whose faults never fire would pass vacuously.
-    """
-    doc = os.environ.get(STREAM_FAULTS_ENV)
-    if not doc:
-        return None
-    return StreamFaultPlan.from_json(doc)
 
 
 def inject_stream_faults(

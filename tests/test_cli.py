@@ -81,6 +81,55 @@ SWEEP_ARGS = [
 ]
 
 
+class TestSupervisedPreflight:
+    """Bad supervisor and gate flags, and malformed fault plans, exit 2
+    before any job runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_jobs(self, monkeypatch):
+        from repro.fleet import FleetRunner
+
+        def refuse(*_args, **_kwargs):
+            pytest.fail("a job ran")
+
+        monkeypatch.setattr(FleetRunner, "run_jobs", refuse)
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--defenses", "nill", "--settings", "0,1", "--homes", "1",
+          "--days", "1", "--mix", "home-a", "--tolerance", "-0.1"],
+         "--tolerance"),
+        (["netpriv", "--defenses", "cover", "--settings", "0,0.5",
+          "--days", "1", "--tolerance", "-0.1"], "--tolerance"),
+        (["fleet", "--homes", "1", "--days", "1", "--max-retries", "-1"],
+         "--max-retries"),
+        (["sweep", "--defenses", "nill", "--homes", "1", "--job-timeout", "0"],
+         "--job-timeout"),
+        (["netpriv", "--defenses", "cover", "--max-retries", "-2"],
+         "--max-retries"),
+        (["stream", "--homes", "1", "--job-timeout", "-5"], "--job-timeout"),
+        (["sweep", "--defenses", "nill", "--homes", "1", "--check-monotone",
+          "--tolerance", "nan"], "--tolerance"),
+    ])
+    def test_bad_flag_exits_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0]
+
+    @pytest.mark.parametrize("env,doc,argv", [
+        ("REPRO_FLEET_FAULTS", '{"kind": "error", "indicies": [1]}',
+         ["fleet", "--homes", "1", "--days", "1"]),
+        ("REPRO_FLEET_FAULTS", "{}", ["sweep", "--defenses", "nill"]),
+        ("REPRO_STREAM_FAULTS", '{"seed": null}',
+         ["stream", "--home", "home-a", "--days", "1"]),
+        ("REPRO_STREAM_FAULTS", "[]", ["netpriv", "--defenses", "cover"]),
+    ])
+    def test_malformed_fault_plan_exits_2(self, env, doc, argv, monkeypatch,
+                                          capsys):
+        monkeypatch.setenv(env, doc)
+        assert main(argv) == 2
+        assert env in capsys.readouterr().err
+
+
 class TestSweepCLI:
     def test_inline_grid_runs(self, capsys):
         assert main(SWEEP_ARGS) == 0

@@ -15,6 +15,7 @@ and 2 to catch pickling regressions early.
 
 import os
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -251,6 +252,51 @@ class TestReportAndRunner:
 
         spec = FleetSpec(n_homes=1, days=1, seed=0)
         assert spec.resolved_defenses() == tuple(defense_names())
+
+
+@dataclass(frozen=True)
+class ToyJob:
+    """A supervised job whose ``index`` repeats, as a sweep's seeds do."""
+
+    index: int
+    preset: str
+    fail: bool = False
+    attempt: int = 0
+
+
+def toy_work(job: ToyJob) -> str:
+    if job.fail:
+        raise RuntimeError(f"{job.preset} failed")
+    return job.preset
+
+
+class TestRunJobs:
+    #: (index, preset) pairs of two seeds' homes: index 0 appears twice
+    JOBS = [ToyJob(0, "seed0"), ToyJob(0, "seed1"), ToyJob(1, "seed0")]
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_repeated_indices_keep_every_result(self, workers):
+        seen = []
+        batch = FleetRunner(workers).run_jobs(
+            self.JOBS, toy_work, on_result=lambda job, r: seen.append((job, r))
+        )
+        assert batch.ok
+        assert batch.results == ["seed0", "seed1", "seed0"]
+        assert sorted(seen, key=lambda pair: self.JOBS.index(pair[0])) == [
+            (job, job.preset) for job in self.JOBS
+        ]
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_failure_routed_to_its_own_job(self, workers):
+        jobs = list(self.JOBS)
+        jobs[1] = ToyJob(0, "seed1", fail=True)
+        batch = FleetRunner(
+            workers, max_retries=0, retry_backoff_s=0.0
+        ).run_jobs(jobs, toy_work)
+        assert batch.results == ["seed0", "seed0"]
+        assert batch.failed_jobs == (jobs[1],)
+        assert [(f.index, f.preset) for f in batch.failures] == [(0, "seed1")]
+        assert not batch.ok
 
 
 class TestBackendAxis:

@@ -43,7 +43,7 @@ from repro.fleet import (
     job_cache_key,
     run_fleet,
 )
-from repro.fleet.faults import active_plan
+from repro.obs import FaultPlanError
 from tests.conftest import CHAOS_SPEC as SPEC
 
 POOL_WORKERS = max(2, int(os.environ.get("REPRO_FLEET_WORKERS", "2")))
@@ -93,17 +93,25 @@ class TestFaultPlan:
             max_attempt=2, hang_s=9.0,
         )
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
-        assert active_plan() == plan
+        assert FaultPlan.active() == plan
 
     def test_unset_env_means_no_plan(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV, raising=False)
-        assert active_plan() is None
+        assert FaultPlan.active() is None
 
     def test_malformed_env_raises_not_disarms(self, monkeypatch):
         # a chaos test whose faults silently never fire would pass vacuously
-        monkeypatch.setenv(FAULTS_ENV, "{not json")
-        with pytest.raises(json.JSONDecodeError):
-            active_plan()
+        for doc in (
+            "{not json",
+            '{"kind": "error", "indicies": [1]}',  # misspelled key
+            "{}",  # no kind
+            "[]",
+            '{"kind": "error", "indices": 1}',
+            '{"kind": "error", "seed": null}',
+        ):
+            monkeypatch.setenv(FAULTS_ENV, doc)
+            with pytest.raises(FaultPlanError, match=FAULTS_ENV):
+                FaultPlan.active()
 
 
 class TestErrorIsolation:

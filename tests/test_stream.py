@@ -448,10 +448,10 @@ class TestFleetStreaming:
             spec, attacks=("edges", "niom"), chunk_samples=120
         )
         assert streamed.ok
-        assert [h.trace_digest for h in streamed.homes] == [
+        assert [h.trace_digest for h in streamed.results] == [
             h.trace_digest for h in batch.homes
         ]
-        for home in streamed.homes:
+        for home in streamed.results:
             assert home.niom_score is not None
             assert -1.0 <= home.niom_score["mcc"] <= 1.0
             assert home.results["edges"]["n_edges"] >= 0
@@ -467,14 +467,68 @@ class TestFleetStreaming:
             doc.pop("throughput")  # wall-clock timings vary run to run
             return doc
 
-        assert [_stable(h) for h in first.homes] == [
-            _stable(h) for h in second.homes
+        assert [_stable(h) for h in first.results] == [
+            _stable(h) for h in second.results
         ]
 
     def test_unknown_stream_attack_rejected_up_front(self):
         spec = FleetSpec(n_homes=1, days=1, seed=0, mix=("home-a",))
         with pytest.raises(ValueError, match="unknown stream attacks"):
             FleetRunner().run_streaming(spec, attacks=("bogus",))
+
+
+_CLEAN_GUARD = {
+    "chunks": 24, "delivered_samples": 1440, "feed_dead": False,
+    "filled_samples": 0, "gap_samples": 0, "gaps": 0,
+    "quarantined_values": 0, "rejected_chunks": 0, "rejected_samples": 0,
+    "resyncs": 0, "trimmed_samples": 0,
+}
+
+#: ``repro stream --homes 2 --days 1 --mix home-a --chunk 60 --json``
+#: without ``elapsed_s`` and the per-home ``throughput``
+STREAM_FLEET_DOC = {
+    "n_homes": 2,
+    "workers_used": 1,
+    "ok": True,
+    "pool_rebuilds": 0,
+    "failures": [],
+    "homes": [
+        {
+            "index": 0, "preset": "home-a", "home_name": "home-a", "days": 1,
+            "trace_digest": "074f1f4a62dff293032895b13f2f6cf1"
+                            "e0b1eae228efc26862d99d46e8b0b140",
+            "total_samples": 1440, "chunk_samples": 60, "ok": True,
+            "results": {
+                "edges": {"n_edges": 192, "n_open_rises": 3,
+                          "n_pairs": 80, "n_rising": 83},
+                "niom": {"n_windows": 96,
+                         "occupied_fraction": 0.8645833333333334},
+            },
+            "niom_score": {"accuracy": 0.7291666666666666,
+                           "detected_fraction": 0.8645833333333334,
+                           "mcc": 0.47845131690758513,
+                           "true_fraction": 0.59375},
+            "attack_failures": [], "guard": _CLEAN_GUARD, "feed_dead": False,
+        },
+        {
+            "index": 1, "preset": "home-a", "home_name": "home-a", "days": 1,
+            "trace_digest": "3f4a0aa24523b7ee1e6472c898b00df2"
+                            "6824648a8a85b0ee69212cff5a5d0e04",
+            "total_samples": 1440, "chunk_samples": 60, "ok": True,
+            "results": {
+                "edges": {"n_edges": 224, "n_open_rises": 4,
+                          "n_pairs": 97, "n_rising": 101},
+                "niom": {"n_windows": 96,
+                         "occupied_fraction": 0.8645833333333334},
+            },
+            "niom_score": {"accuracy": 0.75,
+                           "detected_fraction": 0.8645833333333334,
+                           "mcc": 0.3777521524018766,
+                           "true_fraction": 0.6770833333333334},
+            "attack_failures": [], "guard": _CLEAN_GUARD, "feed_dead": False,
+        },
+    ],
+}
 
 
 class TestStreamCLI:
@@ -508,6 +562,11 @@ class TestStreamCLI:
         doc = json.loads(out.read_text())
         assert doc["n_homes"] == 2
         assert len(doc["homes"]) == 2
+        # the whole document, key for key, but for the wall-clock figures
+        assert doc.pop("elapsed_s") >= 0.0
+        for home in doc["homes"]:
+            assert set(home.pop("throughput")) == {"edges", "niom"}
+        assert doc == STREAM_FLEET_DOC
 
     def test_stream_rejects_unknown_attack(self, capsys):
         assert main(["stream", "--attacks", "bogus"]) == 2

@@ -22,12 +22,12 @@ import pytest
 
 from repro.fleet import FleetRunner, FleetSpec
 from repro.fleet.faults import FaultPlan
+from repro.obs import FaultPlanError
 from repro.stream import (
     STREAM_FAULTS_ENV,
     GuardPolicy,
     StreamFaultPlan,
     TraceReplaySource,
-    active_stream_plan,
     inject_stream_faults,
     run_stream,
     tagged_chunks,
@@ -132,16 +132,23 @@ class TestStreamFaultPlan:
 
     def test_env_round_trip(self, monkeypatch):
         monkeypatch.setenv(STREAM_FAULTS_ENV, MIXED.to_json())
-        assert active_stream_plan() == MIXED
+        assert StreamFaultPlan.active() == MIXED
 
     def test_unset_env_means_no_plan(self, monkeypatch):
         monkeypatch.delenv(STREAM_FAULTS_ENV, raising=False)
-        assert active_stream_plan() is None
+        assert StreamFaultPlan.active() is None
 
     def test_malformed_env_raises_not_disarms(self, monkeypatch):
-        monkeypatch.setenv(STREAM_FAULTS_ENV, "{not json")
-        with pytest.raises(ValueError):
-            active_stream_plan()
+        for doc in (
+            "{not json",
+            '{"seed": 1, "dropout": 0.5}',  # misspelled key
+            '{"seed": null}',
+            "[]",
+            '{"dropout_rate": "0.5"}',
+        ):
+            monkeypatch.setenv(STREAM_FAULTS_ENV, doc)
+            with pytest.raises(FaultPlanError, match=STREAM_FAULTS_ENV):
+                StreamFaultPlan.active()
 
 
 class TestInjector:
@@ -233,12 +240,12 @@ class TestFleetStreamChaos:
         a = self._run(stream_faults=MIXED)
         b = self._run(stream_faults=MIXED)
         assert a.ok and b.ok
-        for ha, hb in zip(a.homes, b.homes):
+        for ha, hb in zip(a.results, b.results):
             assert ha.results == hb.results
             assert ha.guard == hb.guard
             assert ha.trace_digest == hb.trace_digest
         # and the feeds really were degraded
-        assert any(h.guard["gap_samples"] > 0 for h in a.homes)
+        assert any(h.guard["gap_samples"] > 0 for h in a.results)
 
     def test_stream_telemetry_merges_fleet_wide(self):
         runner = FleetRunner(
@@ -257,8 +264,8 @@ class TestFleetStreamChaos:
             max_retries=2,
         )
         assert flaky.ok and not flaky.failures
-        assert len(flaky.homes) == len(clean.homes)
-        for fh, ch in zip(flaky.homes, clean.homes):
+        assert len(flaky.results) == len(clean.results)
+        for fh, ch in zip(flaky.results, clean.results):
             assert fh.results == ch.results
             assert fh.trace_digest == ch.trace_digest
 
@@ -272,9 +279,9 @@ class TestFleetStreamChaos:
         assert result.failures[0].attempts == 2
         # the innocent home still completed, bit-identical to clean
         clean = self._run()
-        (survivor,) = result.homes
+        (survivor,) = result.results
         assert survivor.index == 0
-        assert survivor.results == clean.homes[0].results
+        assert survivor.results == clean.results[0].results
 
     def test_permanent_failures_counted_once(self):
         runner = FleetRunner(
@@ -283,4 +290,4 @@ class TestFleetStreamChaos:
             max_retries=1,
         )
         result = runner.run_streaming(SPEC, attacks=("edges",))
-        assert result.telemetry.counters["fleet.stream_failure"] == 1
+        assert result.telemetry.counters["fleet.permanent_failure"] == 1
