@@ -645,7 +645,6 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def cmd_stream(args) -> int:
-    from .obs import TELEMETRY
     from .stream import stream_attack_names
 
     attacks = _split(args.attacks)
@@ -674,84 +673,59 @@ def cmd_stream(args) -> int:
         return 2
 
     if args.homes:
+        given = {"--trace": args.trace, "--checkpoint": args.checkpoint,
+                 "--resume": args.resume}
+        single = [flag for flag, value in given.items() if value]
+        if single:
+            print(f"stream: --homes cannot take {', '.join(single)} "
+                  "(single-feed flags)", file=sys.stderr)
+            return 2
         return _stream_fleet(args, attacks, attack_kwargs, guard_policy)
 
-    import os as _os
+    import os
 
+    from .obs import captured
     from .stream import (
         Checkpointer,
-        FeedGuard,
         StreamFaultPlan,
-        StreamSession,
         TraceReplaySource,
-        drive_stream,
         has_checkpoint,
         load_checkpoint,
-        make_stream_attack,
+        run_stream,
         simulated_meter_source,
     )
 
     if args.trace:
         from .datasets import load_trace_csv
 
-        trace = load_trace_csv(args.trace)
-        source, occupancy = TraceReplaySource(trace), None
+        source = TraceReplaySource(load_trace_csv(args.trace))
         feed = args.trace
     else:
         source = simulated_meter_source(args.home, args.days, args.seed)
-        occupancy = source.occupancy
         feed = f"{args.home} ({args.days} days, seed {args.seed})"
 
-    fault_plan = StreamFaultPlan.active()
-    kill_after = _os.environ.get("REPRO_STREAM_KILL_AFTER")
-    kill_after = int(kill_after) if kill_after else None
-    checkpointer = (
-        Checkpointer(args.checkpoint, args.checkpoint_every)
-        if args.checkpoint
-        else None
-    )
-
-    previous = TELEMETRY.enabled
-    if args.telemetry:
-        TELEMETRY.enabled = True
-    baseline = TELEMETRY.snapshot() if args.telemetry else None
-    try:
-        if args.resume and has_checkpoint(args.checkpoint):
-            session_state, guard_state = load_checkpoint(args.checkpoint)
-            session = StreamSession.from_state(session_state)
-            guard = FeedGuard(session, guard_policy)
-            guard.load_state(guard_state)
-            print(f"stream: resuming from sample {guard.position} "
-                  f"({args.checkpoint})")
-        else:
-            session = StreamSession(
-                source.clock,
-                {
-                    name: make_stream_attack(
-                        name, **attack_kwargs.get(name, {})
-                    )
-                    for name in attacks
-                },
-            )
-            guard = FeedGuard(session, guard_policy)
-        # On resume the feed replays from the start; the guard's cursor
-        # rejects the consumed prefix, so the attacks see only the
-        # unseen suffix — bitwise-identical to an uninterrupted run.
-        drive_stream(
+    kill_after = os.environ.get("REPRO_STREAM_KILL_AFTER")
+    resume = None
+    if args.resume and has_checkpoint(args.checkpoint):
+        resume = load_checkpoint(args.checkpoint)
+        print(f"stream: resuming from sample {resume[1]['cursor']} "
+              f"({args.checkpoint})")
+    with captured(enable=bool(args.telemetry)) as telemetry:
+        report = run_stream(
             source,
-            guard,
+            attacks,
             args.chunk,
-            fault_plan=fault_plan,
-            checkpointer=checkpointer,
-            kill_after=kill_after,
+            attack_kwargs,
+            guard_policy,
+            fault_plan=StreamFaultPlan.active(),
+            checkpointer=(
+                Checkpointer(args.checkpoint, args.checkpoint_every)
+                if args.checkpoint
+                else None
+            ),
+            kill_after=int(kill_after) if kill_after else None,
+            resume=resume,
         )
-        niom_attack = session.attacks.get("niom")
-        report = session.finalize(guard=guard)
-        snapshot = (
-            TELEMETRY.snapshot().minus(baseline) if baseline is not None else None
-        )
-    finally:
-        TELEMETRY.enabled = previous
 
     print(f"stream: {feed} — {report.total_samples} samples "
           f"in chunks of {args.chunk}")
@@ -780,22 +754,14 @@ def cmd_stream(args) -> int:
                   f"{g['filled_samples']} filled), "
                   f"{g['rejected_chunks']} chunks rejected"
                   + (", FEED DEAD" if report.feed_dead else ""))
-    doc = report.as_dict()
-    doc["chunk_samples"] = args.chunk
-    if (
-        occupancy is not None
-        and niom_attack is not None
-        and "niom" in report.results
-    ):
-        from .attacks.niom import score_occupancy_attack
-
-        score = score_occupancy_attack(niom_attack.result.occupancy, occupancy)
-        doc["niom_score"] = score
+    score = report.niom_score
+    if score is not None:
         print(f"  niom vs ground truth: accuracy {score['accuracy']:.2%}, "
               f"mcc {score['mcc']:+.3f}")
-    if snapshot is not None:
-        doc["telemetry"] = snapshot.as_dict()
-        _write_json(args.telemetry, snapshot.as_dict())
+    doc = report.as_dict()
+    if args.telemetry:
+        doc["telemetry"] = telemetry.snapshot.as_dict()
+        _write_json(args.telemetry, doc["telemetry"])
         print(f"telemetry JSON written to {args.telemetry}")
     if args.json:
         _write_json(args.json, doc)
@@ -833,13 +799,12 @@ def _stream_fleet(args, attacks, attack_kwargs, guard_policy) -> int:
         if home.niom_score is not None:
             parts.append(f"niom mcc {home.niom_score['mcc']:+.3f}")
         best = max(
-            (st["samples_per_sec"] for st in home.throughput.values()),
-            default=0.0,
+            (st.samples_per_sec for st in home.stats.values()), default=0.0
         )
         parts.append(f"peak {best:,.0f} samples/s")
         if home.feed_dead:
             parts.append("FEED DEAD")
-        for failure in home.attack_failures:
+        for failure in home.failures:
             parts.append(f"attack {failure.name} failed in {failure.stage}")
         print(f"  home {home.index} ({home.preset}): {', '.join(parts)}")
     for failure in result.failures:

@@ -281,7 +281,8 @@ class Claim:
                 )
             if self.bound is None:
                 raise ClaimsError(f"claim {self.id!r}: threshold needs a bound")
-        if self.kind == "monotone" and self.tolerance < 0:
+        # written so that NaN fails too: a NaN tolerance passes every gate
+        if self.kind == "monotone" and not self.tolerance >= 0:
             raise ClaimsError(f"claim {self.id!r}: tolerance must be >= 0")
 
     def matches_metric(self, name: str) -> bool:

@@ -161,7 +161,7 @@ def dial_violations(
     Both sweep frontiers' ``monotone_violations`` and ``monotone``
     claims apply this rule.
     """
-    if tolerance < 0:
+    if not tolerance >= 0:  # NaN too: it would pass every value
         raise ValueError("tolerance must be >= 0")
     violations = []
     running_min = float("inf")

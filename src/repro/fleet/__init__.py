@@ -67,7 +67,6 @@ from .engine import (
     HomeFailure,
     HomeJobResult,
     HomeResult,
-    HomeStreamResult,
     JobsResult,
     result_digest,
     run_fleet,
@@ -140,7 +139,6 @@ __all__ = [
     "HomeJob",
     "HomeJobResult",
     "HomeResult",
-    "HomeStreamResult",
     "JobsResult",
     "KnobGrid",
     "NETPRIV_LAN_CONFIGS",

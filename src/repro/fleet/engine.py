@@ -45,7 +45,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -60,6 +60,7 @@ from ..obs import (
     TELEMETRY,
     TELEMETRY_ENV,
     TelemetrySnapshot,
+    captured,
     maybe_profile,
     merge_snapshots,
 )
@@ -186,14 +187,7 @@ class HomeFailure:
     elapsed_s: float
 
     def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "preset": self.preset,
-            "kind": self.kind,
-            "error": self.error,
-            "attempts": self.attempts,
-            "elapsed_s": self.elapsed_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -210,32 +204,6 @@ class HomeJobResult:
 
     cells: tuple[HomeResult, ...]
     telemetry: TelemetrySnapshot | None = None
-
-
-class _Captured:
-    """Holder for a block's telemetry delta, filled in as the block exits."""
-
-    snapshot: TelemetrySnapshot | None = None
-
-
-@contextmanager
-def _captured():
-    """Take the enclosed block's counters and timers out of the registry.
-
-    On exit the yielded holder's ``snapshot`` is the block's delta
-    (``None`` while telemetry is off) and the registry is back where it
-    was.  This is how a job ships its own telemetry while the serial
-    path's supervisor-scope counters stay job-free: the supervisor adds
-    the shipped deltas back when it merges totals.
-    """
-    holder = _Captured()
-    if not TELEMETRY.enabled:
-        yield holder
-        return
-    before = TELEMETRY.snapshot()
-    yield holder
-    holder.snapshot = TELEMETRY.snapshot().minus(before)
-    TELEMETRY.restore(before)
 
 
 def profile_name(job: HomeJob) -> str:
@@ -266,7 +234,7 @@ def run_home_job(job: HomeJob) -> HomeJobResult:
     maybe_inject(job.index, job.attempt)
     detectors = tuple((name, FLEET_DETECTORS[name]) for name in job.detectors)
     scored = []
-    with _captured() as shared, maybe_profile(profile_name(job)):
+    with captured() as shared, maybe_profile(profile_name(job)):
         with TELEMETRY.timer("stage.job"):
             with TELEMETRY.timer("stage.simulate"):
                 sim = simulate_home(
@@ -274,7 +242,7 @@ def run_home_job(job: HomeJob) -> HomeJobResult:
                 )
             baseline = evaluate_baseline(sim, detectors)
             for names in job.defense_sets:
-                with _captured() as own:
+                with captured() as own:
                     pipeline = evaluate_simulation(
                         sim,
                         list(names),
@@ -315,125 +283,49 @@ def run_stream_job(
     attacks: tuple[str, ...] = ("edges", "niom"),
     attack_kwargs: dict | None = None,
     guard_policy=None,
-) -> "HomeStreamResult":
-    """Simulate one home and score it through a guarded streamed session.
+):
+    """Simulate one home and score it with :func:`repro.stream.run_stream`.
 
     Uses the *same* ``sim_seed`` stream as :func:`run_home_job`, so a
     streamed fleet sees byte-identical metered traces to a batch fleet of
     the same spec — the determinism tests compare ``trace_digest`` values
-    across the two paths.  The chunk feed runs through a
-    :class:`~repro.stream.guard.FeedGuard` (``guard_policy`` or default —
-    off-path on the clean replay, so digests still match), and any plan
-    in ``REPRO_STREAM_FAULTS`` degrades the feed exactly as it would a
-    single-home CLI run.  The imports are local to keep ``repro.fleet``
-    importable without the streaming subsystem loaded.
+    across the two paths.  The feed carries the home's occupancy, so the
+    report scores NIOM, and any plan in ``REPRO_STREAM_FAULTS`` degrades
+    it exactly as it would a single-home CLI run.  Returns a
+    :class:`~repro.stream.HomeStreamResult`.  The imports are local to
+    keep ``repro.fleet`` importable without the streaming subsystem
+    loaded.
     """
-    from ..attacks.niom import score_occupancy_attack
     from ..stream import (
-        FeedGuard,
-        StreamClock,
+        HomeStreamResult,
         StreamFaultPlan,
-        StreamSession,
         TraceReplaySource,
-        drive_stream,
-        make_stream_attack,
+        run_stream,
     )
 
     maybe_inject(job.index, job.attempt)
-    attack_kwargs = attack_kwargs or {}
-    with _captured() as delta, TELEMETRY.timer("stage.stream.job"):
+    with captured() as delta, TELEMETRY.timer("stage.stream.job"):
         with TELEMETRY.timer("stage.simulate"):
             sim = simulate_home(
                 job.config, job.days, np.random.default_rng(job.sim_seed)
             )
-        metered = sim.metered
-        session = StreamSession(
-            StreamClock.of(metered),
-            {
-                name: make_stream_attack(name, **attack_kwargs.get(name, {}))
-                for name in attacks
-            },
-        )
-        guard = FeedGuard(session, guard_policy)
-        drive_stream(
-            TraceReplaySource(metered),
-            guard,
+        report = run_stream(
+            TraceReplaySource(sim.metered, sim.occupancy),
+            attacks,
             chunk_samples,
+            attack_kwargs,
+            guard_policy,
             fault_plan=StreamFaultPlan.active(),
         )
-        niom_attack = session.attacks.get("niom")
-        report = session.finalize(guard=guard)
-        niom_score = None
-        if niom_attack is not None and "niom" in report.results:
-            niom_score = score_occupancy_attack(
-                niom_attack.result.occupancy, sim.occupancy
-            )
     return HomeStreamResult(
+        **vars(report),
         index=job.index,
         preset=job.preset,
         home_name=job.config.name,
-        fingerprint=job.fingerprint,
         days=job.days,
-        trace_digest=trace_digest(metered),
-        total_samples=report.total_samples,
-        chunk_samples=chunk_samples,
-        results=report.results,
-        throughput={name: st.as_dict() for name, st in report.stats.items()},
-        niom_score=niom_score,
+        trace_digest=trace_digest(sim.metered),
         telemetry=delta.snapshot,
-        attack_failures=report.failures,
-        guard=report.guard,
-        feed_dead=report.feed_dead,
     )
-
-
-@dataclass(frozen=True)
-class HomeStreamResult:
-    """One home's streamed-evaluation outcome.
-
-    ``attack_failures`` / ``guard`` / ``feed_dead`` carry the session's
-    degradation record: a home can *complete* while individual attacks
-    were quarantined or the feed was scrubbed — :attr:`ok` says whether
-    the run was clean end to end.
-    """
-
-    index: int
-    preset: str
-    home_name: str
-    fingerprint: str
-    days: int
-    trace_digest: str
-    total_samples: int
-    chunk_samples: int
-    results: dict[str, dict]
-    throughput: dict[str, dict]
-    niom_score: dict[str, float] | None = None
-    telemetry: TelemetrySnapshot | None = None
-    attack_failures: tuple = ()
-    guard: dict | None = None
-    feed_dead: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.attack_failures and not self.feed_dead
-
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "preset": self.preset,
-            "home_name": self.home_name,
-            "days": self.days,
-            "trace_digest": self.trace_digest,
-            "total_samples": self.total_samples,
-            "chunk_samples": self.chunk_samples,
-            "ok": self.ok,
-            "results": dict(self.results),
-            "throughput": dict(self.throughput),
-            "niom_score": self.niom_score,
-            "attack_failures": [f.as_dict() for f in self.attack_failures],
-            "guard": dict(self.guard) if self.guard is not None else None,
-            "feed_dead": self.feed_dead,
-        }
 
 
 @dataclass(frozen=True)
@@ -736,10 +628,10 @@ class FleetRunner:
         as the batch path, so ``trace_digest`` values match :meth:`run`
         home-for-home; ``guard_policy`` rides to every job's
         :class:`~repro.stream.guard.FeedGuard`.  ``results`` holds one
-        :class:`HomeStreamResult` per completed home, and each home's
-        ``stream.*`` telemetry (gap samples, quarantined values, attack
-        failures, checkpoint writes) merges into the totals.  Attack
-        names are checked before any job is dispatched.
+        :class:`~repro.stream.HomeStreamResult` per completed home, and
+        each home's ``stream.*`` telemetry (gap samples, quarantined
+        values, attack failures, checkpoint writes) merges into the
+        totals.  Attack names are checked before any job is dispatched.
         """
         from ..stream import stream_attack_names
 

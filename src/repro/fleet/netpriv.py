@@ -33,8 +33,9 @@ from ..netpriv.adaptive import ArmsRaceOutcome, evaluate_arms_race
 from ..netpriv.devices import DeviceType
 from ..netpriv.lan import LanConfig
 from ..netpriv.shaping import NETPRIV_KNOB_DOMAIN
-from ..obs import TELEMETRY, TelemetrySnapshot
-from .engine import FleetRunner, HomeFailure, JobsResult, _captured
+from ..obs import TELEMETRY, TelemetrySnapshot, captured
+from .engine import FleetRunner, HomeFailure, JobsResult
+from .faults import maybe_inject
 from .frontier import Frontier
 from .report import PopulationStats
 from .sweep import KnobGrid, SweepCell, SweepError, SweepRunner
@@ -96,8 +97,13 @@ class NetprivJob:
 
 
 def run_netpriv_job(job: NetprivJob) -> "NetprivJobResult":
-    """Run one arms-race experiment.  Runs inside workers; picklable."""
-    with _captured() as delta, TELEMETRY.timer("stage.netpriv_job"):
+    """Run one arms-race experiment.  Runs inside workers; picklable.
+
+    Fault injection, when armed via :data:`~repro.fleet.faults.FAULTS_ENV`,
+    fires before any work, as it does for every other fleet job.
+    """
+    maybe_inject(job.index, job.attempt)
+    with captured() as delta, TELEMETRY.timer("stage.netpriv_job"):
         outcome = evaluate_arms_race(
             job.defense,
             job.setting,

@@ -5,7 +5,8 @@ from.  It has two deliberately small parts:
 
 * :mod:`repro.obs.telemetry` — a process-local registry of named
   counters and stage timers with picklable, mergeable snapshots (workers
-  capture per-job deltas; the supervisor merges them into fleet totals);
+  capture per-job deltas with :func:`captured`; the supervisor merges
+  them into fleet totals);
 * :mod:`repro.obs.profiling` — opt-in cProfile capture dumping per-job
   ``.pstats`` files.
 
@@ -25,6 +26,7 @@ from .telemetry import (
     Telemetry,
     TelemetrySnapshot,
     TimerStat,
+    captured,
     merge_snapshots,
 )
 
@@ -38,6 +40,7 @@ __all__ = [
     "TelemetrySnapshot",
     "TimerStat",
     "active_profile_dir",
+    "captured",
     "maybe_profile",
     "merge_snapshots",
 ]

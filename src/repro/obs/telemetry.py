@@ -219,3 +219,35 @@ def _enabled_from_env() -> bool:
 #: The registry instrumented library code records into.  One per process;
 #: worker processes inherit enablement through :data:`TELEMETRY_ENV`.
 TELEMETRY = Telemetry(enabled=_enabled_from_env())
+
+
+class _Captured:
+    """Holder for a block's telemetry delta, filled in as the block exits."""
+
+    snapshot: TelemetrySnapshot | None = None
+
+
+@contextmanager
+def captured(enable: bool = False):
+    """Take the enclosed block's counters and timers out of :data:`TELEMETRY`.
+
+    On exit the yielded holder's ``snapshot`` is the block's delta
+    (``None`` while telemetry is off) and the registry is back where it
+    was.  ``enable`` switches telemetry on for the block alone.  This is
+    how a job ships its own telemetry while the serial path's
+    supervisor-scope counters stay job-free: the supervisor adds the
+    shipped deltas back when it merges totals.
+    """
+    holder = _Captured()
+    previous = TELEMETRY.enabled
+    TELEMETRY.enabled = previous or enable
+    try:
+        if not TELEMETRY.enabled:
+            yield holder
+            return
+        before = TELEMETRY.snapshot()
+        yield holder
+        holder.snapshot = TELEMETRY.snapshot().minus(before)
+        TELEMETRY.restore(before)
+    finally:
+        TELEMETRY.enabled = previous

@@ -4,8 +4,9 @@ The paper's threat model is an observer watching a smart-meter feed *as
 it arrives*.  This package turns every batch attack family in the repo
 into a push-based online evaluator with explicit seam contracts:
 
-* :mod:`~repro.stream.source` — chunk feeds (trace replay, simulated
-  meter) on a fixed :class:`StreamClock`;
+* :mod:`~repro.stream.source` — the one chunk feed,
+  :class:`TraceReplaySource` (a trace plus, for a simulated home, its
+  occupancy ground truth), on a fixed :class:`StreamClock`;
 * :mod:`~repro.stream.edges` — incremental edge detection and Hart
   pairing, bitwise-equal to the batch pass for any chunking;
 * :mod:`~repro.stream.niom` — online threshold NIOM with incremental
@@ -14,7 +15,10 @@ into a push-based online evaluator with explicit seam contracts:
   decoding on the sequential forward kernel;
 * :mod:`~repro.stream.session` — :class:`StreamSession` fan-out,
   the :data:`STREAM_ATTACKS` registry, throughput reporting, attack
-  quarantine, resume;
+  quarantine, resume, and :func:`run_stream`, the one entry point: it
+  builds (or restores) the guarded session, replays the source through
+  it and returns a :class:`StreamReport`, which the CLI prints and a
+  streamed fleet home wraps as a :class:`HomeStreamResult`;
 * :mod:`~repro.stream.guard` — :class:`FeedGuard` admission control
   for dirty feeds (value quarantine, gap policies, duplicate/late
   rejection, max-gap watchdog);
@@ -51,16 +55,16 @@ from .session import (
     EdgeStreamAttack,
     FHMMStreamAttack,
     HMMStreamAttack,
+    HomeStreamResult,
     NIOMStreamAttack,
+    StreamAttack,
     StreamReport,
     StreamSession,
-    drive_stream,
     make_stream_attack,
     run_stream,
     stream_attack_names,
 )
 from .source import (
-    SimulatedMeterSource,
     StreamClock,
     TraceReplaySource,
     iter_chunks,
@@ -82,8 +86,9 @@ __all__ = [
     "GuardPolicy",
     "GuardStats",
     "HMMStreamAttack",
+    "HomeStreamResult",
     "NIOMStreamAttack",
-    "SimulatedMeterSource",
+    "StreamAttack",
     "StreamClock",
     "StreamFaultPlan",
     "StreamReport",
@@ -94,7 +99,6 @@ __all__ = [
     "StreamingHartPairer",
     "StreamingThresholdNIOM",
     "TraceReplaySource",
-    "drive_stream",
     "has_checkpoint",
     "inject_stream_faults",
     "iter_chunks",

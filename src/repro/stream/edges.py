@@ -22,7 +22,8 @@ batch slice holds.  The equivalence is pinned by
 :class:`StreamingHartPairer` carries the other seam state of Hart's
 method: rising edges whose falling partner has not arrived yet stay in
 the open set across pushes, reproducing :func:`repro.timeseries.pair_edges`
-greedy decisions exactly.
+greedy decisions exactly.  :class:`StreamingHart` chains the two into
+the one engine the ``edges`` stream attack drives.
 """
 
 from __future__ import annotations
@@ -308,3 +309,45 @@ class StreamingHartPairer:
             raise ValueError("state was saved with different parameters")
         self._open_rises = list(state["open_rises"])
         self._pairs = list(state["pairs"])
+
+
+class StreamingHart:
+    """Hart's method online: edge detection feeding rise/fall pairing.
+
+    Each chunk's finalized edges go straight to the pairer, a resync
+    resets both seams, and the state nests both engines' states.
+    """
+
+    def __init__(
+        self,
+        min_delta_w: float = 30.0,
+        settle_samples: int = 1,
+        tolerance_w: float = 50.0,
+    ) -> None:
+        self.detector = StreamingEdgeDetector(min_delta_w, settle_samples)
+        self.pairer = StreamingHartPairer(tolerance_w)
+
+    def open(self, clock: StreamClock) -> None:
+        self.detector.open(clock)
+
+    def push(self, values: np.ndarray) -> None:
+        self.pairer.feed(self.detector.push(values))
+
+    def finalize(self) -> list[tuple[Edge, Edge]]:
+        """Close the stream; return every pair, ordered by rise time."""
+        self.pairer.feed(self.detector.finalize())
+        return self.pairer.finalize()
+
+    def resync(self, gap_samples: int = 0) -> None:
+        self.detector.resync(gap_samples)
+        self.pairer.resync(gap_samples)
+
+    def state_dict(self) -> dict:
+        return {
+            "detector": self.detector.state_dict(),
+            "pairer": self.pairer.state_dict(),
+        }
+
+    def load_state(self, state: dict) -> None:
+        self.detector.load_state(state["detector"])
+        self.pairer.load_state(state["pairer"])

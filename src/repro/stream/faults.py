@@ -29,9 +29,10 @@ sample positions are drawn from the same digest, so even *which* samples
 go bad is reproducible.
 
 Activation can cross a process boundary through ``REPRO_STREAM_FAULTS``
-(a JSON-encoded plan), the streaming twin of ``REPRO_FLEET_FAULTS`` —
-read by :func:`~repro.fleet.engine.run_stream_job` inside fleet workers
-and by the ``repro stream`` CLI.
+(a JSON-encoded plan), the streaming twin of ``REPRO_FLEET_FAULTS``.
+Each streamed fleet home's job and the single-feed ``repro stream`` CLI
+read it and hand the plan to :func:`~repro.stream.session.run_stream`,
+the one entry point that applies it.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ that straddles the checkpoint — delivering exactly the unseen suffix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,11 +106,7 @@ class GuardPolicy:
             raise ValueError("max_gap_samples must be >= 1 (or None)")
 
     def as_dict(self) -> dict:
-        return {
-            "value_policy": self.value_policy,
-            "gap_policy": self.gap_policy,
-            "max_gap_samples": self.max_gap_samples,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -130,23 +126,7 @@ class GuardStats:
     feed_dead: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "chunks": self.chunks,
-            "delivered_samples": self.delivered_samples,
-            "quarantined_values": self.quarantined_values,
-            "gaps": self.gaps,
-            "gap_samples": self.gap_samples,
-            "filled_samples": self.filled_samples,
-            "resyncs": self.resyncs,
-            "rejected_chunks": self.rejected_chunks,
-            "rejected_samples": self.rejected_samples,
-            "trimmed_samples": self.trimmed_samples,
-            "feed_dead": self.feed_dead,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GuardStats":
-        return cls(**{k: d[k] for k in cls().as_dict()})
+        return asdict(self)
 
 
 class FeedGuard:
@@ -277,4 +257,4 @@ class FeedGuard:
             raise ValueError("state was saved with a different guard policy")
         self._cursor = int(state["cursor"])
         self._last_value = float(state["last_value"])
-        self.stats = GuardStats.from_dict(state["stats"])
+        self.stats = GuardStats(**state["stats"])

@@ -16,30 +16,60 @@ session only routes samples and observes time.
 
 from __future__ import annotations
 
-import dataclasses
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
 
-from ..obs import TELEMETRY
+from ..attacks.niom import score_occupancy_attack
+from ..obs import TELEMETRY, TelemetrySnapshot
 from .decode import (
     StreamingFHMMDecoder,
     StreamingHMMDecoder,
     signature_fhmm,
     two_state_power_hmm,
 )
-from .edges import StreamingEdgeDetector, StreamingHartPairer
+from .edges import StreamingHart
+from .faults import inject_stream_faults
 from .guard import FeedDead, FeedGuard, GuardPolicy
 from .niom import StreamingThresholdNIOM
-from .source import StreamClock
+from .source import StreamClock, TraceReplaySource, tagged_chunks
 
 
 # ---------------------------------------------------------------------------
 # Attack adapters: a uniform open/push/finalize/state protocol
 # ---------------------------------------------------------------------------
-class EdgeStreamAttack:
+class StreamAttack:
+    """Base of the streamed attacks: the session protocol, forwarded.
+
+    A streamed attack sets ``params``, the constructor arguments a
+    resumed session rebuilds it from, and ``engine``, the incremental
+    object every protocol call but ``finalize`` goes to.  It writes
+    ``finalize``, which closes the engine and summarizes what it found.
+    """
+
+    params: dict
+    engine: object
+
+    def open(self, clock: StreamClock) -> None:
+        self.engine.open(clock)
+
+    def push(self, values: np.ndarray) -> None:
+        self.engine.push(values)
+
+    def resync(self, gap_samples: int = 0) -> None:
+        self.engine.resync(gap_samples)
+
+    def state_dict(self) -> dict:
+        return self.engine.state_dict()
+
+    def load_state(self, state: dict) -> None:
+        self.engine.load_state(state)
+
+
+class EdgeStreamAttack(StreamAttack):
     """Edge detection + Hart pairing as one streamed attack."""
 
     def __init__(
@@ -53,89 +83,49 @@ class EdgeStreamAttack:
             "settle_samples": settle_samples,
             "tolerance_w": tolerance_w,
         }
-        self.detector = StreamingEdgeDetector(min_delta_w, settle_samples)
-        self.pairer = StreamingHartPairer(tolerance_w)
-
-    def open(self, clock: StreamClock) -> None:
-        self.detector.open(clock)
-
-    def push(self, values: np.ndarray) -> None:
-        self.pairer.feed(self.detector.push(values))
+        self.engine = StreamingHart(min_delta_w, settle_samples, tolerance_w)
+        self.detector = self.engine.detector
 
     def finalize(self) -> dict:
-        self.pairer.feed(self.detector.finalize())
+        self.pairs = self.engine.finalize()
         self.edges = self.detector.edges
-        self.pairs = self.pairer.finalize()
         rising = sum(1 for e in self.edges if e.is_rising)
         return {
             "n_edges": len(self.edges),
             "n_rising": rising,
             "n_pairs": len(self.pairs),
-            "n_open_rises": len(self.pairer.open_rises),
+            "n_open_rises": len(self.engine.pairer.open_rises),
         }
 
-    def resync(self, gap_samples: int = 0) -> None:
-        self.detector.resync(gap_samples)
-        self.pairer.resync(gap_samples)
 
-    def state_dict(self) -> dict:
-        return {
-            "detector": self.detector.state_dict(),
-            "pairer": self.pairer.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.detector.load_state(state["detector"])
-        self.pairer.load_state(state["pairer"])
-
-
-class NIOMStreamAttack:
+class NIOMStreamAttack(StreamAttack):
     """Online threshold NIOM as a streamed attack."""
 
     def __init__(
         self, window_s: float = 900.0, night_prior: bool = False
     ) -> None:
         self.params = {"window_s": window_s, "night_prior": night_prior}
-        self.niom = StreamingThresholdNIOM(
+        self.engine = StreamingThresholdNIOM(
             window_s=window_s, night_prior=night_prior
         )
 
-    def open(self, clock: StreamClock) -> None:
-        self.niom.open(clock)
-
-    def push(self, values: np.ndarray) -> None:
-        self.niom.push(values)
-
     def finalize(self) -> dict:
-        self.result = self.niom.finalize()
+        self.result = self.engine.finalize()
         occ = self.result.occupancy.values
         return {
             "n_windows": len(occ),
             "occupied_fraction": float(occ.mean()),
         }
 
-    def resync(self, gap_samples: int = 0) -> None:
-        self.niom.resync(gap_samples)
 
-    def state_dict(self) -> dict:
-        return self.niom.state_dict()
-
-    def load_state(self, state: dict) -> None:
-        self.niom.load_state(state)
-
-
-class HMMStreamAttack:
+class HMMStreamAttack(StreamAttack):
     """Online two-state activity decoding as a streamed attack."""
 
     def __init__(self, lag: int = 0) -> None:
         self.params = {"lag": lag}
-        self.decoder = StreamingHMMDecoder(two_state_power_hmm(), lag=lag)
-
-    def open(self, clock: StreamClock) -> None:
-        self.decoder.open(clock)
-
-    def push(self, values: np.ndarray) -> None:
-        self.decoder.push(values)
+        self.engine = self.decoder = StreamingHMMDecoder(
+            two_state_power_hmm(), lag=lag
+        )
 
     def finalize(self) -> dict:
         self.decoder.finalize()
@@ -148,28 +138,15 @@ class HMMStreamAttack:
             "log_likelihood": self.decoder.log_likelihood(),
         }
 
-    def resync(self, gap_samples: int = 0) -> None:
-        self.decoder.resync(gap_samples)
 
-    def state_dict(self) -> dict:
-        return self.decoder.state_dict()
-
-    def load_state(self, state: dict) -> None:
-        self.decoder.load_state(state)
-
-
-class FHMMStreamAttack:
+class FHMMStreamAttack(StreamAttack):
     """Online signature-based NILM disaggregation as a streamed attack."""
 
     def __init__(self, lag: int = 0) -> None:
         self.params = {"lag": lag}
-        self.decoder = StreamingFHMMDecoder(signature_fhmm(), lag=lag)
-
-    def open(self, clock: StreamClock) -> None:
-        self.decoder.open(clock)
-
-    def push(self, values: np.ndarray) -> None:
-        self.decoder.push(values)
+        self.engine = self.decoder = StreamingFHMMDecoder(
+            signature_fhmm(), lag=lag
+        )
 
     def finalize(self) -> dict:
         self.decoder.finalize()
@@ -182,15 +159,6 @@ class FHMMStreamAttack:
             "chain_on_fraction": on_fraction,
             "log_likelihood": self.decoder.log_likelihood(),
         }
-
-    def resync(self, gap_samples: int = 0) -> None:
-        self.decoder.resync(gap_samples)
-
-    def state_dict(self) -> dict:
-        return self.decoder.state_dict()
-
-    def load_state(self, state: dict) -> None:
-        self.decoder.load_state(state)
 
 
 #: Registry of streamed attacks: name -> adapter factory.  The CLI, the
@@ -241,12 +209,7 @@ class AttackStats:
         return self.samples / self.seconds if self.seconds > 0 else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "pushes": self.pushes,
-            "seconds": self.seconds,
-            "samples_per_sec": self.samples_per_sec,
-        }
+        return {**asdict(self), "samples_per_sec": self.samples_per_sec}
 
 
 @dataclass(frozen=True)
@@ -265,21 +228,17 @@ class AttackFailure:
     at_sample: int
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "stage": self.stage,
-            "error": self.error,
-            "at_sample": self.at_sample,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttackFailure":
-        return cls(d["name"], d["stage"], d["error"], int(d["at_sample"]))
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class StreamReport:
-    """Outcome of a streamed evaluation: results, health, throughput."""
+    """Outcome of a streamed evaluation: results, health, throughput.
+
+    ``niom_score`` is the NIOM output scored against the source's
+    occupancy ground truth, when the source carries one and the ``niom``
+    attack finished.
+    """
 
     total_samples: int
     chunk_samples: int
@@ -288,6 +247,7 @@ class StreamReport:
     stats: dict[str, AttackStats]
     failures: tuple[AttackFailure, ...] = ()
     guard: dict | None = None
+    niom_score: dict[str, float] | None = None
 
     @property
     def feed_dead(self) -> bool:
@@ -300,7 +260,7 @@ class StreamReport:
         return not self.failures and not self.feed_dead
 
     def as_dict(self) -> dict:
-        return {
+        doc = {
             "total_samples": self.total_samples,
             "chunk_samples": self.chunk_samples,
             "duration_s": self.duration_s,
@@ -311,6 +271,42 @@ class StreamReport:
             },
             "failures": [f.as_dict() for f in self.failures],
             "guard": dict(self.guard) if self.guard is not None else None,
+        }
+        if self.niom_score is not None:
+            doc["niom_score"] = self.niom_score
+        return doc
+
+
+@dataclass(frozen=True, kw_only=True)
+class HomeStreamResult(StreamReport):
+    """One fleet home's streamed evaluation: its report plus its identity.
+
+    :func:`~repro.fleet.engine.run_stream_job` returns one per home;
+    ``telemetry`` is that job's counter/timer delta (``None`` while
+    telemetry is off).
+    """
+
+    index: int
+    preset: str
+    home_name: str
+    days: int
+    trace_digest: str
+    telemetry: TelemetrySnapshot | None = None
+
+    def as_dict(self) -> dict:
+        """The home's entry in the ``repro stream --homes`` document."""
+        doc = super().as_dict()
+        del doc["duration_s"]
+        doc["attack_failures"] = doc.pop("failures")
+        return {
+            "index": self.index,
+            "preset": self.preset,
+            "home_name": self.home_name,
+            "days": self.days,
+            "trace_digest": self.trace_digest,
+            **doc,
+            "niom_score": self.niom_score,
+            "feed_dead": self.feed_dead,
         }
 
 
@@ -388,11 +384,15 @@ class StreamSession:
                 self._quarantine(name, "resync", exc)
         self._total += int(gap_samples)
 
-    def finalize(self, guard: "FeedGuard | None" = None) -> StreamReport:
+    def finalize(
+        self, guard: "FeedGuard | None" = None, chunk_samples: int = 0
+    ) -> StreamReport:
         """Close every healthy attack and assemble the report.
 
         ``guard`` optionally attaches the feed guard's stats to the
         report (and its feed-dead verdict to the health contract).
+        ``chunk_samples`` is recorded as the feed's chunk size; the
+        session itself is chunk-agnostic.
         """
         if self._finalized:
             raise RuntimeError("session already finalized")
@@ -409,7 +409,7 @@ class StreamSession:
         duration = self._total * self.clock.period_s
         return StreamReport(
             total_samples=self._total,
-            chunk_samples=0,  # set by run_stream; sessions are chunk-agnostic
+            chunk_samples=chunk_samples,
             duration_s=duration,
             results=results,
             stats=dict(self._stats),
@@ -485,82 +485,70 @@ class StreamSession:
                 session.attacks[name].load_state(spec["state"])
         session._total = int(state["total"])
         for record in state.get("failures", []):
-            failure = AttackFailure.from_dict(record)
+            failure = AttackFailure(**record)
             session._quarantined[failure.name] = failure
         for name, (samples, pushes, seconds) in state["stats"].items():
             session._stats[name] = AttackStats(samples, pushes, seconds)
         return session
 
 
-def drive_stream(
-    source,
-    guard: FeedGuard,
-    chunk_samples: int = 60,
-    fault_plan=None,
-    checkpointer=None,
-    kill_after: int | None = None,
-) -> bool:
-    """Replay ``source`` through ``guard``; return True if the feed died.
-
-    Chunks are tagged with their absolute sample index before entering
-    the guard, so an optional ``fault_plan``
-    (:class:`~repro.stream.faults.StreamFaultPlan`) can drop, corrupt,
-    duplicate, or stall them and the guard sees exactly what a degraded
-    transport would deliver.  ``checkpointer`` is offered the session
-    after every admitted chunk.  ``kill_after`` hard-kills the process
-    (``os._exit(137)``) once the guard's position reaches that sample —
-    the deterministic SIGKILL stand-in the kill-and-resume tests drive.
-    """
-    feed = _tagged(source, chunk_samples)
-    if fault_plan is not None:
-        from .faults import inject_stream_faults
-
-        feed = inject_stream_faults(feed, fault_plan)
-    try:
-        for at, chunk in feed:
-            guard.push(chunk, at=at)
-            if checkpointer is not None:
-                checkpointer.maybe_write(guard.sink, guard)
-            if kill_after is not None and guard.position >= kill_after:
-                import os
-
-                os._exit(137)
-    except FeedDead:
-        return True
-    return False
-
-
-def _tagged(source, chunk_samples: int):
-    at = 0
-    for chunk in source.chunks(chunk_samples):
-        yield at, chunk
-        at += len(chunk)
-
-
 def run_stream(
-    source,
+    source: TraceReplaySource,
     attacks: Iterable[str] = ("edges", "niom"),
     chunk_samples: int = 60,
     attack_kwargs: dict[str, dict] | None = None,
     guard_policy: GuardPolicy | None = None,
     fault_plan=None,
+    checkpointer=None,
+    kill_after: int | None = None,
+    resume: tuple[dict, dict] | None = None,
 ) -> StreamReport:
-    """Replay ``source`` through a fresh guarded session.
+    """Replay ``source`` through a guarded session: the one way to stream.
 
-    ``attack_kwargs`` optionally maps attack name to constructor kwargs
-    (e.g. ``{"hmm": {"lag": 120}}``).  Every run goes through a
-    :class:`~repro.stream.guard.FeedGuard` (default policy unless
-    ``guard_policy`` is given) — on a clean feed the guard is off-path
-    by construction, and on a degraded one (``fault_plan``) the report's
-    ``guard`` / ``failures`` fields say what happened.
+    The session runs ``attacks`` (``attack_kwargs`` maps a name to
+    constructor kwargs, e.g. ``{"hmm": {"lag": 120}}``), or is restored
+    from ``resume``, a :func:`~repro.stream.checkpoint.load_checkpoint`
+    pair: the feed still replays from the start, and the restored
+    guard's cursor rejects the consumed prefix.  The
+    :class:`~repro.stream.guard.FeedGuard` (``guard_policy`` or default)
+    is off-path on a clean feed; a ``fault_plan``
+    (:class:`~repro.stream.faults.StreamFaultPlan`) degrades the tagged
+    chunks before the guard sees them.  ``checkpointer`` is offered the
+    session after every admitted chunk, and ``kill_after`` hard-kills
+    the process (``os._exit(137)``) once the guard reaches that sample,
+    the SIGKILL stand-in of the kill-and-resume tests.  A dead feed is
+    finalized with what was decoded, and NIOM is scored when the source
+    carries occupancy.
     """
-    attack_kwargs = attack_kwargs or {}
-    built = {
-        name: make_stream_attack(name, **attack_kwargs.get(name, {}))
-        for name in attacks
-    }
-    session = StreamSession(source.clock, built)
+    if resume is None:
+        attack_kwargs = attack_kwargs or {}
+        session = StreamSession(
+            source.clock,
+            {
+                name: make_stream_attack(name, **attack_kwargs.get(name, {}))
+                for name in attacks
+            },
+        )
+    else:
+        session = StreamSession.from_state(resume[0])
     guard = FeedGuard(session, guard_policy)
-    drive_stream(source, guard, chunk_samples, fault_plan=fault_plan)
-    report = session.finalize(guard=guard)
-    return dataclasses.replace(report, chunk_samples=chunk_samples)
+    if resume is not None:
+        guard.load_state(resume[1])
+    feed = tagged_chunks(source.trace.values, chunk_samples)
+    if fault_plan is not None:
+        feed = inject_stream_faults(feed, fault_plan)
+    try:
+        for at, chunk in feed:
+            guard.push(chunk, at=at)
+            if checkpointer is not None:
+                checkpointer.maybe_write(session, guard)
+            if kill_after is not None and guard.position >= kill_after:
+                os._exit(137)
+    except FeedDead:
+        pass
+    report = session.finalize(guard, chunk_samples)
+    if source.occupancy is not None and "niom" in report.results:
+        niom = session.attacks["niom"].result.occupancy
+        score = score_occupancy_attack(niom, source.occupancy)
+        report = replace(report, niom_score=score)
+    return report

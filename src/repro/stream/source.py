@@ -7,18 +7,17 @@ arrays — not :class:`~repro.timeseries.PowerTrace` objects — matters for
 throughput: at chunk size 1 the per-push cost must be dominated by attack
 state updates, not object construction.
 
-Two sources cover the evaluation workloads:
-
-* :class:`TraceReplaySource` — replay any finished trace (simulator
-  output or a ``load_trace_csv`` import) as a live feed, the controlled
-  setting every streamed-vs-batch equivalence test uses;
-* :class:`simulated_meter_source` — simulate a home and replay its
-  metered trace, keeping the occupancy ground truth for scoring.
+One source type covers the evaluation workloads:
+:class:`TraceReplaySource` replays any finished trace (simulator output
+or a ``load_trace_csv`` import) as a live feed, the controlled setting
+every streamed-vs-batch equivalence test uses.  A simulated home's feed
+(:func:`simulated_meter_source`) also carries the occupancy ground truth
+its NIOM output is scored against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -48,11 +47,7 @@ class StreamClock:
         return cls(trace.period_s, trace.start_s, trace.unit)
 
     def as_dict(self) -> dict:
-        return {
-            "period_s": self.period_s,
-            "start_s": self.start_s,
-            "unit": self.unit,
-        }
+        return asdict(self)
 
 
 def iter_chunks(values: np.ndarray, chunk_samples: int) -> Iterator[np.ndarray]:
@@ -83,9 +78,15 @@ def tagged_chunks(
 
 @dataclass(frozen=True)
 class TraceReplaySource:
-    """Replay a finished trace as a sequence of sample chunks."""
+    """Replay a finished trace as a sequence of sample chunks.
+
+    ``occupancy``, when given, is the trace's ground truth: the stream's
+    NIOM output is scored against it after the fact
+    (:func:`~repro.stream.session.run_stream`); the attacks never see it.
+    """
 
     trace: PowerTrace
+    occupancy: BinaryTrace | None = None
 
     @property
     def clock(self) -> StreamClock:
@@ -98,38 +99,9 @@ class TraceReplaySource:
         return len(self.trace)
 
 
-@dataclass(frozen=True)
-class SimulatedMeterSource:
-    """A simulated home replayed as a live meter feed.
-
-    Carries the simulation's occupancy ground truth so a session's NIOM
-    output can be scored after the fact — the attack itself never sees it.
-    """
-
-    metered: PowerTrace
-    occupancy: BinaryTrace
-    home_name: str
-
-    @property
-    def clock(self) -> StreamClock:
-        return StreamClock.of(self.metered)
-
-    def chunks(self, chunk_samples: int) -> Iterator[np.ndarray]:
-        return iter_chunks(self.metered.values, chunk_samples)
-
-    def __len__(self) -> int:
-        return len(self.metered)
-
-
-def simulated_meter_source(
-    preset: str, days: int, seed: int
-) -> SimulatedMeterSource:
-    """Simulate ``preset`` for ``days`` and wrap it as a replayable feed."""
+def simulated_meter_source(preset: str, days: int, seed: int) -> TraceReplaySource:
+    """Simulate ``preset`` for ``days`` and replay its metered trace."""
     from ..home import make_preset, simulate_home
 
     sim = simulate_home(make_preset(preset, seed), days, rng=seed)
-    return SimulatedMeterSource(
-        metered=sim.metered,
-        occupancy=sim.occupancy,
-        home_name=sim.config.name,
-    )
+    return TraceReplaySource(sim.metered, sim.occupancy)

@@ -448,6 +448,17 @@ class TestClaimsCLI:
         assert rc == 2
         assert "claims:" in capsys.readouterr().err
 
+    def test_exit_two_on_nan_tolerance(self, workdir, capsys):
+        bad = workdir / "nan.toml"
+        bad.write_text(
+            'title = "t"\n\n[[claim]]\nid = "mono"\nkind = "monotone"\n'
+            'metric = "mcc.mean"\ntolerance = nan\n'
+        )
+        rc = main(["claims", "--claims", str(bad),
+                   "--artifact", str(workdir / "frontier.json")])
+        assert rc == 2
+        assert "tolerance must be >= 0" in capsys.readouterr().err
+
     def test_exit_two_on_foreign_artifact(self, workdir, capsys):
         claims = self._claims_file(workdir, [
             {"id": "ok", "metric": "mcc.mean", "op": "<=", "bound": 1.0},

@@ -170,6 +170,11 @@ class TestDialViolations:
         with pytest.raises(ValueError, match="tolerance"):
             dial_violations([], -1.0)
 
+    def test_nan_tolerance_raises(self):
+        # a NaN tolerance would make every rise pass unnoticed
+        with pytest.raises(ValueError, match="tolerance"):
+            dial_violations([0.1, 0.9], float("nan"))
+
 
 class TestDatasets:
     def test_fig1_dataset_shapes(self):

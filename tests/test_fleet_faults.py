@@ -18,7 +18,8 @@ injection (:mod:`repro.fleet.faults`) rather than trusted on faith:
   resumes from what finished;
 * in a knob sweep the home job is the unit of supervision: a poisoned
   home fails in every cell that owed it, its neighbours' results are
-  untouched, and ``fail_fast`` aborts the whole shard.
+  untouched, and ``fail_fast`` aborts the whole shard;
+* a netpriv grid's LAN jobs honour the same fault plan.
 
 The CI chaos canary re-runs this file with 2 workers.
 """
@@ -37,6 +38,7 @@ from repro.fleet import (
     FleetReport,
     FleetRunner,
     FleetSpec,
+    NetprivGrid,
     ResultCache,
     SweepGrid,
     SweepRunner,
@@ -310,6 +312,22 @@ class TestSweepFailureRouting:
                 # before any of the second seed's home jobs ran
                 assert not fleet.homes
                 assert {f.kind for f in fleet.failures} == {"aborted"}
+
+
+class TestNetprivFaults:
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_poisoned_lan_job_fails(self, monkeypatch, workers):
+        grid = NetprivGrid(
+            defenses=("cover",), settings=(0.5,), days=1, lan="small"
+        )
+        [job] = grid.jobs_for(grid.cells())
+        monkeypatch.setenv(
+            FAULTS_ENV, FaultPlan(kind="error", indices=(0,)).to_json()
+        )
+        result = SweepRunner(workers, max_retries=0, **FAST).run(grid)
+        assert result.results == []
+        [failure] = result.failures
+        assert (failure.preset, failure.kind) == (job.preset, "error")
 
 
 class TestCacheRobustness:

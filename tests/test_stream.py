@@ -88,7 +88,7 @@ class TestSources:
 
     def test_simulated_source_carries_ground_truth(self):
         source = simulated_meter_source("home-a", 1, 0)
-        assert len(source) == len(source.metered)
+        assert len(source) == len(source.trace)
         assert source.occupancy is not None
 
 
@@ -531,7 +531,101 @@ STREAM_FLEET_DOC = {
 }
 
 
+#: ``repro stream --home home-a --days 1 --seed 2 --attacks
+#: edges,niom,hmm,fhmm --lag 20 --chunk 120 --json`` without the
+#: per-attack ``throughput``
+STREAM_HOME_DOC = {
+    "total_samples": 1440, "chunk_samples": 120, "duration_s": 86400.0,
+    "ok": True, "failures": [],
+    "guard": {**_CLEAN_GUARD, "chunks": 12},
+    "results": {
+        "edges": {"n_edges": 223, "n_open_rises": 9,
+                  "n_pairs": 104, "n_rising": 113},
+        "fhmm": {"chain_on_fraction": [0.0, 0.2590277777777778,
+                                       0.010416666666666666, 0.0],
+                 "log_likelihood": -8406.397708413688, "n_labeled": 1440},
+        "hmm": {"active_fraction": 0.010416666666666666,
+                "log_likelihood": -8839.466244398403, "n_labeled": 1440},
+        "niom": {"n_windows": 96, "occupied_fraction": 0.875},
+    },
+    "niom_score": {"accuracy": 0.75, "detected_fraction": 0.875,
+                   "mcc": 0.4879500364742666, "true_fraction": 0.625},
+}
+
+#: ``repro stream --trace T --attacks edges,niom,hmm,fhmm --lag 20
+#: --json`` over ``_steppy_trace(n=1200)`` saved as CSV, without the
+#: per-attack ``throughput``.  A trace has no occupancy ground truth, so
+#: the document has no ``niom_score``.
+STREAM_TRACE_DOC = {
+    "total_samples": 1200, "chunk_samples": 60, "duration_s": 72000.0,
+    "ok": True, "failures": [],
+    "guard": {**_CLEAN_GUARD, "chunks": 20, "delivered_samples": 1200},
+    "results": {
+        "edges": {"n_edges": 714, "n_open_rises": 13,
+                  "n_pairs": 336, "n_rising": 349},
+        "fhmm": {"chain_on_fraction": [0.0, 0.5758333333333333,
+                                       0.22583333333333333, 0.0],
+                 "log_likelihood": -9531.850238001987, "n_labeled": 1200},
+        "hmm": {"active_fraction": 0.4508333333333333,
+                "log_likelihood": -7982.508787027114, "n_labeled": 1200},
+        "niom": {"n_windows": 80, "occupied_fraction": 0.55},
+    },
+}
+
+
 class TestStreamCLI:
+    def _document(self, tmp_path, *argv) -> dict:
+        """``repro stream ARGV --json``'s document, less ``throughput``."""
+        out = tmp_path / "stream.json"
+        assert main(["stream", *argv, "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc.pop("throughput")) == set(doc["results"])
+        return doc
+
+    def test_stream_home_document_pinned(self, tmp_path):
+        doc = self._document(
+            tmp_path, "--home", "home-a", "--days", "1", "--seed", "2",
+            "--attacks", "edges,niom,hmm,fhmm", "--lag", "20",
+            "--chunk", "120",
+        )
+        assert doc == STREAM_HOME_DOC
+
+    def test_stream_trace_document_pinned(self, tmp_path):
+        from repro.datasets import save_trace_csv
+
+        path = tmp_path / "trace.csv"
+        save_trace_csv(_steppy_trace(n=1200), path)
+        doc = self._document(
+            tmp_path, "--trace", str(path),
+            "--attacks", "edges,niom,hmm,fhmm", "--lag", "20",
+        )
+        assert "niom_score" not in doc
+        assert doc == STREAM_TRACE_DOC
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--trace", "/nonexistent.csv"),
+            ("--checkpoint", "CK"),
+            ("--checkpoint", "CK", "--resume"),
+        ],
+        ids=["trace", "checkpoint", "resume"],
+    )
+    def test_fleet_mode_refuses_single_feed_flags(
+        self, tmp_path, capsys, flags
+    ):
+        checkpoint = tmp_path / "ck"
+        argv = [str(checkpoint) if f == "CK" else f for f in flags]
+        assert main([
+            "stream", "--homes", "1", "--days", "1", "--mix", "home-a",
+            "--attacks", "edges", *argv,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert all(f in captured.err for f in flags if f.startswith("--"))
+        assert captured.out == ""  # refused before any job ran
+        assert not checkpoint.exists()
+
     def test_stream_simulated_home_with_json(self, tmp_path, capsys):
         out = tmp_path / "stream.json"
         assert main([
