@@ -657,6 +657,9 @@ def cmd_stream(args) -> int:
     if args.chunk < 1:
         print("stream: --chunk must be >= 1", file=sys.stderr)
         return 2
+    if args.checkpoint_every < 1:
+        print("stream: --checkpoint-every must be >= 1", file=sys.stderr)
+        return 2
     attack_kwargs = {}
     if args.lag:
         for name in ("hmm", "fhmm"):
@@ -691,10 +694,22 @@ def cmd_stream(args) -> int:
         TraceReplaySource,
         has_checkpoint,
         load_checkpoint,
+        resume_mismatch,
         run_stream,
         simulated_meter_source,
     )
 
+    resume = None
+    if args.resume and has_checkpoint(args.checkpoint):
+        try:
+            resume = load_checkpoint(args.checkpoint)
+            why = resume_mismatch(resume, attacks, attack_kwargs, guard_policy)
+        except ValueError as exc:
+            why = str(exc)
+        if why is not None:
+            print(f"stream: cannot resume from {args.checkpoint}: {why}",
+                  file=sys.stderr)
+            return 2
     if args.trace:
         from .datasets import load_trace_csv
 
@@ -705,9 +720,7 @@ def cmd_stream(args) -> int:
         feed = f"{args.home} ({args.days} days, seed {args.seed})"
 
     kill_after = os.environ.get("REPRO_STREAM_KILL_AFTER")
-    resume = None
-    if args.resume and has_checkpoint(args.checkpoint):
-        resume = load_checkpoint(args.checkpoint)
+    if resume is not None:
         print(f"stream: resuming from sample {resume[1]['cursor']} "
               f"({args.checkpoint})")
     with captured(enable=bool(args.telemetry)) as telemetry:

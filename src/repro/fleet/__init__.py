@@ -9,13 +9,15 @@ turns the single-home pipeline into a population instrument:
 - :class:`FleetRunner` / :func:`run_fleet` — *supervised* fan-out over a
   process pool: per-home failure isolation, bounded retries with
   backoff, per-job wall-clock timeouts, pool rebuild after worker
-  crashes, streaming writes to an on-disk result cache, and a serial
-  fallback for pool-less platforms; two executor backends
+  crashes and streaming writes to an on-disk result cache, all in one
+  supervisor loop, which drives an in-process executor for serial runs
+  and pool-less platforms; two executor backends
   (``--backend serial|process``, :data:`BACKENDS`), pinned
   bit-identical to each other by the golden tests;
   :meth:`FleetRunner.run_jobs` (a :class:`JobsResult`) is the one
   supervised call, and batch, sweep, stream and netpriv runs are job
-  factories over it;
+  factories over it (a fleet's :class:`FleetResult` is a
+  :class:`JobsResult` of its homes);
 - :class:`FleetReport` — per-defense population distributions
   (mean/median/p10/p90 of worst-case MCC, utility, energy cost) plus
   the sweep's :class:`HomeFailure` records;

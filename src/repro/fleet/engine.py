@@ -16,7 +16,9 @@ Failure isolation semantics (see DESIGN.md "Failure semantics"):
 
 * a job that raises is retried up to ``max_retries`` times with
   exponential backoff, then recorded as a :class:`HomeFailure` — the
-  sweep keeps going and returns partial results plus the failure report;
+  sweep keeps going and returns partial results plus the failure report
+  (this holds in-process too: the one-slot :class:`_InlineExecutor`
+  that serves serial runs is driven by the same loop);
 * a worker process that dies (segfault, OOM kill, ``os._exit``) breaks
   the pool; the supervisor rebuilds the pool and requeues only the jobs
   that were in flight, running them one-at-a-time until the culprit is
@@ -42,7 +44,7 @@ import functools
 import hashlib
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -329,36 +331,6 @@ def run_stream_job(
 
 
 @dataclass(frozen=True)
-class FleetResult:
-    """Everything one runner pass produced — including its casualties."""
-
-    spec: FleetSpec
-    homes: list[HomeResult]
-    elapsed_s: float
-    workers_used: int
-    executed: int
-    cache_stats: CacheStats | None = None
-    failures: tuple[HomeFailure, ...] = ()
-    pool_rebuilds: int = 0
-    #: fleet-level totals: supervisor counters (retries, backoff, cache
-    #: traffic, pool rebuilds) merged with every executed job's snapshot.
-    #: ``None`` unless the runner was created with ``telemetry=True``.
-    telemetry: TelemetrySnapshot | None = None
-
-    @property
-    def n_homes(self) -> int:
-        return len(self.homes)
-
-    @property
-    def n_failed(self) -> int:
-        return len(self.failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-@dataclass(frozen=True)
 class JobsResult:
     """What one :meth:`FleetRunner.run_jobs` call produced.
 
@@ -378,11 +350,60 @@ class JobsResult:
     telemetry: TelemetrySnapshot | None = None
 
     @property
+    def n_failed(self) -> int:
+        return len(self.failures)
+
+    @property
     def ok(self) -> bool:
         """No permanent failures, and every result that has an ``ok`` is ok."""
         return not self.failures and all(
             getattr(result, "ok", True) for result in self.results
         )
+
+
+@dataclass(frozen=True, kw_only=True)
+class FleetResult(JobsResult):
+    """One fleet spec's share of a run — including its casualties.
+
+    ``results`` (also named ``homes``) holds the spec's
+    :class:`HomeResult` objects in home order, cache hits included;
+    ``executed`` counts the homes this run scored.  ``elapsed_s``,
+    ``workers_used`` and ``pool_rebuilds`` are the whole run's.
+    """
+
+    spec: FleetSpec
+    executed: int
+    cache_stats: CacheStats | None = None
+
+    @property
+    def homes(self) -> list[HomeResult]:
+        return self.results
+
+    @property
+    def n_homes(self) -> int:
+        return len(self.results)
+
+
+class _InlineExecutor:
+    """The in-process executor: one slot, and ``submit`` runs the job.
+
+    Its futures are finished before the supervisor sees them, so the
+    supervisor loop drives it exactly as it drives a pool: a job that
+    raises is retried after its backoff while later jobs run, and
+    fail-fast reports in submission order.  A job sharing this process
+    cannot be interrupted, so a crash or hang takes the run with it.
+    """
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 — isolate per home
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False) -> None:
+        """Nothing to release: every job finished inside :meth:`submit`."""
 
 
 @dataclass
@@ -393,7 +414,7 @@ class _JobState:
     position: int  # submission order within the run_jobs call
     attempts: int = 0  # failed attempts so far; next try runs as this number
     not_before: float = 0.0  # monotonic backoff gate for the next submit
-    started: float = 0.0  # monotonic submit time of the current attempt
+    started: float = 0.0  # monotonic start of the current attempt
     first_start: float | None = None
 
     def elapsed(self, now: float) -> float:
@@ -403,11 +424,14 @@ class _JobState:
 class FleetRunner:
     """Execute jobs under supervision: :meth:`run_jobs` and its factories.
 
+    Every run goes through one supervisor loop (:meth:`_run_supervised`),
+    over a worker pool or over the one-slot in-process executor.
+
     Parameters
     ----------
     workers:
-        Process count; ``<= 1`` runs in-process serially (no pool, no
-        pickling, and — since the job shares our process — no crash or
+        Process count; ``<= 1`` runs every job in this process (no pool,
+        no pickling, and — since the job shares our process — no crash or
         hang protection, only retries).
     cache_dir:
         Directory for the content-addressed result cache; ``None``
@@ -418,14 +442,14 @@ class FleetRunner:
         ``max_retries + 1``).
     job_timeout:
         Per-job wall-clock seconds before a running job is declared hung
-        and its pool torn down; ``None`` disables.  Only enforced with
-        ``workers > 1`` (a hung in-process job cannot be interrupted).
+        and its pool torn down; ``None`` disables.  Only enforced on a
+        pool (a hung in-process job cannot be interrupted).
     fail_fast:
         Abort the run — a fleet, or every cell of a sweep shard — at the
-        first permanent failure; home jobs not yet reported are recorded
-        as ``aborted`` failures.  Results are reported in submission
-        order, as the serial loop reports them, so every job behind the
-        failed one is aborted even if a worker had already finished it.
+        first permanent failure; jobs not yet reported or given up on are
+        recorded as ``aborted`` failures.  Results are reported in
+        submission order, so every job behind the failed one is aborted
+        even if it had already finished.
     retry_backoff_s:
         Base of the exponential backoff (delay before retry *n* is
         ``retry_backoff_s * 2**(n-1)``).  Deterministic — no jitter — so
@@ -451,8 +475,8 @@ class FleetRunner:
         named by :func:`profile_name` and written by whichever process
         ran it); ``None`` disables profiling.
     backend:
-        Executor backend (:data:`BACKENDS`): ``serial`` forces the
-        in-process loop regardless of ``workers``; ``process`` submits
+        Executor backend (:data:`BACKENDS`): ``serial`` runs every job
+        in this process regardless of ``workers``; ``process`` submits
         one pickled job per home to a worker pool.  Both produce
         bit-identical results and cache entries — the golden tests pin
         that claim.
@@ -480,9 +504,10 @@ class FleetRunner:
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if job_timeout is not None and job_timeout <= 0:
+        # written so that NaN fails too
+        if job_timeout is not None and not job_timeout > 0:
             raise ValueError("job_timeout must be positive (or None)")
-        if retry_backoff_s < 0:
+        if not retry_backoff_s >= 0:
             raise ValueError("retry_backoff_s must be >= 0")
         self.backend = resolve_backend(backend)
         self.workers = max(1, int(workers))
@@ -534,14 +559,13 @@ class FleetRunner:
             )
         defense_sets = [spec.resolved_defenses() for spec in specs]
         homes: list[dict[int, HomeResult]] = [{} for _ in specs]
-        failures: list[list[HomeFailure]] = [[] for _ in specs]
         executed = [0] * len(specs)
         populations: dict[FleetSpec, list[int]] = {}
         for position, spec in enumerate(specs):
             populations.setdefault(
                 replace(spec, defenses=None), []
             ).append(position)
-        with self._telemetry_scope() as baseline:
+        with captured(self.telemetry) as lookups:
             pending: list[HomeJob] = []
             # id(job) -> (spec position, cache key) per owed cell: the
             # supervisor hands back the very job objects it was given
@@ -579,10 +603,11 @@ class FleetRunner:
                         self.cache.put(key, replace(home, telemetry=None))
 
             batch = self.run_jobs(pending, run_home_job, on_result=store)
-            for job, failure in zip(batch.failed_jobs, batch.failures):
-                for position, _ in owed[id(job)]:
-                    failures[position].append(failure)
-            telemetry = self._collect_telemetry(baseline, [batch])
+        telemetry = self._telemetry_totals(lookups, [batch])
+        failed: list[list[tuple[HomeJob, HomeFailure]]] = [[] for _ in specs]
+        for job, failure in zip(batch.failed_jobs, batch.failures):
+            for position, _ in owed[id(job)]:
+                failed[position].append((job, failure))
         elapsed = time.perf_counter() - start
         fleets = []
         for position, spec in enumerate(specs):
@@ -594,17 +619,18 @@ class FleetRunner:
                 )
             fleets.append(
                 FleetResult(
-                    spec=spec,
-                    homes=ordered,
+                    results=ordered,
                     elapsed_s=elapsed,
                     workers_used=batch.workers_used,
+                    failures=tuple(f for _, f in failed[position]),
+                    failed_jobs=tuple(job for job, _ in failed[position]),
+                    pool_rebuilds=batch.pool_rebuilds,
+                    telemetry=own,
+                    spec=spec,
                     executed=executed[position],
                     cache_stats=(
                         self.cache.stats if self.cache is not None else None
                     ),
-                    failures=tuple(failures[position]),
-                    pool_rebuilds=batch.pool_rebuilds,
-                    telemetry=own,
                 )
             )
         return fleets, telemetry
@@ -648,11 +674,7 @@ class FleetRunner:
             attack_kwargs=attack_kwargs,
             guard_policy=guard_policy,
         )
-        with self._telemetry_scope() as baseline:
-            batch = self.run_jobs(spec.jobs(), work)
-            return replace(
-                batch, telemetry=self._collect_telemetry(baseline, [batch])
-            )
+        return self.run_jobs(spec.jobs(), work)
 
     def run_jobs(
         self,
@@ -669,11 +691,11 @@ class FleetRunner:
         picklable; with telemetry on, its result carries a ``telemetry``
         snapshot.  Results come back in submission order, and
         ``on_result(job, result)`` fires as each job is reported (under
-        ``fail_fast``, in submission order).  The ``serial`` backend
-        forces the in-process loop regardless of ``workers``.  Degrades
-        to the serial loop when a pool cannot be *started* (restricted
-        sandboxes, missing semaphores); pool failures mid-run are
-        handled by the supervisor itself.
+        ``fail_fast``, in submission order).  Every call goes through
+        :meth:`_run_supervised`: over a pool of ``workers`` processes,
+        or — with the ``serial`` backend, ``workers <= 1``, a one-job
+        batch, or a pool that cannot be *started* (restricted sandboxes,
+        missing semaphores) — over the in-process executor.
         """
         start = time.perf_counter()
         results: dict[int, object] = {}
@@ -683,10 +705,9 @@ class FleetRunner:
             if on_result is not None:
                 on_result(state.job, result)
 
-        with self._telemetry_scope() as baseline:
+        with captured(self.telemetry) as supervisor:
             TELEMETRY.count(f"fleet.backend.{self.backend}")
             states = [_JobState(job, i) for i, job in enumerate(jobs)]
-            workers_used, rebuilds = 1, 0
             with self._env_exported():
                 pool = None
                 if (
@@ -695,24 +716,19 @@ class FleetRunner:
                     and len(jobs) > 1
                 ):
                     pool = self._new_pool()
-                if pool is not None:
-                    failed, rebuilds = self._run_supervised(
-                        pool, states, report, work
-                    )
-                    workers_used = self.workers
-                else:
-                    failed = self._run_serial(states, report, work)
-            ordered = [results[position] for position in sorted(results)]
-            telemetry = self._collect_telemetry(baseline, ordered)
+                failed, rebuilds = self._run_supervised(
+                    pool, states, report, work
+                )
+        ordered = [results[position] for position in sorted(results)]
         failed.sort(key=lambda pair: pair[1].index)
         return JobsResult(
             results=ordered,
             elapsed_s=time.perf_counter() - start,
-            workers_used=workers_used,
+            workers_used=self.workers if pool is not None else 1,
             failures=tuple(failure for _, failure in failed),
             failed_jobs=tuple(job for job, _ in failed),
             pool_rebuilds=rebuilds,
-            telemetry=telemetry,
+            telemetry=self._telemetry_totals(supervisor, ordered),
         )
 
     # ------------------------------------------------------------------
@@ -724,8 +740,9 @@ class FleetRunner:
 
         Everything a worker process must know beyond its picklable job
         crosses the boundary here, before the pool is built, so it is
-        inherited identically under fork and spawn.  The serial path runs
-        under the same exports, keeping both paths observably identical.
+        inherited identically under fork and spawn.  In-process jobs run
+        under the same exports, keeping both executors observably
+        identical.
         """
         wanted = {
             plan.ENV: plan.to_json()
@@ -750,45 +767,19 @@ class FleetRunner:
                 else:
                     os.environ[name] = value
 
-    @contextmanager
-    def _telemetry_scope(self):
-        """Enable the supervisor-process registry; yield the baseline.
+    def _telemetry_totals(self, block, parts) -> TelemetrySnapshot | None:
+        """A :func:`~repro.obs.captured` block's delta plus each part's.
 
-        Yields ``None`` when telemetry is off; otherwise the registry
-        snapshot taken at run start, which :meth:`_collect_telemetry`
-        subtracts so one runner's totals never bleed into the next.
-        Scopes nest: an inner scope's collection takes its own delta out
-        of the registry, and the outer one merges the inner totals back.
+        ``None`` unless the runner collects telemetry.  A job captures
+        its own delta and restores the registry, so the merge never
+        double-counts, whichever executor ran the jobs.
         """
         if not self.telemetry:
-            yield None
-            return
-        previous = TELEMETRY.enabled
-        TELEMETRY.enabled = True
-        try:
-            yield TELEMETRY.snapshot()
-        finally:
-            TELEMETRY.enabled = previous
-
-    def _collect_telemetry(
-        self,
-        baseline: TelemetrySnapshot | None,
-        results: list,
-    ) -> TelemetrySnapshot | None:
-        """Supervisor delta + every shipped snapshot, merged.
-
-        Job deltas are disjoint from the supervisor's (``run_home_job``
-        restores the ambient registry after capturing its delta), so the
-        merge never double-counts regardless of serial/pool execution.
-        """
-        if baseline is None:
             return None
-        merged = TELEMETRY.snapshot().minus(baseline)
-        TELEMETRY.restore(baseline)
-        for result in results:
-            if result.telemetry is not None:
-                merged = merged.merged(result.telemetry)
-        return merged
+        return merge_snapshots(
+            [block.snapshot]
+            + [part.telemetry for part in parts if part.telemetry is not None]
+        )
 
     def _new_pool(self) -> ProcessPoolExecutor | None:
         try:
@@ -836,67 +827,19 @@ class FleetRunner:
         state.not_before = now + backoff
         return False
 
-    def _abort_rest(
-        self,
-        states: list[_JobState],
-        failures: list[tuple[HomeJob, HomeFailure]],
-        now: float,
-        culprit: int,
-    ) -> None:
-        """fail-fast: mark every job not yet reported as aborted."""
-        for state in states:
-            failures.append(
-                self._failure(
-                    state,
-                    "aborted",
-                    f"aborted by fail-fast after home {culprit} failed",
-                    now,
-                )
-            )
-
-    # -- serial path ----------------------------------------------------
-    def _run_serial(
-        self,
-        states: list[_JobState],
-        on_result: Callable[[_JobState, object], None],
-        work: Callable[[HomeJob], object],
-    ) -> list[tuple[HomeJob, HomeFailure]]:
-        """In-process supervised loop: retries only (no crash/hang guard)."""
-        failures: list[tuple[HomeJob, HomeFailure]] = []
-        for position, state in enumerate(states):
-            state.first_start = time.monotonic()
-            while True:
-                try:
-                    result = work(
-                        replace(state.job, attempt=state.attempts)
-                    )
-                except Exception as exc:  # noqa: BLE001 — isolate per home
-                    now = time.monotonic()
-                    if self._charge(state, "error", repr(exc), failures, now):
-                        if self.fail_fast:
-                            self._abort_rest(
-                                states[position + 1 :],
-                                failures,
-                                now,
-                                state.job.index,
-                            )
-                            return failures
-                        break
-                    time.sleep(max(0.0, state.not_before - now))
-                else:
-                    on_result(state, result)
-                    break
-        return failures
-
-    # -- supervised pool path -------------------------------------------
     def _run_supervised(
         self,
-        pool: ProcessPoolExecutor,
+        pool: ProcessPoolExecutor | None,
         states: list[_JobState],
         on_result: Callable[[_JobState, object], None],
         work: Callable[[HomeJob], object],
     ) -> tuple[list[tuple[HomeJob, HomeFailure]], int]:
         """The supervisor loop: per-job submit, isolation, rebuild, retry.
+
+        It runs ``states`` on ``pool``, ``workers`` jobs at a time, or on
+        the one-slot :class:`_InlineExecutor` when ``pool`` is ``None``.
+        A pool that cannot be rebuilt hands the jobs still owed to the
+        in-process executor, and this same loop carries on with them.
 
         ``queue`` holds runnable jobs; ``isolation`` holds crash suspects.
         A pool crash with several jobs in flight cannot be attributed to
@@ -905,11 +848,11 @@ class FleetRunner:
         and charges that job alone.  Innocent bystanders therefore always
         complete, and a poison pill exhausts its attempts by itself.
 
-        Under fail-fast, results are reported in submission order, as the
-        serial loop reports them: a finished job waits in ``held`` until
-        every job before it has been reported.  No job behind the first
-        permanent failure is then ever reported done, whichever order
-        the pool happened to finish them in.
+        Under fail-fast, results are reported in submission order: a
+        finished job waits in ``held`` until every job before it has been
+        reported.  The first permanent failure ends the run, and every
+        job not yet reported or given up on is recorded as ``aborted``,
+        whichever order the jobs happened to finish in.
         """
         failures: list[tuple[HomeJob, HomeFailure]] = []
         queue: list[_JobState] = list(states)
@@ -917,7 +860,10 @@ class FleetRunner:
         inflight: dict = {}
         rebuilds = 0
         held: dict[int, tuple[_JobState, object]] = {}
-        next_report = 0
+        next_report = 0  # under fail-fast, every earlier job is reported
+        culprit = None  # under fail-fast, the index that ends the run
+        if pool is None:
+            pool = _InlineExecutor()
 
         def report(state: _JobState, result: object) -> None:
             nonlocal next_report
@@ -930,48 +876,34 @@ class FleetRunner:
                 on_result(ready, ready_result)
                 next_report += 1
 
-        def unreported() -> list[_JobState]:
-            return [state for state, _ in held.values()]
-
-        def finish_serially() -> tuple[list[tuple[HomeJob, HomeFailure]], int]:
-            # can no longer start pools: held jobs re-run in their turn
-            rest = sorted(
-                isolation + queue + unreported(), key=lambda s: s.position
-            )
-            held.clear()
-            failures.extend(self._run_serial(rest, on_result, work))
-            return failures, rebuilds
-
         def submit(state: _JobState) -> None:
-            fut = pool.submit(
-                work, replace(state.job, attempt=state.attempts)
-            )
+            # the clock starts first: the in-process submit runs the job
             state.started = time.monotonic()
             if state.first_start is None:
                 state.first_start = state.started
-            inflight[fut] = state
+            job = replace(state.job, attempt=state.attempts)
+            inflight[pool.submit(work, job)] = state
 
         def teardown(kill: bool) -> None:
             # a broken pool's processes are already gone; a hung pool's
             # must be terminated or shutdown would never return
             if kill:
-                for proc in list(getattr(pool, "_processes", {}).values()):
+                processes = getattr(pool, "_processes", None) or {}
+                for proc in list(processes.values()):
                     proc.terminate()
             pool.shutdown(wait=True, cancel_futures=True)
 
-        def rebuild() -> bool:
+        def rebuild() -> None:
             nonlocal pool, rebuilds
             rebuilds += 1
             TELEMETRY.count("fleet.pool_rebuild")
-            fresh = self._new_pool()
-            if fresh is None:
-                return False
-            pool = fresh
-            return True
+            # a pool that cannot be rebuilt leaves the rest to this process
+            pool = self._new_pool() or _InlineExecutor()
 
         try:
             while queue or isolation or inflight:
                 now = time.monotonic()
+                slots = 1 if isinstance(pool, _InlineExecutor) else self.workers
 
                 # fill worker slots; suspects run strictly one-at-a-time.
                 # A submit-time BrokenProcessPool puts the state back and
@@ -987,7 +919,7 @@ class FleetRunner:
                             isolation.insert(0, state)
                             pool_broke_on_submit = True
                 else:
-                    while len(inflight) < self.workers:
+                    while len(inflight) < slots:
                         ready = next(
                             (
                                 i
@@ -1009,8 +941,7 @@ class FleetRunner:
                 if pool_broke_on_submit and not inflight:
                     # broken pool with nothing running: nobody to blame
                     teardown(kill=False)
-                    if not rebuild():
-                        return finish_serially()
+                    rebuild()
                     continue
 
                 if inflight:
@@ -1034,26 +965,17 @@ class FleetRunner:
                     except BrokenProcessPool:
                         crash_victims.append(state)
                     except Exception as exc:  # noqa: BLE001 — isolate per home
-                        if self._charge(
+                        if not self._charge(
                             state, "error", repr(exc), failures, now
                         ):
-                            if self.fail_fast:
-                                remaining = (
-                                    list(inflight.values())
-                                    + crash_victims
-                                    + isolation
-                                    + queue
-                                    + unreported()
-                                )
-                                teardown(kill=True)
-                                self._abort_rest(
-                                    remaining, failures, now, state.job.index
-                                )
-                                return failures, rebuilds
-                        else:
                             queue.append(state)
+                        elif self.fail_fast:
+                            culprit = state.job.index
+                            break
                     else:
                         report(state, result)
+                if culprit is not None:
+                    break
 
                 now = time.monotonic()
                 if crash_victims:
@@ -1063,29 +985,21 @@ class FleetRunner:
                     if len(victims) == 1:
                         # attributable: exactly one job was running
                         state = victims[0]
-                        if self._charge(
+                        if not self._charge(
                             state,
                             "crash",
                             "worker process died (BrokenProcessPool)",
                             failures,
                             now,
                         ):
-                            if self.fail_fast:
-                                teardown(kill=False)
-                                self._abort_rest(
-                                    isolation + queue + unreported(),
-                                    failures,
-                                    now,
-                                    state.job.index,
-                                )
-                                return failures, rebuilds
-                        else:
                             isolation.insert(0, state)
+                        elif self.fail_fast:
+                            culprit = state.job.index
+                            break
                     else:
                         isolation.extend(victims)
                     teardown(kill=False)
-                    if not rebuild():
-                        return finish_serially()
+                    rebuild()
                     continue
 
                 if self.job_timeout is not None and inflight:
@@ -1104,9 +1018,8 @@ class FleetRunner:
                         ]
                         inflight.clear()
                         teardown(kill=True)
-                        culprit = None
                         for state in hung.values():
-                            if self._charge(
+                            if not self._charge(
                                 state,
                                 "timeout",
                                 f"job exceeded {self.job_timeout:.1f}s "
@@ -1114,20 +1027,22 @@ class FleetRunner:
                                 failures,
                                 now,
                             ):
-                                culprit = state.job.index
-                            else:
                                 queue.append(state)
-                        if culprit is not None and self.fail_fast:
-                            self._abort_rest(
-                                innocents + isolation + queue + unreported(),
-                                failures,
-                                now,
-                                culprit,
-                            )
-                            return failures, rebuilds
+                            elif self.fail_fast:
+                                culprit = state.job.index
+                        if culprit is not None:
+                            break
                         queue[:0] = innocents
-                        if not rebuild():
-                            return finish_serially()
+                        rebuild()
+            if culprit is not None:
+                # fail-fast: every job not yet reported or given up on
+                teardown(kill=True)
+                error = f"aborted by fail-fast after home {culprit} failed"
+                failures.extend(
+                    self._failure(state, "aborted", error, now)
+                    for state in states[next_report:]
+                    if state.attempts <= self.max_retries
+                )
             return failures, rebuilds
         finally:
             pool.shutdown(wait=True, cancel_futures=True)

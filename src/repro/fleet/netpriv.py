@@ -23,6 +23,7 @@ module's (:class:`~repro.fleet.sweep.KnobGrid`,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -34,7 +35,7 @@ from ..netpriv.devices import DeviceType
 from ..netpriv.lan import LanConfig
 from ..netpriv.shaping import NETPRIV_KNOB_DOMAIN
 from ..obs import TELEMETRY, TelemetrySnapshot, captured
-from .engine import FleetRunner, HomeFailure, JobsResult
+from .engine import FleetRunner, JobsResult
 from .faults import maybe_inject
 from .frontier import Frontier
 from .report import PopulationStats
@@ -242,17 +243,20 @@ class NetprivFrontierReport(Frontier):
 
     @classmethod
     def from_results(
-        cls, results: Iterable[NetprivJobResult], failures: Iterable[HomeFailure] = ()
+        cls,
+        results: Iterable[NetprivJobResult],
+        failed_jobs: Iterable[NetprivJob] = (),
     ) -> "NetprivFrontierReport":
+        """Group LAN results by cell; count each cell's failed jobs."""
         grouped: dict[SweepCell, list[ArmsRaceOutcome]] = {}
         for r in results:
             cell = SweepCell(r.defense, r.setting, r.seed)
             grouped.setdefault(cell, []).append(r.outcome)
-        # a job's failure label is its cell's label plus " lan=<i>"
-        failed = [f.preset for f in failures]
+        failed = Counter(
+            SweepCell(job.defense, job.setting, job.seed) for job in failed_jobs
+        )
         return cls._reduce(
-            (cell, outcomes, sum(p.startswith(f"{cell.label()} ") for p in failed))
-            for cell, outcomes in grouped.items()
+            (cell, outcomes, failed[cell]) for cell, outcomes in grouped.items()
         )
 
     CSV_HEADER = (
@@ -306,7 +310,7 @@ class NetprivSweepResult(JobsResult):
     shard: tuple[int, int] = (1, 1)
 
     def frontier(self) -> NetprivFrontierReport:
-        return NetprivFrontierReport.from_results(self.results, self.failures)
+        return NetprivFrontierReport.from_results(self.results, self.failed_jobs)
 
 
 #: the one grid runner under the name the netpriv tooling knows it by

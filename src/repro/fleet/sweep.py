@@ -107,11 +107,18 @@ class KnobGrid:
                 f"no knob mapping for: {sorted(unknown)} in domain "
                 f"{self.DOMAIN!r}; available: {available}"
             )
+        labels: dict[str, float] = {}
         for s in self.settings:
             if not 0.0 <= s <= 1.0:
                 raise SweepError(f"knob setting {s!r} outside [0, 1]")
-        if len(set(self.settings)) != len(self.settings):
-            raise SweepError("duplicate knob settings in grid")
+            # a cell is known by its label (and cache key), which rounds
+            label = knob_defense_name(self.defenses[0], s)
+            if label in labels:
+                raise SweepError(
+                    f"duplicate knob settings in grid: {labels[label]!r} "
+                    f"and {s!r} are both {label!r}"
+                )
+            labels[label] = s
         if len(set(self.defenses)) != len(self.defenses):
             raise SweepError("duplicate defenses in grid")
         if len(set(self.seeds)) != len(self.seeds):

@@ -234,9 +234,10 @@ def captured(enable: bool = False):
     On exit the yielded holder's ``snapshot`` is the block's delta
     (``None`` while telemetry is off) and the registry is back where it
     was.  ``enable`` switches telemetry on for the block alone.  This is
-    how a job ships its own telemetry while the serial path's
-    supervisor-scope counters stay job-free: the supervisor adds the
-    shipped deltas back when it merges totals.
+    how a job ships its own telemetry while the supervisor's counters
+    stay job-free even when the job runs in the supervisor's process:
+    the supervisor, itself inside a ``captured`` block, adds the shipped
+    deltas back when it merges totals.
     """
     holder = _Captured()
     previous = TELEMETRY.enabled

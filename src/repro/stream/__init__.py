@@ -61,6 +61,7 @@ from .session import (
     StreamReport,
     StreamSession,
     make_stream_attack,
+    resume_mismatch,
     run_stream,
     stream_attack_names,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "iter_chunks",
     "load_checkpoint",
     "make_stream_attack",
+    "resume_mismatch",
     "run_stream",
     "simulated_meter_source",
     "stream_attack_names",

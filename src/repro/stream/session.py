@@ -492,6 +492,40 @@ class StreamSession:
         return session
 
 
+def resume_mismatch(
+    resume: tuple[dict, dict],
+    attacks: Iterable[str],
+    attack_kwargs: dict[str, dict] | None = None,
+    guard_policy: GuardPolicy | None = None,
+) -> str | None:
+    """Why ``resume`` cannot continue the run the other arguments ask for.
+
+    ``resume`` is a :func:`~repro.stream.checkpoint.load_checkpoint`
+    pair.  :func:`run_stream` restores the checkpoint's attacks with
+    their saved parameters, and the restored guard refuses another
+    policy, so a checkpoint written for other attacks, another ``lag``
+    or another guard policy cannot continue this run.  Returns ``None``
+    when it can; checks without touching any feed.
+    """
+    attack_kwargs = attack_kwargs or {}
+    wanted = {
+        name: make_stream_attack(name, **attack_kwargs.get(name, {})).params
+        for name in attacks
+    }
+    saved = {
+        name: spec["params"] for name, spec in resume[0]["attacks"].items()
+    }
+    if set(saved) != set(wanted):
+        return f"it runs attacks {','.join(saved)}, not {','.join(wanted)}"
+    for name, params in wanted.items():
+        if saved[name] != params:
+            return f"its {name} attack has {saved[name]}, not {params}"
+    policy = (guard_policy or GuardPolicy()).as_dict()
+    if resume[1]["policy"] != policy:
+        return f"its guard policy is {resume[1]['policy']}, not {policy}"
+    return None
+
+
 def run_stream(
     source: TraceReplaySource,
     attacks: Iterable[str] = ("edges", "niom"),

@@ -12,6 +12,8 @@ injection (:mod:`repro.fleet.faults`) rather than trusted on faith:
   requeues only the in-flight jobs, and produces no duplicates;
 * a hung job hits its wall-clock timeout, its pool is torn down, and
   innocents complete;
+* a pool that cannot be started or rebuilt leaves the remaining jobs to
+  the in-process executor, under the same supervisor loop;
 * corrupt cache entries (torn bytes, wrong type, stale envelope) read as
   misses, never as results;
 * results stream into the cache as they complete, so a failed sweep
@@ -168,6 +170,20 @@ class TestErrorIsolation:
         )
         assert indices == list(range(SPEC.n_homes))
 
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_fail_fast_with_retries_aborts_the_rest(self, workers):
+        # the backoff outlasts home 0's job, so home 0 is reported before
+        # home 1 gives up; homes 2 and 3 may run meanwhile, unreported
+        result = run_fleet(
+            SPEC, workers=workers, max_retries=1, fail_fast=True,
+            retry_backoff_s=0.5, faults=FaultPlan(kind="error", indices=(1,)),
+        )
+        assert [h.index for h in result.homes] == [0]
+        assert {f.index: f.kind for f in result.failures} == {
+            1: "error", 2: "aborted", 3: "aborted",
+        }
+        assert [job.index for job in result.failed_jobs] == [1, 2, 3]
+
     def test_fail_fast_aborts_jobs_finished_behind_the_culprit(self):
         # home 0 hangs until its timeout while the other homes finish on
         # the free worker; they were submitted after it, so fail-fast
@@ -236,6 +252,37 @@ class TestTimeouts:
         )
         assert not result.failures
         assert result.pool_rebuilds >= 1
+        assert surviving_digests(result) == clean_digests
+
+
+class TestPoolUnavailable:
+    def test_pool_that_cannot_start_runs_in_process(
+        self, clean_digests, monkeypatch
+    ):
+        monkeypatch.setattr(FleetRunner, "_new_pool", lambda self: None)
+        result = run_fleet(SPEC, workers=POOL_WORKERS)
+        assert not result.failures
+        assert result.workers_used == 1
+        assert surviving_digests(result) == clean_digests
+
+    def test_pool_that_cannot_be_rebuilt_finishes_in_process(
+        self, clean_digests, monkeypatch
+    ):
+        real = FleetRunner._new_pool
+        calls = []
+
+        def first_pool_only(self):
+            calls.append(self)
+            return real(self) if len(calls) == 1 else None
+
+        monkeypatch.setattr(FleetRunner, "_new_pool", first_pool_only)
+        result = run_fleet(
+            SPEC, workers=POOL_WORKERS, job_timeout=1.0,
+            faults=FaultPlan(kind="hang", indices=(0,), max_attempt=0),
+            **FAST,
+        )
+        assert not result.failures
+        assert result.pool_rebuilds == 1
         assert surviving_digests(result) == clean_digests
 
 
@@ -386,6 +433,11 @@ class TestValidationAndReport:
             FleetRunner(job_timeout=0.0)
         with pytest.raises(ValueError):
             FleetRunner(retry_backoff_s=-0.1)
+        # NaN passes a `<= 0` or `< 0` check; it must not pass these
+        with pytest.raises(ValueError):
+            FleetRunner(job_timeout=float("nan"))
+        with pytest.raises(ValueError):
+            FleetRunner(retry_backoff_s=float("nan"))
 
     def test_report_carries_failures(self):
         result = run_fleet(

@@ -136,7 +136,7 @@ class TestGoldenDigests:
         result = run_fleet(spec)
         tweaked = replace(
             result,
-            homes=[replace(result.homes[0], energy_kwh=0.0)]
+            results=[replace(result.homes[0], energy_kwh=0.0)]
             + result.homes[1:],
         )
         assert result_digest(tweaked) != expected

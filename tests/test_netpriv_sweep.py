@@ -224,7 +224,7 @@ class TestNetprivSweep:
         assert not batch.results
         assert len(batch.failures) == 1
         assert batch.failures[0].kind == "error"
-        report = NetprivFrontierReport.from_results([], batch.failures)
+        report = NetprivFrontierReport.from_results([], batch.failed_jobs)
         assert report.points == ()
 
 

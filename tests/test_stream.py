@@ -626,6 +626,83 @@ class TestStreamCLI:
         assert captured.out == ""  # refused before any job ran
         assert not checkpoint.exists()
 
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        """The checkpoint an ``--attacks edges,hmm`` run of home-a leaves."""
+        directory = tmp_path_factory.mktemp("ck")
+        assert main([*self.RESUMABLE, "--checkpoint", str(directory)]) == 0
+        return directory
+
+    RESUMABLE = (
+        "stream", "--home", "home-a", "--days", "1", "--attacks", "edges,hmm",
+        "--checkpoint-every", "300",
+    )
+
+    def _refused(self, monkeypatch, capsys, argv) -> str:
+        """Run ``argv``; assert it exits 2 with one stderr line before the
+        home is simulated, and return that line."""
+        import repro.stream
+
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("the home was simulated before the refusal")
+
+        monkeypatch.setattr(repro.stream, "simulated_meter_source", no_simulation)
+        capsys.readouterr()
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_checkpoint_every_below_one_refused(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        err = self._refused(monkeypatch, capsys, [
+            *self.RESUMABLE[:-2], "--checkpoint", str(tmp_path / "ck"),
+            "--checkpoint-every", "0",
+        ])
+        assert "--checkpoint-every" in err
+        assert not (tmp_path / "ck").exists()
+
+    @pytest.mark.parametrize(
+        "flags, why",
+        [
+            (("--attacks", "edges,hmm,niom"), "attacks edges,hmm"),
+            (("--attacks", "edges"), "attacks edges,hmm, not edges"),
+            (("--lag", "20"), "hmm attack has {'lag': 0}"),
+            (("--gap-policy", "hold"), "'gap_policy': 'hold'"),
+        ],
+        ids=["more-attacks", "fewer-attacks", "lag", "gap-policy"],
+    )
+    def test_resume_refuses_a_mismatched_checkpoint(
+        self, checkpoint, monkeypatch, capsys, flags, why
+    ):
+        err = self._refused(monkeypatch, capsys, [
+            *self.RESUMABLE, "--checkpoint", str(checkpoint), "--resume",
+            *flags,
+        ])
+        assert why in err
+
+    def test_resume_refuses_a_torn_checkpoint(
+        self, checkpoint, tmp_path, monkeypatch, capsys
+    ):
+        from repro.stream.checkpoint import checkpoint_path
+
+        torn = tmp_path / "torn"
+        torn.mkdir()
+        whole = checkpoint_path(checkpoint).read_bytes()
+        checkpoint_path(torn).write_bytes(whole[: len(whole) // 2])
+        err = self._refused(monkeypatch, capsys, [
+            *self.RESUMABLE, "--checkpoint", str(torn), "--resume",
+        ])
+        assert "unreadable checkpoint" in err
+
+    def test_resume_with_matching_flags_continues(self, checkpoint, capsys):
+        assert main([
+            *self.RESUMABLE, "--checkpoint", str(checkpoint), "--resume",
+        ]) == 0
+        assert "resuming from sample" in capsys.readouterr().out
+
     def test_stream_simulated_home_with_json(self, tmp_path, capsys):
         out = tmp_path / "stream.json"
         assert main([

@@ -85,6 +85,15 @@ class TestGrid:
         with pytest.raises(SweepError, match="duplicate"):
             SweepGrid(defenses=("nill",), settings=(0.5, 0.5), n_homes=1)
 
+    def test_rejects_settings_sharing_a_label(self):
+        # ``.6g`` rounds both to one ``nill@0.5`` cell: one cache key, one
+        # dial, reported at two settings
+        with pytest.raises(SweepError, match="0.5 and 0.5000001"):
+            SweepGrid(
+                defenses=("nill",), settings=(0.5, 0.5000001), n_homes=1,
+                days=1, mix=("home-a",),
+            )
+
     def test_rejects_bad_population(self):
         # population-shape errors surface at grid construction, not
         # mid-shard: FleetSpec validation runs once in __post_init__
