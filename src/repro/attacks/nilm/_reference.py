@@ -11,7 +11,7 @@ Scores are built from the same float64 operations in the same association,
 and the ``(score, rise_index, fall_index)`` sort key is replicated with
 ``np.lexsort``, so no tolerance is needed.
 ``tests/test_kernel_equivalence.py`` pins the production function to this
-one; ``benchmarks/bench_kernels.py`` times the pair.
+one; ``docs/PERFORMANCE.md`` section 3 records its speedup.
 """
 
 from __future__ import annotations

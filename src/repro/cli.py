@@ -3,7 +3,7 @@
 Exposes the library's main workflows without writing Python:
 
 * ``simulate`` — generate a home's metered trace (CSV out);
-* ``attack`` — run the NIOM ensemble on a trace (simulated or CSV);
+* ``attack`` — score the NIOM ensemble on a simulated home;
 * ``defend`` — apply a registered defense to a trace and re-attack it;
 * ``localize`` — run SunSpot/Weatherman on a solar generation trace;
 * ``knob`` — sweep the Sec. III-E privacy knob over a simulated home;
@@ -53,8 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_home_args(p)
     p.add_argument("--out", default="metered.csv", help="CSV output path")
 
-    p = sub.add_parser("attack", help="run the NIOM ensemble on a trace")
-    p.add_argument("--trace", help="CSV trace (default: simulate home-b)")
+    p = sub.add_parser("attack", help="score the NIOM ensemble on a simulated home")
     _add_home_args(p)
 
     p = sub.add_parser("defend", help="apply a defense and re-run the attack")
@@ -321,16 +320,6 @@ def _home_config(name: str, seed: int):
     return make_preset(name, seed)
 
 
-def _load_or_simulate(args):
-    from .datasets import load_trace_csv
-    from .home import simulate_home
-
-    if getattr(args, "trace", None):
-        return load_trace_csv(args.trace), None
-    sim = simulate_home(_home_config(args.home, args.seed), args.days, rng=args.seed)
-    return sim.metered, sim
-
-
 def cmd_simulate(args) -> int:
     from .datasets import save_trace_csv
     from .home import simulate_home
@@ -345,16 +334,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_attack(args) -> int:
     from .core import occupancy_privacy
+    from .home import simulate_home
 
-    trace, sim = _load_or_simulate(args)
-    if sim is None:
-        print("note: external trace has no ground truth; simulating "
-              f"{args.home} instead for a scored demonstration")
-        from .home import simulate_home
-
-        sim = simulate_home(_home_config(args.home, args.seed), args.days, rng=args.seed)
-        trace = sim.metered
-    score = occupancy_privacy(trace, sim.occupancy)
+    sim = simulate_home(_home_config(args.home, args.seed), args.days, rng=args.seed)
+    score = occupancy_privacy(sim.metered, sim.occupancy)
     print("NIOM ensemble on the metered trace:")
     for name, mcc in score.per_detector_mcc.items():
         acc = score.per_detector_accuracy[name]
@@ -659,6 +642,9 @@ def cmd_stream(args) -> int:
         return 2
     if args.checkpoint_every < 1:
         print("stream: --checkpoint-every must be >= 1", file=sys.stderr)
+        return 2
+    if args.lag < 0:
+        print("stream: --lag must be >= 0", file=sys.stderr)
         return 2
     attack_kwargs = {}
     if args.lag:

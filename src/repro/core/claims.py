@@ -433,33 +433,42 @@ class ClaimSet:
         }
 
 
-def load_claims(path: str | Path) -> ClaimSet:
-    """Read a claim file (TOML or JSON, picked by extension).
+def load_document(path: Path, noun: str, error: type[Exception]):
+    """The TOML or JSON document in ``path``, parsed by its extension.
 
-    Mirrors :func:`repro.fleet.sweep.load_grid`: TOML needs no
-    dependency (:mod:`tomllib` ships with the interpreter) and every
-    parse or validation problem raises :class:`ClaimsError` with the
-    offending path in the message.
+    The one reader behind :func:`load_claims` and
+    :func:`repro.fleet.sweep.load_grid`.  An unreadable file, bad TOML
+    or JSON, and any other extension each raise ``error`` naming the
+    file; ``noun`` ("claim file") names its kind in the messages.  TOML
+    needs no dependency: :mod:`tomllib` ships with the interpreter.
     """
-    path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ClaimsError(f"cannot read claim file {path}: {exc}") from exc
+        raise error(f"cannot read {noun} {path}: {exc}") from exc
     if path.suffix == ".toml":
         import tomllib
 
         try:
-            doc = tomllib.loads(text)
+            return tomllib.loads(text)
         except tomllib.TOMLDecodeError as exc:
-            raise ClaimsError(f"bad TOML in {path}: {exc}") from exc
-    elif path.suffix == ".json":
+            raise error(f"bad TOML in {path}: {exc}") from exc
+    if path.suffix == ".json":
         try:
-            doc = json.loads(text)
+            return json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ClaimsError(f"bad JSON in {path}: {exc}") from exc
-    else:
-        raise ClaimsError(f"claim file {path} must end in .toml or .json")
+            raise error(f"bad JSON in {path}: {exc}") from exc
+    raise error(f"{noun} {path} must end in .toml or .json")
+
+
+def load_claims(path: str | Path) -> ClaimSet:
+    """Read a claim file (TOML or JSON, picked by extension).
+
+    Every parse or validation problem raises :class:`ClaimsError` with
+    the offending path in the message.
+    """
+    path = Path(path)
+    doc = load_document(path, "claim file", ClaimsError)
     return ClaimSet.from_dict(doc, source=str(path))
 
 
@@ -480,6 +489,7 @@ __all__ = [
     "Selector",
     "Span",
     "load_claims",
+    "load_document",
     "parse_span",
     "resolve_metrics",
 ]

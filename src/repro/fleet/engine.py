@@ -53,8 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..attacks.niom import HMMNIOM, ThresholdNIOM
-from ..core.evaluation import TradeoffPoint
+from ..core.evaluation import DEFAULT_DETECTORS, TradeoffPoint
 from ..core.pipeline import evaluate_baseline, evaluate_simulation
 from ..home.household import simulate_home
 from ..obs import (
@@ -72,13 +71,9 @@ from .faults import FaultPlan, maybe_inject
 from .spec import FleetSpec, HomeJob
 
 #: Name -> detector factory, resolved inside the worker so only names
-#: (not closures) ever cross the process boundary.  Mirrors
-#: ``core.evaluation.DEFAULT_DETECTORS``.
-FLEET_DETECTORS = {
-    "threshold-15m": lambda: ThresholdNIOM(night_prior=True),
-    "threshold-60m": lambda: ThresholdNIOM(window_s=3600.0, night_prior=True),
-    "hmm": lambda: HMMNIOM(rng=0),
-}
+#: (not closures) ever cross the process boundary:
+#: ``core.evaluation.DEFAULT_DETECTORS`` keyed by name.
+FLEET_DETECTORS = dict(DEFAULT_DETECTORS)
 
 #: the executor-backend axis, in CLI order: ``serial`` runs every job in
 #: this process; ``process`` submits one job per home to a
@@ -549,14 +544,6 @@ class FleetRunner:
         ``pool_rebuilds`` are the whole run's.
         """
         start = time.perf_counter()
-        unknown = {d for spec in specs for d in spec.detectors} - set(
-            FLEET_DETECTORS
-        )
-        if unknown:
-            raise ValueError(
-                f"unknown detectors: {sorted(unknown)}; "
-                f"available: {sorted(FLEET_DETECTORS)}"
-            )
         defense_sets = [spec.resolved_defenses() for spec in specs]
         homes: list[dict[int, HomeResult]] = [{} for _ in specs]
         executed = [0] * len(specs)
@@ -657,9 +644,11 @@ class FleetRunner:
         :class:`~repro.stream.HomeStreamResult` per completed home, and
         each home's ``stream.*`` telemetry (gap samples, quarantined
         values, attack failures, checkpoint writes) merges into the
-        totals.  Attack names are checked before any job is dispatched.
+        totals.  Each attack is built once from its name and
+        ``attack_kwargs`` before any job is dispatched, so an unknown
+        name or a bad kwarg raises here instead of failing every home.
         """
-        from ..stream import stream_attack_names
+        from ..stream import make_stream_attack, stream_attack_names
 
         unknown = set(attacks) - set(stream_attack_names())
         if unknown:
@@ -667,6 +656,8 @@ class FleetRunner:
                 f"unknown stream attacks: {sorted(unknown)}; "
                 f"available: {stream_attack_names()}"
             )
+        for name in attacks:
+            make_stream_attack(name, **(attack_kwargs or {}).get(name, {}))
         work = functools.partial(
             run_stream_job,
             chunk_samples=chunk_samples,

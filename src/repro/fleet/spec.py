@@ -19,14 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.evaluation import DEFAULT_DETECTORS
 from ..home.fingerprint import config_fingerprint
 from ..home.household import HomeConfig
 from ..home.presets import make_preset, preset_names
 from ..obs import TELEMETRY
 
-#: Detector ensemble evaluated against every home (mirrors
-#: ``core.evaluation.DEFAULT_DETECTORS`` by name).
-DEFAULT_FLEET_DETECTORS = ("threshold-15m", "threshold-60m", "hmm")
+#: Detector ensemble evaluated against every home: the names of
+#: ``core.evaluation.DEFAULT_DETECTORS``, in order.
+DEFAULT_FLEET_DETECTORS = tuple(name for name, _ in DEFAULT_DETECTORS)
 
 
 def _home_seed(root_seed: int, index: int) -> np.random.SeedSequence:
@@ -126,15 +127,12 @@ class FleetSpec:
         if not self.detectors:
             raise ValueError("need at least one detector")
         # validate detector names once, here, instead of letting every
-        # worker raise KeyError mid-dispatch (function-level import: the
-        # engine imports this module at its top level)
-        from .engine import FLEET_DETECTORS
-
-        unknown = set(self.detectors) - set(FLEET_DETECTORS)
+        # worker raise KeyError mid-dispatch
+        unknown = set(self.detectors) - set(DEFAULT_FLEET_DETECTORS)
         if unknown:
             raise ValueError(
                 f"unknown detectors: {sorted(unknown)}; "
-                f"available: {sorted(FLEET_DETECTORS)}"
+                f"available: {sorted(DEFAULT_FLEET_DETECTORS)}"
             )
 
     def resolved_defenses(self) -> tuple[str, ...]:

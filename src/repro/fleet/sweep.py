@@ -42,12 +42,12 @@ Design choices that make the grid cheap and resumable:
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import ClassVar, Sequence
 
+from ..core.claims import load_document
 from ..core.knob import knob_defense_name, knob_mapping_names
 from ..obs import TelemetrySnapshot
 from .engine import FleetResult, FleetRunner
@@ -240,31 +240,12 @@ def load_grid(path: str | Path) -> SweepGrid:
 
     The file holds exactly the :meth:`SweepGrid.as_dict` keys (all
     optional except ``defenses`` and ``settings``), each shaped as that
-    dict shapes it; extension picks the parser.  Every malformed file
-    raises :class:`SweepError` naming the file.  TOML needs no
-    dependency — :mod:`tomllib` ships with the interpreter.
+    dict shapes it; extension picks the parser
+    (:func:`~repro.core.claims.load_document`).  Every malformed file
+    raises :class:`SweepError` naming the file.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SweepError(f"cannot read grid file {path}: {exc}") from exc
-    if path.suffix == ".toml":
-        import tomllib
-
-        try:
-            doc = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise SweepError(f"bad TOML in {path}: {exc}") from exc
-    elif path.suffix == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SweepError(f"bad JSON in {path}: {exc}") from exc
-    else:
-        raise SweepError(
-            f"grid file {path} must end in .toml or .json"
-        )
+    doc = load_document(path, "grid file", SweepError)
     if not isinstance(doc, dict):
         raise SweepError(f"grid file {path} must hold a table/object")
     unknown = set(doc) - set(_GRID_KEYS)

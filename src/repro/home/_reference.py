@@ -11,7 +11,7 @@ identically and produce **bitwise-identical** traces.  (Changing either
 would silently invalidate every seeded trace digest, cached fleet result
 and measured table in EXPERIMENTS.md.)  ``tests/test_kernel_equivalence.py``
 pins the production simulators to these functions across seeds, periods
-and durations; ``benchmarks/bench_kernels.py`` times the pairs.
+and durations; ``docs/PERFORMANCE.md`` section 3 records their speedups.
 """
 
 from __future__ import annotations

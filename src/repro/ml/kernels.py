@@ -12,9 +12,10 @@ code).  The loop versions are the *reference semantics*: equivalence tests
 (``tests/test_kernel_equivalence.py``) pin each kernel to its reference —
 bitwise-identical where the arithmetic permits (Viterbi paths, joint-chain
 parameters, Gaussian log-densities), documented-tolerance-identical where
-reassociation is inherent (the scan-based forward/backward pass) — and the
-benchmark harness (``benchmarks/bench_kernels.py``) times each pair so the
-speedups are regression-tested, not anecdotal.
+reassociation is inherent (the scan-based forward/backward pass) — and
+the same file holds the >= 3x speedup floors on HMM fit+decode and FHMM
+joint-space decode, so the headline speedups are regression-tested, not
+anecdotal.  ``perfbench/`` measures what they buy end to end.
 
 Equivalence contracts
 ---------------------

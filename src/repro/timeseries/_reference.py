@@ -12,7 +12,7 @@ per-row reductions (``mean``/``std``/``max``/``min``/``median``) operate on
 the same contiguous blocks of the same float64 data in both formulations,
 so numpy's pairwise summation order is unchanged and no tolerance is
 needed.  ``tests/test_kernel_equivalence.py`` pins the production functions
-to these; ``benchmarks/bench_kernels.py`` times the pairs.
+to these; ``docs/PERFORMANCE.md`` section 3 records their speedups.
 """
 
 from __future__ import annotations

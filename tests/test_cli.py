@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.datasets import load_trace_csv
+from repro.datasets import load_trace_csv, save_trace_csv
+from repro.timeseries import PowerTrace
 
 
 class TestCLI:
@@ -33,6 +34,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "worst case" in out
         assert "threshold-15m" in out
+
+    def test_attack_takes_no_trace(self, tmp_path):
+        # the report is an MCC against ground truth, which a CSV lacks
+        path = tmp_path / "x.csv"
+        save_trace_csv(PowerTrace(np.full(1440, 300.0), 60.0), path)
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--trace", str(path)])
+        assert exc.value.code == 2
 
     def test_defend_reports_tradeoff(self, capsys):
         assert main(["defend", "dp-laplace", "--home", "home-a",

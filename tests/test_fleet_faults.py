@@ -139,13 +139,16 @@ class TestErrorIsolation:
 
     @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
     def test_flaky_job_succeeds_on_retry(self, clean_digests, workers):
-        result = run_fleet(
-            SPEC, workers=workers,
-            faults=FaultPlan(kind="error", indices=(1,), max_attempt=0),
-            **FAST,
-        )
-        assert not result.failures
-        assert surviving_digests(result) == clean_digests
+        # one flaky home, then every home flaky: each retry reproduces
+        # its home exactly
+        for indices in ((1,), tuple(range(SPEC.n_homes))):
+            result = run_fleet(
+                SPEC, workers=workers,
+                faults=FaultPlan(kind="error", indices=indices, max_attempt=0),
+                **FAST,
+            )
+            assert not result.failures
+            assert surviving_digests(result) == clean_digests
 
     def test_max_retries_zero_fails_first_error(self):
         result = run_fleet(

@@ -1,4 +1,5 @@
-"""The docs-consistency lint's two-way telemetry check.
+"""The docs-consistency lint's two-way telemetry check and its check
+that the repo paths the docs cite exist.
 
 ``tools/lint_docstrings.py`` is a standalone script (CI runs it without
 installing the package), so it is loaded from its path here.
@@ -69,3 +70,26 @@ def test_stale_row_and_undocumented_name_are_both_reported(tmp_path):
 def test_repository_telemetry_reference_matches_the_code():
     text = lint.PERFORMANCE.read_text()
     assert lint.check_telemetry_docs(text, lint.emitted_telemetry()) == []
+
+
+def test_stale_backticked_path_is_reported_with_its_line(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text("")
+    doc = tmp_path / "DOC.md"
+    doc.write_text(
+        "`tests/test_x.py::TestX::test_y` and `tests/test_x.py:12` exist\n"
+        "`fleet/engine.py` is module-relative, `tests/*.py` a glob\n"
+        "`tests/gone.py` is stale, `python tests/gone.py` a command\n"
+    )
+    problems = lint.stale_doc_paths(doc, tmp_path)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"{doc}:3:")
+    assert "'tests/gone.py'" in problems[0]
+
+
+def test_repository_docs_cite_only_existing_paths():
+    assert [
+        problem
+        for doc in lint.path_checked_docs()
+        for problem in lint.stale_doc_paths(doc)
+    ] == []

@@ -16,6 +16,7 @@ Pins the contracts every perf PR will lean on:
 
 import json
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +217,23 @@ class TestFleetTelemetry:
         assert "stage.job" in section["totals"]["timers"]
         # the whole section must be JSON-serializable for --telemetry
         json.dumps(report.as_dict())
+
+    def test_overhead_below_25_percent(self):
+        """Observation stays cheap: telemetry on costs < 25% of SPEC's run.
+
+        Best of 5 alternating off/on runs, so drift hits both sides; single
+        pairs have read up to +32% on a shared VM, best-of-5 within
+        -10%..+3%.
+        """
+        best = {False: np.inf, True: np.inf}
+        for _ in range(5):
+            for telemetry in (False, True):
+                t0 = time.perf_counter()
+                run_fleet(SPEC, workers=1, telemetry=telemetry)
+                best[telemetry] = min(best[telemetry], time.perf_counter() - t0)
+        overhead = best[True] / best[False] - 1.0
+        print(f"telemetry overhead: {overhead:+.1%}")
+        assert overhead < 0.25, f"telemetry overhead {overhead:+.1%}"
 
     def test_retry_counters_from_fault_injection(self):
         from repro.fleet import FaultPlan

@@ -24,7 +24,14 @@ Two passes, both pure :mod:`ast`/text — no imports, no third-party deps:
      (and f-string fields in the code) are placeholders, and a row whose
      first cell holds two quoted names documents both;
    * every relative intra-repo link in the top-level ``*.md`` files and
-     ``docs/*.md`` must resolve to an existing file.
+     ``docs/*.md`` must resolve to an existing file;
+   * every backticked repo-relative path in README.md, DESIGN.md,
+     EXPERIMENTS.md and ``docs/*.md`` must exist: a span whose first
+     segment is a top-level directory (``tests/...``, ``benchmarks/...``),
+     once any ``::test`` or ``:line`` suffix is stripped.  Spans holding
+     whitespace, globs or placeholders are not paths.  CHANGES.md and
+     ROADMAP.md are exempt: they name deleted and planned files on
+     purpose.
 
 Run from the repository root (CI does)::
 
@@ -224,6 +231,32 @@ def doc_files() -> list[Path]:
 
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_PATH_SUFFIX = re.compile(r"::.*$|:\d[\d-]*$")
+_NOT_A_PATH = re.compile(r"[\s*?<>{}\[\]]")
+
+
+def path_checked_docs() -> list[Path]:
+    """The docs whose backticked repo paths must exist."""
+    return [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+
+
+def stale_doc_paths(doc: Path, root: Path = ROOT) -> list[str]:
+    """Every backticked repo-relative path in ``doc`` that does not exist."""
+    tops = {p.name for p in root.iterdir() if p.is_dir()}
+    problems = []
+    for i, line in enumerate(doc.read_text().splitlines(), start=1):
+        for span in _CODE_SPAN.findall(line):
+            path = _PATH_SUFFIX.sub("", span)
+            head, _, rest = path.partition("/")
+            if not rest or head not in tops or _NOT_A_PATH.search(path):
+                continue
+            if not (root / path).exists():
+                problems.append(
+                    f"{doc}:{i}: stale path {span!r} ({path} does not exist)"
+                )
+    return problems
 
 
 def check_docs_consistency() -> list[str]:
@@ -264,6 +297,8 @@ def check_docs_consistency() -> list[str]:
                         f"{doc}:{i}: broken link {target!r} "
                         f"({doc.parent / rel} does not exist)"
                     )
+    for doc in path_checked_docs():
+        problems.extend(stale_doc_paths(doc))
     return problems
 
 
