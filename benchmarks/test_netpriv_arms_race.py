@@ -14,22 +14,23 @@ attacker generations, and demand two things of the result:
   same gate ``repro netpriv --check-monotone`` runs).
 
 Writes a machine-readable ``BENCH_netpriv_arms_race.json`` (override the
-path with ``REPRO_BENCH_NETPRIV_OUT``); CI uploads it as an artifact.
-
-Run directly::
+path with ``REPRO_BENCH_NETPRIV_OUT``).  No CI job runs it; run it
+directly::
 
     PYTHONPATH=src python benchmarks/test_netpriv_arms_race.py
 
-or through pytest (``python -m pytest benchmarks/test_netpriv_arms_race.py -s``),
-which additionally asserts the acceptance floors above.
+or through pytest (``python -m pytest benchmarks/test_netpriv_arms_race.py -s``,
+also collected by ``--benchmark-only``), which additionally asserts the
+acceptance floors above.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
+from bench_util import once
 from repro.core.knob import knob_mapping_names
+from repro.datasets import dump_json
 from repro.fleet import NetprivGrid, NetprivSweepRunner
 
 OUT_ENV = "REPRO_BENCH_NETPRIV_OUT"
@@ -97,9 +98,7 @@ def run_benchmarks(workers: int | None = None) -> dict:
 
 def _write(doc: dict) -> str:
     out = os.environ.get(OUT_ENV, DEFAULT_OUT)
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(doc, out)
     return out
 
 
@@ -128,9 +127,9 @@ def _format(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def test_bench_netpriv_arms_race():
+def test_bench_netpriv_arms_race(benchmark):
     """Acceptance: adaptive beats naive on >=2 defenses; frontier is sane."""
-    doc = run_benchmarks()
+    doc = once(benchmark, run_benchmarks)
     out = _write(doc)
     print()
     print(_format(doc))

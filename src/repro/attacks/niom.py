@@ -40,18 +40,17 @@ NIGHT_START_HOUR = 23.0
 NIGHT_END_HOUR = 6.0
 
 
-def _window_clock(trace: PowerTrace, window_s: float) -> tuple[int, float]:
+def _window_clock(window_s: float, period_s: float, duration_s: float) -> float:
     """Effective decision window: never finer than the trace itself.
 
     Defenses that coarsen the reporting interval can make the visible trace
     coarser than the detector's preferred window; the attacker then simply
     decides at the trace's own granularity.
     """
-    window_s = max(window_s, trace.period_s)
-    n_windows = int(trace.duration_s // window_s)
-    if n_windows < 4:
+    window_s = max(window_s, period_s)
+    if int(duration_s // window_s) < 4:
         raise ValueError("trace too short for occupancy detection")
-    return n_windows, window_s
+    return window_s
 
 
 def _apply_night_prior(
@@ -73,6 +72,15 @@ def _apply_night_prior(
     return out
 
 
+def _higher_power_group(features: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Occupied where a window's group (0 or 1) has the higher mean power."""
+    mean_power = [
+        features[groups == k, 0].mean() if (groups == k).any() else 0.0
+        for k in (0, 1)
+    ]
+    return (groups == int(np.argmax(mean_power))).astype(int)
+
+
 @dataclass(frozen=True)
 class NIOMResult:
     """Detector output plus the per-window feature matrix used."""
@@ -81,7 +89,30 @@ class NIOMResult:
     features: np.ndarray
 
 
-class ThresholdNIOM:
+class _NIOMDetector:
+    """The frame every NIOM detector runs: a subclass sets ``window_s``
+    and ``night_prior`` and writes ``label(features)``, its 0/1 call on
+    each window."""
+
+    def detect(self, metered: PowerTrace) -> NIOMResult:
+        window_s = _window_clock(
+            self.window_s, metered.period_s, metered.duration_s
+        )
+        features = window_features(metered, window_s)
+        return self.decide(features, window_s, metered.start_s)
+
+    def decide(
+        self, features: np.ndarray, window_s: float, start_s: float
+    ) -> NIOMResult:
+        """Occupancy of the windows ``features`` describes (the streamed
+        threshold NIOM decides through here too)."""
+        occupied = self.label(features)
+        if self.night_prior:
+            occupied = _apply_night_prior(occupied, window_s, start_s)
+        return NIOMResult(BinaryTrace(occupied, window_s, start_s), features)
+
+
+class ThresholdNIOM(_NIOMDetector):
     """Threshold NIOM (Chen et al., BuildSys'13 style).
 
     Calibrates an "idle home" baseline from the globally quietest windows
@@ -118,9 +149,7 @@ class ThresholdNIOM:
         self.std_margin = std_margin
         self.night_prior = night_prior
 
-    def detect(self, metered: PowerTrace) -> NIOMResult:
-        _, window_s = _window_clock(metered, self.window_s)
-        features = window_features(metered, window_s)
+    def label(self, features: np.ndarray) -> np.ndarray:
         means = features[:, 0]
         stds = features[:, 1]
         n_base = max(3, int(len(means) * self.baseline_quantile))
@@ -130,16 +159,10 @@ class ThresholdNIOM:
         occupied = (means > self.mean_margin * base_mean) | (
             stds > self.std_margin * base_std
         )
-        occupied = occupied.astype(int)
-        if self.night_prior:
-            occupied = _apply_night_prior(occupied, window_s, metered.start_s)
-        return NIOMResult(
-            occupancy=BinaryTrace(occupied, window_s, metered.start_s),
-            features=features,
-        )
+        return occupied.astype(int)
 
 
-class ClusterNIOM:
+class ClusterNIOM(_NIOMDetector):
     """Unsupervised 2-means NIOM (Kleiminger et al., BuildSys'13 style).
 
     Clusters window features into two groups and labels the cluster with
@@ -156,24 +179,13 @@ class ClusterNIOM:
         self.night_prior = night_prior
         self._rng = np.random.default_rng(rng)
 
-    def detect(self, metered: PowerTrace) -> NIOMResult:
-        _, window_s = _window_clock(metered, self.window_s)
-        features = window_features(metered, window_s)
+    def label(self, features: np.ndarray) -> np.ndarray:
         scaled = StandardScaler().fit_transform(features)
         km = KMeans(2, rng=self._rng).fit(scaled)
-        labels = km.predict(scaled)
-        mean_power = [features[labels == k, 0].mean() if (labels == k).any() else 0.0 for k in (0, 1)]
-        occupied_cluster = int(np.argmax(mean_power))
-        occupied = (labels == occupied_cluster).astype(int)
-        if self.night_prior:
-            occupied = _apply_night_prior(occupied, window_s, metered.start_s)
-        return NIOMResult(
-            occupancy=BinaryTrace(occupied, window_s, metered.start_s),
-            features=features,
-        )
+        return _higher_power_group(features, km.predict(scaled))
 
 
-class HMMNIOM:
+class HMMNIOM(_NIOMDetector):
     """Two-state Gaussian HMM NIOM with temporal smoothing.
 
     Fits an unsupervised two-state HMM to window features; the state with
@@ -195,25 +207,11 @@ class HMMNIOM:
         self.night_prior = night_prior
         self._rng = np.random.default_rng(rng)
 
-    def detect(self, metered: PowerTrace) -> NIOMResult:
-        _, window_s = _window_clock(metered, self.window_s)
-        features = window_features(metered, window_s)
+    def label(self, features: np.ndarray) -> np.ndarray:
         scaled = StandardScaler().fit_transform(features)
         hmm = GaussianHMM(2, n_iter=self.n_iter, rng=self._rng)
         hmm.fit(scaled)
-        states = hmm.decode(scaled)
-        mean_power = [
-            features[states == k, 0].mean() if (states == k).any() else 0.0
-            for k in (0, 1)
-        ]
-        occupied_state = int(np.argmax(mean_power))
-        occupied = (states == occupied_state).astype(int)
-        if self.night_prior:
-            occupied = _apply_night_prior(occupied, window_s, metered.start_s)
-        return NIOMResult(
-            occupancy=BinaryTrace(occupied, window_s, metered.start_s),
-            features=features,
-        )
+        return _higher_power_group(features, hmm.decode(scaled))
 
 
 def score_occupancy_attack(

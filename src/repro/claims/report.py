@@ -21,11 +21,11 @@ Exit-code contract (mirrors fleet health, with inconclusive split out):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.claims import Claim
+from repro.datasets.io import dump_json
 
 #: Verdict values, in display-severity order.
 VERDICTS = ("fail", "inconclusive", "pass")
@@ -147,10 +147,7 @@ class ClaimsReport:
         }
 
     def to_json(self, path: str | Path | None = None) -> str:
-        doc = json.dumps(self.as_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            Path(path).write_text(doc + "\n")
-        return doc
+        return dump_json(self.as_dict(), path)
 
     def format_table(self) -> str:
         """Compact fixed-width verdict table for the terminal."""
@@ -237,7 +234,9 @@ class ClaimsReport:
         out.append("")
         doc = "\n".join(out)
         if path is not None:
-            Path(path).write_text(doc)
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(doc)
         return doc
 
 

@@ -25,6 +25,7 @@ import sys
 
 import numpy as np
 
+from .datasets import dump_json
 from .home.presets import preset_names
 
 
@@ -413,13 +414,17 @@ def cmd_knob(args) -> int:
 def cmd_fleet(args) -> int:
     from .fleet import FleetReport, FleetSpec, run_fleet
 
-    spec = FleetSpec(
-        n_homes=args.homes,
-        days=args.days,
-        seed=args.seed,
-        mix=_split(args.mix),
-        defenses=None if args.defenses == "all" else _split(args.defenses),
-    )
+    try:
+        spec = FleetSpec(
+            n_homes=args.homes,
+            days=args.days,
+            seed=args.seed,
+            mix=_split(args.mix),
+            defenses=None if args.defenses == "all" else _split(args.defenses),
+        )
+    except ValueError as exc:
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
     result = run_fleet(spec, **_supervisor(args))
 
     def print_failures():
@@ -460,7 +465,7 @@ def cmd_fleet(args) -> int:
         report.to_json(args.json)
         print(f"report JSON written to {args.json}")
     if args.telemetry and report.telemetry is not None:
-        _write_json(args.telemetry, report.telemetry)
+        dump_json(report.telemetry, args.telemetry)
         timers = report.telemetry["totals"]["timers"]
         stages = {
             name.split(".", 1)[1]: stat["total_s"]
@@ -591,7 +596,7 @@ def _finish_grid(args, result, frontier, job_stage: str, counts=None) -> int:
         print(f"frontier JSON written to {args.json}")
     if args.telemetry and result.telemetry is not None:
         telemetry = result.telemetry
-        _write_json(args.telemetry, telemetry.as_dict())
+        dump_json(telemetry.as_dict(), args.telemetry)
         parts = [
             f"{telemetry.counters.get(name, 0.0):.0f} {label}"
             for name, label in (counts or {}).items()
@@ -616,15 +621,6 @@ def _finish_grid(args, result, frontier, job_stage: str, counts=None) -> int:
     elif args.check_monotone:
         print("frontier monotonicity: ok")
     return 1 if not result.ok else 0
-
-
-def _write_json(path: str, doc: dict) -> None:
-    import json
-    from pathlib import Path
-
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_stream(args) -> int:
@@ -760,10 +756,10 @@ def cmd_stream(args) -> int:
     doc = report.as_dict()
     if args.telemetry:
         doc["telemetry"] = telemetry.snapshot.as_dict()
-        _write_json(args.telemetry, doc["telemetry"])
+        dump_json(doc["telemetry"], args.telemetry)
         print(f"telemetry JSON written to {args.telemetry}")
     if args.json:
-        _write_json(args.json, doc)
+        dump_json(doc, args.json)
         print(f"stream metrics JSON written to {args.json}")
     return 0 if report.ok else 1
 
@@ -781,9 +777,14 @@ def _guard_policy(args):
 def _stream_fleet(args, attacks, attack_kwargs, guard_policy) -> int:
     from .fleet import FleetRunner, FleetSpec
 
-    spec = FleetSpec(
-        n_homes=args.homes, days=args.days, seed=args.seed, mix=_split(args.mix)
-    )
+    try:
+        spec = FleetSpec(
+            n_homes=args.homes, days=args.days, seed=args.seed,
+            mix=_split(args.mix),
+        )
+    except ValueError as exc:
+        print(f"stream: {exc}", file=sys.stderr)
+        return 2
     result = FleetRunner(**_supervisor(args)).run_streaming(
         spec,
         attacks=attacks,
@@ -810,7 +811,7 @@ def _stream_fleet(args, attacks, attack_kwargs, guard_policy) -> int:
         print(f"  FAILED home {failure.index} ({failure.preset}) after "
               f"{failure.attempts} attempt(s): {failure.error}")
     if args.json:
-        _write_json(args.json, {
+        dump_json({
             "n_homes": len(result.results),
             "elapsed_s": result.elapsed_s,
             "workers_used": result.workers_used,
@@ -818,10 +819,10 @@ def _stream_fleet(args, attacks, attack_kwargs, guard_policy) -> int:
             "pool_rebuilds": result.pool_rebuilds,
             "homes": [home.as_dict() for home in result.results],
             "failures": [f.as_dict() for f in result.failures],
-        })
+        }, args.json)
         print(f"stream fleet JSON written to {args.json}")
     if args.telemetry and result.telemetry is not None:
-        _write_json(args.telemetry, result.telemetry.as_dict())
+        dump_json(result.telemetry.as_dict(), args.telemetry)
         print(f"telemetry JSON written to {args.telemetry}")
     return 0 if result.ok else 1
 
@@ -921,9 +922,22 @@ def _supervisor(args) -> dict:
 
 
 def _preflight(args) -> str | None:
-    """Why a supervised command must not start, or ``None``: out-of-range
-    supervisor and gate flags, or a malformed fault plan in the env, are
-    refused before any job runs."""
+    """Why a command must not start, or ``None``: a day count below 1 or
+    an unknown defense, and for a supervised command out-of-range
+    supervisor and gate flags or a malformed fault plan in the env, are
+    refused before anything is simulated or any job runs."""
+    if getattr(args, "days", 1) < 1:
+        return "--days must be >= 1"
+    if args.command == "defend":
+        from .core.registry import RegistryError, defense_factory
+
+        try:
+            defense_factory(args.defense)
+        except RegistryError as exc:
+            return exc.args[0]
+    if args.command not in SUPERVISED:
+        return None
+
     from .fleet.faults import FaultPlan
     from .obs import FaultPlanError
     from .stream.faults import StreamFaultPlan
@@ -964,11 +978,10 @@ SUPERVISED = ("fleet", "sweep", "netpriv", "stream")
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command in SUPERVISED:
-        problem = _preflight(args)
-        if problem is not None:
-            print(f"{args.command}: {problem}", file=sys.stderr)
-            return 2
+    problem = _preflight(args)
+    if problem is not None:
+        print(f"{args.command}: {problem}", file=sys.stderr)
+        return 2
     return COMMANDS[args.command](args)
 
 

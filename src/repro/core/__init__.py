@@ -48,7 +48,6 @@ from .registry import (
     make_niom_attack,
     niom_attack_names,
     register_defense,
-    register_niom_attack,
 )
 
 __all__ = [
@@ -87,5 +86,4 @@ __all__ = [
     "make_niom_attack",
     "niom_attack_names",
     "register_defense",
-    "register_niom_attack",
 ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..attacks.niom import ClusterNIOM, HMMNIOM, ThresholdNIOM, score_occupancy_attack
+from ..attacks.niom import HMMNIOM, ThresholdNIOM, score_occupancy_attack
 from ..defenses.base import DefenseOutcome
 from ..timeseries import BinaryTrace, PowerTrace
 

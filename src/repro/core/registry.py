@@ -1,15 +1,14 @@
 """Name-based registries for attacks and defenses.
 
 Benchmarks, the knob, and downstream users refer to attacks/defenses by
-name; the registries make the set extensible without touching benchmark
-code (register your own, then sweep it alongside the built-ins).
+name.  Register your own defense, then sweep it alongside the built-ins;
+a NIOM detector's name is its name in ``DEFAULT_DETECTORS``.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ..attacks.niom import ClusterNIOM, HMMNIOM, ThresholdNIOM
 from ..defenses.base import IdentityDefense, TraceDefense
 from ..defenses.battery import NILLDefense, SteppedDefense
 from ..defenses.chpr import CHPrTraceDefense
@@ -19,9 +18,9 @@ from ..defenses.smoothing import (
     NoiseInjectionDefense,
     SmoothingDefense,
 )
+from .evaluation import DEFAULT_DETECTORS
 
 _DEFENSES: dict[str, Callable[[], TraceDefense]] = {}
-_NIOM_ATTACKS: dict[str, Callable[[], object]] = {}
 
 
 class RegistryError(KeyError):
@@ -43,40 +42,43 @@ def make_defense(name: str) -> TraceDefense:
     fully parametrized defense as a plain string — through pickled fleet
     jobs and content-addressed cache keys — with no schema changes.
     """
+    return defense_factory(name)()
+
+
+def defense_factory(name: str) -> Callable[[], TraceDefense]:
+    """The factory :func:`make_defense` calls, found without building;
+    :class:`RegistryError` for a name neither registered nor a knob form
+    with an energy mapping."""
     if "@" in name:
         # function-level import: knob.py imports this module for names
-        from .knob import knob_defense, parse_knob_name
+        from .knob import knob_defense, knob_mapping, parse_knob_name
 
         base, setting = parse_knob_name(name)
-        return knob_defense(base, setting)
+        knob_mapping(base)
+        return lambda: knob_defense(base, setting)
     if name not in _DEFENSES:
         raise RegistryError(
             f"unknown defense {name!r}; available: {sorted(_DEFENSES)}"
         )
-    return _DEFENSES[name]()
+    return _DEFENSES[name]
 
 
 def defense_names() -> list[str]:
     return sorted(_DEFENSES)
 
 
-def register_niom_attack(name: str, factory: Callable[[], object]) -> None:
-    """Register a NIOM detector factory under a unique name."""
-    if name in _NIOM_ATTACKS:
-        raise RegistryError(f"attack {name!r} already registered")
-    _NIOM_ATTACKS[name] = factory
-
-
 def make_niom_attack(name: str):
-    if name not in _NIOM_ATTACKS:
+    """Build the detector :data:`DEFAULT_DETECTORS` names ``name``."""
+    factories = dict(DEFAULT_DETECTORS)
+    if name not in factories:
         raise RegistryError(
-            f"unknown attack {name!r}; available: {sorted(_NIOM_ATTACKS)}"
+            f"unknown attack {name!r}; available: {niom_attack_names()}"
         )
-    return _NIOM_ATTACKS[name]()
+    return factories[name]()
 
 
 def niom_attack_names() -> list[str]:
-    return sorted(_NIOM_ATTACKS)
+    return sorted(name for name, _ in DEFAULT_DETECTORS)
 
 
 # built-ins
@@ -88,8 +90,3 @@ register_defense("dp-laplace", lambda: LaplaceReleaseDefense())
 register_defense("smoothing", lambda: SmoothingDefense())
 register_defense("coarsening", lambda: CoarseningDefense())
 register_defense("noise", lambda: NoiseInjectionDefense())
-
-register_niom_attack("threshold-15m", lambda: ThresholdNIOM())
-register_niom_attack("threshold-60m", lambda: ThresholdNIOM(window_s=3600.0))
-register_niom_attack("cluster", lambda: ClusterNIOM(rng=0))
-register_niom_attack("hmm", lambda: HMMNIOM(rng=0))

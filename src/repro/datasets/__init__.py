@@ -7,7 +7,7 @@ from .builders import (
     fig6_dataset,
     population_dataset,
 )
-from .io import load_trace_csv, save_rows_csv, save_trace_csv
+from .io import dump_json, load_trace_csv, save_rows_csv, save_trace_csv
 
 __all__ = [
     "fig1_dataset",
@@ -15,6 +15,7 @@ __all__ = [
     "fig5_dataset",
     "fig6_dataset",
     "population_dataset",
+    "dump_json",
     "load_trace_csv",
     "save_rows_csv",
     "save_trace_csv",

@@ -1,13 +1,15 @@
-"""CSV import/export for power traces.
+"""CSV import/export for power traces, and the report writers.
 
 Lets users bring their own AMI exports (or public datasets like REDD/
 Dataport, converted to two-column CSV) into the attack/defense pipeline,
-and ship simulator output to other tools.
+and ship simulator output to other tools.  Every export makes its
+directory.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ HEADER = ("time_s", "power_w")
 def save_trace_csv(trace: PowerTrace, path: str | Path) -> None:
     """Write a trace as ``time_s,power_w`` rows with a header."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(HEADER)
@@ -86,6 +89,7 @@ def save_rows_csv(
     reports compare exactly.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -93,3 +97,14 @@ def save_rows_csv(
             writer.writerow(
                 [repr(cell) if isinstance(cell, float) else cell for cell in row]
             )
+
+
+def dump_json(doc: dict, path: str | Path | None = None) -> str:
+    """Serialize a report document (indent 2, sorted keys), and with
+    ``path`` write it there plus a newline: every JSON export's writer."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if path is not None:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text + "\n")
+    return text

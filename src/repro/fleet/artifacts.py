@@ -79,13 +79,6 @@ class Artifact:
                 "refusing to certify against empty evidence"
             )
 
-    def metric_names(self) -> tuple[str, ...]:
-        """Every metric name any row carries, sorted."""
-        names: set[str] = set()
-        for row in self.rows:
-            names.update(row.metrics)
-        return tuple(sorted(names))
-
 
 def _as_float(value: object, where: str) -> float:
     if isinstance(value, bool):

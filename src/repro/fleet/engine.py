@@ -646,10 +646,13 @@ class FleetRunner:
         values, attack failures, checkpoint writes) merges into the
         totals.  Each attack is built once from its name and
         ``attack_kwargs`` before any job is dispatched, so an unknown
-        name or a bad kwarg raises here instead of failing every home.
+        name, a bad kwarg or a ``chunk_samples`` below 1 raises here
+        instead of failing every home.
         """
         from ..stream import make_stream_attack, stream_attack_names
 
+        if chunk_samples < 1:
+            raise ValueError("chunk_samples must be >= 1")
         unknown = set(attacks) - set(stream_attack_names())
         if unknown:
             raise ValueError(

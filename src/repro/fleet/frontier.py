@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, get_type_hints
 
 from ..core.knob import dial_violations
+from ..datasets.io import dump_json, save_rows_csv
 from .report import PopulationStats
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (sweep imports us)
@@ -119,10 +120,7 @@ class Frontier:
         return {"points": [asdict(p) for p in self.points]}
 
     def to_json(self, path: str | Path | None = None) -> str:
-        doc = json.dumps(self.as_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            Path(path).write_text(doc + "\n")
-        return doc
+        return dump_json(self.as_dict(), path)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Frontier":
@@ -149,8 +147,6 @@ class Frontier:
         )
 
     def to_csv(self, path: str | Path) -> Path:
-        from ..datasets.io import save_rows_csv
-
         path = Path(path)
         save_rows_csv(path, self.CSV_HEADER, self.csv_rows())
         return path

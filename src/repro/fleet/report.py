@@ -11,12 +11,12 @@ text, JSON, or CSV.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..datasets.io import dump_json, save_rows_csv
 from .engine import FleetResult, HomeFailure
 
 BASELINE = "baseline"
@@ -222,10 +222,7 @@ class FleetReport:
         }
 
     def to_json(self, path: str | Path | None = None) -> str:
-        doc = json.dumps(self.as_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            Path(path).write_text(doc + "\n")
-        return doc
+        return dump_json(self.as_dict(), path)
 
     CSV_HEADER = (
         "defense",
@@ -264,8 +261,6 @@ class FleetReport:
         the main table) so both stay machine-readable.  Returns the paths
         written.
         """
-        from ..datasets.io import save_rows_csv
-
         path = Path(path)
         save_rows_csv(path, self.CSV_HEADER, self.csv_rows())
         written = [path]

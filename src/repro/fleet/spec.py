@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.evaluation import DEFAULT_DETECTORS
+from ..core.registry import RegistryError, defense_factory, defense_names
 from ..home.fingerprint import config_fingerprint
 from ..home.household import HomeConfig
 from ..home.presets import make_preset, preset_names
@@ -99,7 +100,8 @@ class FleetSpec:
         Preset names cycled over the population (home *i* uses
         ``mix[i % len(mix)]``).  Defaults to all-random homes.
     defenses:
-        Registered defense names to sweep; ``None`` means all registered.
+        Defense names to sweep, each registered or a mapped
+        ``name@setting``; ``None`` means all registered.
     detectors:
         NIOM detector names from the fleet detector table.
     """
@@ -134,12 +136,15 @@ class FleetSpec:
                 f"unknown detectors: {sorted(unknown)}; "
                 f"available: {sorted(DEFAULT_FLEET_DETECTORS)}"
             )
+        for name in self.defenses or ():
+            try:
+                defense_factory(name)
+            except RegistryError as exc:
+                raise ValueError(exc.args[0]) from None
 
     def resolved_defenses(self) -> tuple[str, ...]:
         if self.defenses is not None:
             return self.defenses
-        from ..core.registry import defense_names
-
         return tuple(defense_names())
 
     def job(self, index: int) -> HomeJob:

@@ -134,11 +134,3 @@ def simulate_occupancy(
         else:
             day += 1
     return BinaryTrace(home, period_s, 0.0)
-
-
-def occupancy_for_span(
-    occupancy: BinaryTrace, t0_s: float, t1_s: float
-) -> float:
-    """Fraction of ``[t0_s, t1_s)`` during which the home is occupied."""
-    part = occupancy.slice_time(t0_s, t1_s)
-    return part.fraction_true()

@@ -50,14 +50,6 @@ class WaterHeaterConfig:
     def thermal_mass_j_per_k(self) -> float:
         return self.tank_liters * WATER_HEAT_CAPACITY_J_PER_L_K
 
-    def storable_energy_kwh(self) -> float:
-        """Energy between min delivery temp and setpoint — the CHPr budget."""
-        return (
-            self.thermal_mass_j_per_k
-            * (self.setpoint_c - self.min_delivery_c)
-            / 3.6e6
-        )
-
 
 class WaterHeaterTank:
     """Mutable tank state advanced one sample at a time.

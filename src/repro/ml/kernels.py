@@ -125,7 +125,7 @@ def forward_scaled_loop(
 def backward_scaled_loop(
     transmat: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
-    """Reference scaled backward pass (pre-vectorization loop)."""
+    """Reference scaled backward pass; also the streamed HMM smoother."""
     n, k = b.shape
     beta = np.empty((n, k))
     beta[-1] = 1.0

@@ -107,6 +107,3 @@ class KMeans:
         X = check_features(X)
         labels, _ = self._assign(X, self.centroids_)
         return labels
-
-    def fit_predict(self, X) -> np.ndarray:
-        return self.fit(X).predict(X)

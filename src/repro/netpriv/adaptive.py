@@ -42,7 +42,7 @@ from ..ml import LogisticRegression, StandardScaler
 from ..obs import TELEMETRY
 from ..timeseries import BinaryTrace
 from .devices import Device
-from .fingerprint import DeviceFingerprinter, FingerprintReport, device_window_features
+from .fingerprint import DeviceFingerprinter, device_window_features
 from .flows import FlowLog, flow_log_digest
 from .lan import LanConfig, simulate_lan
 from .shaping import make_shaper
@@ -261,10 +261,6 @@ class ArmsRaceOutcome:
             "adaptive_advantage": self.adaptive_advantage,
             "shaped_digest": self.shaped_digest,
         }
-
-
-def _fingerprint_scores(report: FingerprintReport) -> tuple[float, float]:
-    return report.accuracy, report.macro_f1
 
 
 def evaluate_arms_race(

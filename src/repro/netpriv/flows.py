@@ -42,10 +42,6 @@ class Flow:
         if self.duration_s < 0:
             raise ValueError("duration cannot be negative")
 
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_up + self.bytes_down
-
 
 @dataclass
 class FlowLog:

@@ -53,12 +53,6 @@ class LanSimulation:
     log: FlowLog
     duration_s: float
 
-    def device_by_id(self, device_id: str) -> Device:
-        for device in self.devices:
-            if device.device_id == device_id:
-                return device
-        raise KeyError(f"unknown device {device_id!r}")
-
 
 def simulate_lan(
     config: LanConfig,

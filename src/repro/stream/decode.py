@@ -125,15 +125,9 @@ class StreamingHMMDecoder:
 
     def finalize(self) -> np.ndarray:
         """Label the held-back tail with the exact suffix backward pass."""
-        if self._emit >= self._total:
-            return np.empty(0, dtype=int)
         # beta = 1 at the true last sample is the batch boundary condition,
         # so the final block is smoothed exactly as a batch pass smooths it.
-        labels = self._smooth_block(self._total - self._emit)
-        self._labels.append(labels)
-        self._advance(self._total - self._emit)
-        self._emit = self._total
-        return labels
+        return self._flush()
 
     def resync(self, gap_samples: int = 0) -> np.ndarray:
         """Treat a feed discontinuity as a segment boundary.
@@ -147,13 +141,7 @@ class StreamingHMMDecoder:
         the flush released.
         """
         del gap_samples  # labels are indexed by consumed sample, not clock
-        pending = self._total - self._emit
-        released = np.empty(0, dtype=int)
-        if pending > 0:
-            released = self._smooth_block(pending)
-            self._labels.append(released)
-            self._advance(pending)
-            self._emit = self._total
+        released = self._flush()
         self._alpha_prev = None
         return released
 
@@ -214,24 +202,29 @@ class StreamingHMMDecoder:
             return np.concatenate(released)
         return np.empty(0, dtype=int)
 
+    def _flush(self) -> np.ndarray:
+        """Label every held-back sample, with beta = 1 at the last one."""
+        pending = self._total - self._emit
+        if pending <= 0:
+            return np.empty(0, dtype=int)
+        labels = self._smooth_block(pending)
+        self._labels.append(labels)
+        self._advance(pending)
+        self._emit = self._total
+        return labels
+
     def _smooth_block(self, window: int) -> np.ndarray:
         """Backward pass over buffer rows [0, window), beta = 1 at its end.
 
-        Identical arithmetic to :func:`kernels.backward_scaled_loop` over
-        that window; the resulting posteriors are ``alpha * beta``
-        argmaxes.  Normalization of gamma is skipped — argmax over a row
-        is unchanged by a positive row scale.
+        :func:`kernels.backward_scaled_loop` over that window; the
+        resulting posteriors are ``alpha * beta`` argmaxes.  Normalization
+        of gamma is skipped — argmax over a row is unchanged by a positive
+        row scale.
         """
-        a = self.hmm.transmat_
-        b = self._b_buf[:window]
-        c = self._c_buf[:window]
-        alpha = self._alpha_buf[:window]
-        k = a.shape[0]
-        beta = np.empty((window, k))
-        beta[-1] = 1.0
-        for t in range(window - 2, -1, -1):
-            beta[t] = (a @ (b[t + 1] * beta[t + 1])) / c[t + 1]
-        return np.argmax(alpha * beta, axis=1)
+        beta = kernels.backward_scaled_loop(
+            self.hmm.transmat_, self._b_buf[:window], self._c_buf[:window]
+        )
+        return np.argmax(self._alpha_buf[:window] * beta, axis=1)
 
     def _advance(self, n: int) -> None:
         self._alpha_buf = self._alpha_buf[n:]

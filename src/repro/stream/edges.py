@@ -21,9 +21,10 @@ batch slice holds.  The equivalence is pinned by
 
 :class:`StreamingHartPairer` carries the other seam state of Hart's
 method: rising edges whose falling partner has not arrived yet stay in
-the open set across pushes, reproducing :func:`repro.timeseries.pair_edges`
-greedy decisions exactly.  :class:`StreamingHart` chains the two into
-the one engine the ``edges`` stream attack drives.
+the open set across pushes, and each push runs the greedy loop
+:func:`repro.timeseries.pair_edges` runs, so it makes the same
+decisions.  :class:`StreamingHart` chains the two into the one engine
+the ``edges`` stream attack drives.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from ..obs import TELEMETRY
 from ..timeseries import Edge
+from ..timeseries.events import match_falls
 from .source import StreamClock
 
 
@@ -232,8 +234,9 @@ class StreamingEdgeDetector:
 class StreamingHartPairer:
     """Incremental rise/fall matching over a finalized edge stream.
 
-    Replays :func:`repro.timeseries.pair_edges` greedy policy one edge at
-    a time: each falling edge matches the most recent unmatched rising
+    Runs :func:`repro.timeseries.pair_edges`' greedy rule
+    (:func:`~repro.timeseries.events.match_falls`) over each push's
+    edges: each falling edge matches the most recent unmatched rising
     edge within ``tolerance_w`` (and ``max_gap_s``, when set).  The open
     rising edges are the seam state — an appliance switched on in one
     chunk pairs with its off-edge chunks later, exactly as the batch pass
@@ -250,26 +253,9 @@ class StreamingHartPairer:
 
     def feed(self, edges: list[Edge]) -> list[tuple[Edge, Edge]]:
         """Consume newly finalized edges; return the pairs they closed."""
-        closed: list[tuple[Edge, Edge]] = []
-        for edge in edges:
-            if edge.is_rising:
-                self._open_rises.append(edge)
-                continue
-            best: Edge | None = None
-            for rise in reversed(self._open_rises):
-                if (
-                    self.max_gap_s is not None
-                    and edge.time_s - rise.time_s > self.max_gap_s
-                ):
-                    # same early termination as pair_edges: older rises
-                    # only have larger gaps
-                    break
-                if abs(rise.delta_w + edge.delta_w) <= self.tolerance_w:
-                    best = rise
-                    break
-            if best is not None:
-                self._open_rises.remove(best)
-                closed.append((best, edge))
+        closed = match_falls(
+            edges, self._open_rises, self.tolerance_w, self.max_gap_s
+        )
         self._pairs.extend(closed)
         return closed
 

@@ -3,15 +3,15 @@
 :class:`StreamingThresholdNIOM` mirrors
 :class:`repro.attacks.ThresholdNIOM` exactly.  The feature extraction is
 incremental — each completed decision window's (mean, std, range, edge
-count) row is computed the moment its last sample arrives, from the same
-contiguous float64 block the batch reshape sees, so the accumulated
-feature matrix is bitwise-identical to :func:`repro.timeseries.window_features`
-for every chunking.  The calibration step (quietest-windows baseline)
-is *global* in the batch attack — it ranks all windows — so the final
-labels are produced at :meth:`finalize`, bitwise-equal to the batch
-``detect``.  While the stream is live, :meth:`provisional_occupancy`
-applies the same calibration to the windows seen so far, which is what an
-online observer actually has.
+count) row is computed the moment its last sample arrives, by the
+reduction :func:`repro.timeseries.window_features` runs, so the
+accumulated feature matrix is bitwise-identical to the batch one for
+every chunking.  The calibration step (quietest-windows baseline) is
+*global* in the batch attack — it ranks all windows — so the final
+labels are produced at :meth:`finalize`, by the batch attack's own
+:meth:`~repro.attacks.ThresholdNIOM.decide`.  While the stream is live,
+:meth:`provisional_occupancy` applies the same decision to the windows
+seen so far, which is what an online observer actually has.
 
 Seam state carried across pushes: the partial window buffer (fewer than
 ``block`` samples) and the accumulated feature rows.
@@ -21,18 +21,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..attacks.niom import NIOMResult, _apply_night_prior
+from ..attacks.niom import NIOMResult, ThresholdNIOM, _window_clock
 from ..obs import TELEMETRY
-from ..timeseries import BinaryTrace
+from ..timeseries.stats import block_features
 from .source import StreamClock
 
 
 class StreamingThresholdNIOM:
     """Push-based :class:`~repro.attacks.ThresholdNIOM`.
 
-    Parameters match the batch attack.  ``open`` fixes the window clock,
-    ``push`` consumes sample chunks in O(chunk), ``finalize`` runs the
-    global quiet-baseline calibration and returns the same
+    Parameters match the batch attack, which checks them.  ``open``
+    fixes the window clock, ``push`` consumes sample chunks in O(chunk),
+    ``finalize`` runs the batch attack's global quiet-baseline
+    calibration and returns the same
     :class:`~repro.attacks.niom.NIOMResult` the batch attack returns.
     """
 
@@ -44,17 +45,12 @@ class StreamingThresholdNIOM:
         std_margin: float = 2.5,
         night_prior: bool = False,
     ) -> None:
-        if not 0.0 < baseline_quantile < 0.5:
-            raise ValueError("baseline_quantile must be in (0, 0.5)")
-        if mean_margin <= 1.0 or std_margin <= 1.0:
-            raise ValueError("margins must exceed 1.0")
-        self.window_s = float(window_s)
-        self.baseline_quantile = baseline_quantile
-        self.mean_margin = mean_margin
-        self.std_margin = std_margin
-        self.night_prior = night_prior
+        self.detector = ThresholdNIOM(
+            float(window_s), baseline_quantile, mean_margin, std_margin,
+            night_prior,
+        )
         self._clock = StreamClock(1.0)
-        self._eff_window_s = self.window_s
+        self._eff_window_s = self.detector.window_s
         self._block = 1
         self._buffer = np.empty(0)
         self._rows: list[np.ndarray] = []
@@ -68,7 +64,7 @@ class StreamingThresholdNIOM:
         self._clock = clock
         # Same clamp as the batch _window_clock: never decide finer than
         # the feed itself (a coarsened defense output stays decidable).
-        self._eff_window_s = max(self.window_s, clock.period_s)
+        self._eff_window_s = max(self.detector.window_s, clock.period_s)
         self._block = int(round(self._eff_window_s / clock.period_s))
         if self._block < 1:
             raise ValueError("window shorter than one sample period")
@@ -88,38 +84,24 @@ class StreamingThresholdNIOM:
             else values
         )
         n_complete = len(work) // self._block
-        for w in range(n_complete):
-            block = work[w * self._block : (w + 1) * self._block]
-            self._rows.append(self._feature_row(block))
+        if n_complete:
+            blocks = work[: n_complete * self._block]
+            self._rows.extend(
+                block_features(blocks.reshape(n_complete, self._block))
+            )
         self._buffer = work[n_complete * self._block :].copy()
         TELEMETRY.count("stream.niom.windows", n_complete)
         return n_complete
 
     def finalize(self) -> NIOMResult:
         """Global calibration over all windows — the exact batch output."""
-        duration_s = self._total * self._clock.period_s
-        if int(duration_s // self._eff_window_s) < 4:
-            raise ValueError("trace too short for occupancy detection")
-        features = np.stack(self._rows)
-        means = features[:, 0]
-        stds = features[:, 1]
-        n_base = max(3, int(len(means) * self.baseline_quantile))
-        quiet = np.argsort(means)[:n_base]
-        base_mean = float(np.median(means[quiet])) + 1.0
-        base_std = float(np.median(stds[quiet])) + 1.0
-        occupied = (means > self.mean_margin * base_mean) | (
-            stds > self.std_margin * base_std
+        window_s = _window_clock(
+            self.detector.window_s,
+            self._clock.period_s,
+            self._total * self._clock.period_s,
         )
-        occupied = occupied.astype(int)
-        if self.night_prior:
-            occupied = _apply_night_prior(
-                occupied, self._eff_window_s, self._clock.start_s
-            )
-        return NIOMResult(
-            occupancy=BinaryTrace(
-                occupied, self._eff_window_s, self._clock.start_s
-            ),
-            features=features,
+        return self.detector.decide(
+            np.stack(self._rows), window_s, self._clock.start_s
         )
 
     def provisional_occupancy(self) -> np.ndarray | None:
@@ -134,22 +116,10 @@ class StreamingThresholdNIOM:
         """
         if len(self._rows) < 4:
             return None
-        features = np.stack(self._rows)
-        means = features[:, 0]
-        stds = features[:, 1]
-        n_base = max(3, int(len(means) * self.baseline_quantile))
-        quiet = np.argsort(means)[:n_base]
-        base_mean = float(np.median(means[quiet])) + 1.0
-        base_std = float(np.median(stds[quiet])) + 1.0
-        occupied = (means > self.mean_margin * base_mean) | (
-            stds > self.std_margin * base_std
+        result = self.detector.decide(
+            np.stack(self._rows), self._eff_window_s, self._clock.start_s
         )
-        occupied = occupied.astype(int)
-        if self.night_prior:
-            occupied = _apply_night_prior(
-                occupied, self._eff_window_s, self._clock.start_s
-            )
-        return occupied
+        return result.occupancy.values
 
     def resync(self, gap_samples: int = 0) -> None:
         """Reset seam state at a feed discontinuity.
@@ -167,36 +137,18 @@ class StreamingThresholdNIOM:
         self._buffer = np.empty(0)
         self._total += int(gap_samples)
 
-    @property
-    def n_windows(self) -> int:
-        return len(self._rows)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _feature_row(block: np.ndarray) -> np.ndarray:
-        # One row of repro.timeseries.window_features, over the identical
-        # contiguous float64 block the batch reshape addresses — every
-        # reduction therefore returns bitwise-identical values.
-        mean = block.mean()
-        std = block.std()
-        rng = block.max() - block.min()
-        diffs = np.abs(np.diff(block))
-        threshold = 2.0 * max(std, 1.0)
-        edge_count = float((diffs > threshold).sum())
-        return np.array([mean, std, rng, edge_count])
-
     # ------------------------------------------------------------------
     # Resume
     # ------------------------------------------------------------------
+    #: the detector parameters a saved state must match
+    _PARAMS = (
+        "window_s", "baseline_quantile", "mean_margin", "std_margin",
+        "night_prior",
+    )
+
     def state_dict(self) -> dict:
         return {
-            "window_s": self.window_s,
-            "baseline_quantile": self.baseline_quantile,
-            "mean_margin": self.mean_margin,
-            "std_margin": self.std_margin,
-            "night_prior": self.night_prior,
+            **{key: getattr(self.detector, key) for key in self._PARAMS},
             "clock": self._clock.as_dict(),
             "buffer": self._buffer.copy(),
             "rows": [r.copy() for r in self._rows],
@@ -205,15 +157,8 @@ class StreamingThresholdNIOM:
         }
 
     def load_state(self, state: dict) -> None:
-        for key in (
-            "window_s",
-            "baseline_quantile",
-            "mean_margin",
-            "std_margin",
-            "night_prior",
-        ):
-            if state[key] != getattr(self, key):
-                raise ValueError("state was saved with different parameters")
+        if any(state[k] != getattr(self.detector, k) for k in self._PARAMS):
+            raise ValueError("state was saved with different parameters")
         self._clock = StreamClock(**state["clock"])
         self._opened = bool(state["opened"])
         if self._opened:

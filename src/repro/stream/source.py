@@ -57,10 +57,7 @@ def iter_chunks(values: np.ndarray, chunk_samples: int) -> Iterator[np.ndarray]:
     (a replayed stream must cover the trace, unlike the windowed views
     used by batch feature extraction which drop partial tails).
     """
-    if chunk_samples < 1:
-        raise ValueError("chunk_samples must be >= 1")
-    for i in range(0, len(values), chunk_samples):
-        yield values[i : i + chunk_samples]
+    return (chunk for _, chunk in tagged_chunks(values, chunk_samples))
 
 
 def tagged_chunks(

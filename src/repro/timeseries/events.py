@@ -152,7 +152,24 @@ def pair_edges(
     to the most recent unmatched rising edge within ``tolerance_w``.
     Returns (rise, fall) pairs ordered by rise time.
     """
-    open_rises: list[Edge] = []
+    pairs = match_falls(edges, [], tolerance_w, max_gap_s)
+    pairs.sort(key=lambda p: p[0].time_s)
+    return pairs
+
+
+def match_falls(
+    edges: list[Edge],
+    open_rises: list[Edge],
+    tolerance_w: float,
+    max_gap_s: float | None,
+) -> list[tuple[Edge, Edge]]:
+    """Hart's greedy rule over time-ordered ``edges``, resumable.
+
+    ``open_rises`` holds the rising edges still waiting for a fall; it is
+    updated in place, so :func:`pair_edges` (one call over a whole edge
+    list) and the streamed pairer (one call per chunk's edges) make the
+    same decisions.  Returns the (rise, fall) pairs closed, in fall order.
+    """
     pairs: list[tuple[Edge, Edge]] = []
     for edge in edges:
         if edge.is_rising:
@@ -175,5 +192,4 @@ def pair_edges(
         if best is not None:
             open_rises.remove(best)
             pairs.append((best, edge))
-    pairs.sort(key=lambda p: p[0].time_s)
     return pairs

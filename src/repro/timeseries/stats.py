@@ -13,17 +13,6 @@ import numpy as np
 from .series import PowerTrace, TraceError
 
 
-def rolling_apply(values: np.ndarray, window: int, func) -> np.ndarray:
-    """Apply ``func`` over trailing windows (min 1 sample at the start)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    out = np.empty(len(values))
-    for i in range(len(values)):
-        lo = max(0, i - window + 1)
-        out[i] = func(values[lo : i + 1])
-    return out
-
-
 def rolling_mean(trace: PowerTrace, window_s: float) -> np.ndarray:
     """Trailing mean over ``window_s`` seconds, evaluated at every sample."""
     window = _window_samples(trace, window_s)
@@ -69,11 +58,20 @@ def window_features(trace: PowerTrace, window_s: float) -> np.ndarray:
     n_windows = len(trace.values) // block
     if n_windows == 0:
         raise ValueError("trace shorter than one feature window")
-    # Non-overlapping equal windows are just rows of a reshape; every
-    # reduction below runs over the same contiguous float64 block the
-    # per-window loop saw, so results are bitwise identical to
-    # repro.timeseries._reference.window_features_loop.
+    # Non-overlapping equal windows are just rows of a reshape.
     blocks = trace.values[: n_windows * block].reshape(n_windows, block)
+    return block_features(blocks)
+
+
+def block_features(blocks: np.ndarray) -> np.ndarray:
+    """The NIOM feature rows of a ``(n_windows, block)`` array of windows.
+
+    :func:`window_features` and the streamed NIOM both reduce through
+    here.  Each reduction runs along a row, over the float64 values the
+    per-window loop sees, so rows are bitwise identical to
+    :func:`repro.timeseries._reference.window_features_loop` however the
+    windows are grouped into calls.
+    """
     means = blocks.mean(axis=1)
     stds = blocks.std(axis=1)
     ranges = blocks.max(axis=1) - blocks.min(axis=1)

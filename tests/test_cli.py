@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -75,10 +78,6 @@ class TestCLI:
         assert "knob mappings" in out
         assert "name@setting" in out
 
-    def test_unknown_defense_raises(self):
-        with pytest.raises(Exception):
-            main(["defend", "no-such-defense", "--days", "4"])
-
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -137,6 +136,45 @@ class TestSupervisedPreflight:
         monkeypatch.setenv(env, doc)
         assert main(argv) == 2
         assert env in capsys.readouterr().err
+
+
+class TestInputRefusal:
+    """A bad population, day count or defense name exits 2 with one
+    stderr line, before anything is simulated or any job runs."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        from repro.fleet import FleetRunner
+
+        def refuse(*_args, **_kwargs):
+            pytest.fail("the command ran before refusing")
+
+        monkeypatch.setattr(FleetRunner, "run_jobs", refuse)
+        monkeypatch.setattr("repro.home.simulate_home", refuse)
+        monkeypatch.setattr("repro.solar.simulate_generation", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--homes", "0", "--days", "1"],
+        ["fleet", "--homes", "1", "--days", "0"],
+        ["fleet", "--homes", "1", "--days", "1", "--mix", "nosuch"],
+        ["fleet", "--homes", "1", "--days", "1", "--defenses", "nosuch"],
+        ["stream", "--homes", "2", "--days", "1", "--mix", "nosuch"],
+        ["simulate", "--days", "0"],
+        ["attack", "--days", "0"],
+        ["knob", "--days", "0"],
+        ["localize", "--days", "0"],
+        ["stream", "--home", "home-a", "--days", "0"],
+        ["defend", "nosuch"],
+    ], ids=[
+        "fleet-homes", "fleet-days", "fleet-mix", "fleet-defenses",
+        "stream-fleet-mix", "simulate-days", "attack-days", "knob-days",
+        "localize-days", "stream-days", "defend-unknown",
+    ])
+    def test_bad_input_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestSweepCLI:
@@ -253,3 +291,47 @@ class TestSweepCLI:
     def test_check_monotone_passes_on_sane_grid(self, capsys):
         assert main(SWEEP_ARGS + ["--check-monotone"]) == 0
         assert "frontier monotonicity: ok" in capsys.readouterr().out
+
+
+class TestExportDirectories:
+    """An export into a missing directory creates it and writes the bytes
+    the same export writes into an existing one."""
+
+    ONE_HOME = ["--homes", "1", "--days", "1", "--mix", "home-a"]
+
+    @pytest.fixture(scope="class")
+    def claims_argv(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("claims")
+        frontier = work / "frontier.json"
+        assert main(["sweep", "--defenses", "nill", "--settings", "0,1",
+                     *self.ONE_HOME, "--json", str(frontier)]) == 0
+        claims = work / "claims.json"
+        claims.write_text(json.dumps({"title": "t", "claims": [
+            {"id": "ok", "metric": "mcc.mean", "op": "<=", "bound": 1.0},
+        ]}))
+        return ["claims", "--claims", str(claims),
+                "--artifact", str(frontier)]
+
+    @pytest.mark.parametrize("command,flag", [
+        ("sweep", "--csv"), ("sweep", "--json"),
+        ("fleet", "--csv"), ("fleet", "--json"),
+        ("claims", "--md"), ("claims", "--json"),
+    ])
+    def test_export_creates_missing_directory(
+        self, command, flag, claims_argv, tmp_path, capsys
+    ):
+        argv = {
+            "sweep": ["sweep", "--defenses", "nill", "--settings", "0,1",
+                      *self.ONE_HOME],
+            "fleet": ["fleet", *self.ONE_HOME, "--defenses", "nill"],
+            "claims": claims_argv,
+        }[command]
+
+        def export(path):
+            assert main(argv + [flag, str(path)]) == 0
+            # a fleet report records its own wall time
+            return re.sub(rb'"elapsed_s": [^,\n]+', b"", path.read_bytes())
+
+        assert export(tmp_path / "new" / "dir" / "out") == export(
+            tmp_path / "out"
+        )

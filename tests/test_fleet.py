@@ -83,6 +83,17 @@ class TestSeeding:
         with pytest.raises(IndexError):
             FleetSpec(n_homes=2).job(2)
 
+    @pytest.mark.parametrize(
+        "name", ["nosuch", "nosuch@0", "nosuch@0.5", "nill@2", "nill@x"]
+    )
+    def test_unknown_defense_refused_before_dispatch(self, name, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            pytest.fail("a job ran")
+
+        monkeypatch.setattr(FleetRunner, "run_jobs", refuse)
+        with pytest.raises(ValueError):
+            run_fleet(FleetSpec(n_homes=1, days=1, defenses=("nill", name)))
+
     def test_fingerprint_distinguishes_configs(self):
         assert config_fingerprint(home_a()) != config_fingerprint(home_b())
         assert config_fingerprint(home_a()) == config_fingerprint(home_a())

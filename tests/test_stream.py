@@ -521,6 +521,15 @@ class TestFleetStreaming:
                 spec, attacks=("hmm",), attack_kwargs={"hmm": {"lag": -2}}
             )
 
+    @pytest.mark.parametrize("chunk_samples", [0, -60])
+    def test_chunk_below_one_rejected_before_dispatch(
+        self, monkeypatch, chunk_samples
+    ):
+        monkeypatch.setattr(FleetRunner, "run_jobs", _no_dispatch)
+        spec = FleetSpec(n_homes=1, days=1, seed=0, mix=("home-a",))
+        with pytest.raises(ValueError, match="chunk_samples must be >= 1"):
+            FleetRunner().run_streaming(spec, chunk_samples=chunk_samples)
+
 
 _CLEAN_GUARD = {
     "chunks": 24, "delivered_samples": 1440, "feed_dead": False,
