@@ -315,6 +315,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_trace(command: str, path: str):
+    """The trace CSV at ``path``, or ``None`` after one stderr line saying
+    why it cannot be read (a missing file or a malformed CSV)."""
+    from .datasets import load_trace_csv
+
+    try:
+        return load_trace_csv(path)
+    except (OSError, ValueError) as exc:
+        print(f"{command}: cannot read --trace: {exc}", file=sys.stderr)
+        return None
+
+
 def _home_config(name: str, seed: int):
     from .home import make_preset
 
@@ -365,7 +377,6 @@ def cmd_defend(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    from .datasets import load_trace_csv
     from .solar import (
         LatLon,
         SolarSite,
@@ -379,7 +390,9 @@ def cmd_localize(args) -> int:
     truth = LatLon(args.lat, args.lon)
     weather = WeatherField()
     if args.trace:
-        trace = load_trace_csv(args.trace)
+        trace = _read_trace("localize", args.trace)
+        if trace is None:
+            return 2
     else:
         print(f"simulating {args.days} days of generation at "
               f"({truth.lat:.2f}, {truth.lon:.2f})...")
@@ -693,9 +706,10 @@ def cmd_stream(args) -> int:
                   file=sys.stderr)
             return 2
     if args.trace:
-        from .datasets import load_trace_csv
-
-        source = TraceReplaySource(load_trace_csv(args.trace))
+        trace = _read_trace("stream", args.trace)
+        if trace is None:
+            return 2
+        source = TraceReplaySource(trace)
         feed = args.trace
     else:
         source = simulated_meter_source(args.home, args.days, args.seed)
@@ -922,12 +936,15 @@ def _supervisor(args) -> dict:
 
 
 def _preflight(args) -> str | None:
-    """Why a command must not start, or ``None``: a day count below 1 or
-    an unknown defense, and for a supervised command out-of-range
-    supervisor and gate flags or a malformed fault plan in the env, are
-    refused before anything is simulated or any job runs."""
+    """Why a command must not start, or ``None``: a day count below 1, a
+    knob step count below 1 or an unknown defense, and for a supervised
+    command out-of-range supervisor and gate flags or a malformed fault
+    plan in the env, are refused before anything is simulated or any job
+    runs."""
     if getattr(args, "days", 1) < 1:
         return "--days must be >= 1"
+    if args.command == "knob" and args.steps < 1:
+        return "--steps must be >= 1"
     if args.command == "defend":
         from .core.registry import RegistryError, defense_factory
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .preprocessing import check_features, check_xy
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, _check_params
 
 
 class RandomForestClassifier:
@@ -36,6 +36,7 @@ class RandomForestClassifier:
     ) -> None:
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        _check_params(max_depth, min_samples_split, max_features)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -48,7 +49,9 @@ class RandomForestClassifier:
         X, y = check_xy(X, y)
         self.classes_ = np.unique(y)
         n, d = X.shape
-        max_features = self.max_features or max(1, int(math.sqrt(d)))
+        max_features = self.max_features
+        if max_features is None:
+            max_features = max(1, int(math.sqrt(d)))
         self.trees_ = []
         for _ in range(self.n_trees):
             idx = self._rng.integers(n, size=n)

@@ -165,12 +165,25 @@ class TestInputRefusal:
         ["localize", "--days", "0"],
         ["stream", "--home", "home-a", "--days", "0"],
         ["defend", "nosuch"],
+        ["stream", "--trace", "{missing}"],
+        ["localize", "--trace", "{missing}"],
+        ["stream", "--trace", "{malformed}"],
+        ["localize", "--trace", "{malformed}"],
+        ["knob", "--steps", "0", "--days", "1"],
+        ["knob", "--steps", "-3", "--days", "1"],
     ], ids=[
         "fleet-homes", "fleet-days", "fleet-mix", "fleet-defenses",
         "stream-fleet-mix", "simulate-days", "attack-days", "knob-days",
         "localize-days", "stream-days", "defend-unknown",
+        "stream-trace-missing", "localize-trace-missing",
+        "stream-trace-malformed", "localize-trace-malformed",
+        "knob-steps-0", "knob-steps-negative",
     ])
-    def test_bad_input_exits_2(self, argv, capsys):
+    def test_bad_input_exits_2(self, argv, tmp_path, capsys):
+        malformed = tmp_path / "malformed.csv"
+        malformed.write_text("time_s,power_w\n0,100\n60,x\n")
+        paths = {"missing": tmp_path / "missing.csv", "malformed": malformed}
+        argv = [arg.format_map(paths) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

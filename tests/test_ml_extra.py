@@ -61,6 +61,16 @@ class TestInputValidation:
             GaussianHMM(0)
         with pytest.raises(ValueError):
             GaussianNB(var_smoothing=-1.0)
+        # refused when built: max_features=0 would sample no feature (a
+        # one-leaf tree) and a forest used to read it as sqrt(d)
+        for model in (DecisionTreeClassifier, RandomForestClassifier):
+            for bad in (0, -2):
+                with pytest.raises(ValueError, match="max_features"):
+                    model(max_features=bad)
+        with pytest.raises(ValueError, match="max_depth must be >= 1"):
+            RandomForestClassifier(max_depth=0)
+        with pytest.raises(ValueError, match="min_samples_split must be >= 2"):
+            RandomForestClassifier(min_samples_split=1)
 
 
 class TestDeterminism:
