@@ -38,8 +38,9 @@ from repro.fleet import (
     run_fleet,
 )
 
-#: the pinned presets: one uses the dialed-defense (``name@setting``)
-#: path so the knob mapping layer is inside the pinned surface
+#: the pinned presets: two use the dialed-defense (``name@setting``)
+#: path so the knob mapping layer is inside the pinned surface; between
+#: them they cover the NILL, stepped and CHPr defenses at both dial ends
 GOLDEN = {
     "home-a": (
         FleetSpec(
@@ -54,6 +55,13 @@ GOLDEN = {
             mix=("fig2",), defenses=("nill", "chpr@0.5"),
         ),
         "df720c0cf4b132b7f39927f6111fe2012dad96a0d241764f8953998206b45265",
+    ),
+    "random": (
+        FleetSpec(
+            n_homes=2, days=1, seed=13,
+            mix=("random",), defenses=("stepped", "chpr@1"),
+        ),
+        "4ff17b130b0e5cad66647675ed19dd4cb0f680ea0479dd4f942ff50cc9ce276d",
     ),
 }
 
@@ -79,7 +87,7 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("preset", sorted(GOLDEN))
     def test_preset_digest_on_every_backend(self, golden_run, preset, backend):
-        """The backend-parity matrix: 2 backends x 2 pinned presets.
+        """The backend-parity matrix: 2 backends x 3 pinned presets.
 
         One pinned constant per preset — not per (preset, backend) — is
         the whole point: every executor backend must reproduce the
@@ -142,8 +150,8 @@ class TestGoldenDigests:
         assert result_digest(tweaked) != expected
 
     def test_specs_disagree(self):
-        """The two pinned presets are genuinely different pipelines."""
-        assert GOLDEN["home-a"][1] != GOLDEN["fig2"][1]
+        """The pinned presets are genuinely different pipelines."""
+        assert len({digest for _, digest in GOLDEN.values()}) == len(GOLDEN)
 
 
 #: a sweep grid mixing a fixed preset with a ``random`` one, over two
