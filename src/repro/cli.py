@@ -27,6 +27,7 @@ import numpy as np
 
 from .datasets import dump_json
 from .home.presets import preset_names
+from .timeseries import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
 def _split(text: str, kind: type = str) -> tuple:
@@ -376,6 +377,35 @@ def cmd_defend(args) -> int:
     return 0
 
 
+def _localize_min_days(method: str) -> int:
+    """Fewest whole days of generation ``localize --method`` can localize."""
+    from .solar import SunSpot, Weatherman
+
+    needs = []
+    if method in ("sunspot", "both"):
+        needs.append(SunSpot().min_days)
+    if method in ("weatherman", "both"):
+        needs.append(Weatherman.min_days)
+    return max(needs)
+
+
+def _unlocalizable(trace, method: str) -> str | None:
+    """Why ``--method`` cannot run on ``trace``, or ``None``: a trace
+    shorter than the attacks need, or one Weatherman cannot resample to
+    hourly data."""
+    days = trace.duration_s / SECONDS_PER_DAY
+    need = _localize_min_days(method)
+    if days < need:
+        return (f"--trace spans {days:.2f} days; --method {method} needs "
+                f"at least {need}")
+    if method != "sunspot":
+        per_hour = SECONDS_PER_HOUR / trace.period_s
+        if per_hour < 1 or abs(per_hour - round(per_hour)) > 1e-9:
+            return (f"--trace period {trace.period_s:g} s does not divide the "
+                    f"hour --method {method} resamples to")
+    return None
+
+
 def cmd_localize(args) -> int:
     from .solar import (
         LatLon,
@@ -392,6 +422,10 @@ def cmd_localize(args) -> int:
     if args.trace:
         trace = _read_trace("localize", args.trace)
         if trace is None:
+            return 2
+        problem = _unlocalizable(trace, args.method)
+        if problem is not None:
+            print(f"localize: {problem}", file=sys.stderr)
             return 2
     else:
         print(f"simulating {args.days} days of generation at "
@@ -936,13 +970,18 @@ def _supervisor(args) -> dict:
 
 
 def _preflight(args) -> str | None:
-    """Why a command must not start, or ``None``: a day count below 1, a
-    knob step count below 1 or an unknown defense, and for a supervised
+    """Why a command must not start, or ``None``: a day count below 1 (or,
+    for a simulated ``localize``, below what ``--method`` needs), a knob
+    step count below 1 or an unknown defense, and for a supervised
     command out-of-range supervisor and gate flags or a malformed fault
     plan in the env, are refused before anything is simulated or any job
     runs."""
     if getattr(args, "days", 1) < 1:
         return "--days must be >= 1"
+    if args.command == "localize" and not args.trace:
+        need = _localize_min_days(args.method)
+        if args.days < need:
+            return f"--method {args.method} needs --days >= {need}"
     if args.command == "knob" and args.steps < 1:
         return "--steps must be >= 1"
     if args.command == "defend":

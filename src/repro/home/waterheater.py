@@ -66,36 +66,45 @@ class WaterHeaterTank:
         self.temp_c = initial_temp_c if initial_temp_c is not None else config.setpoint_c
         self.comfort_violations = 0
         self.samples = 0
+        self._thermal_mass_j_per_k = config.thermal_mass_j_per_k
 
     def step(self, dt_s: float, draw_liters: float, element_power_w: float) -> float:
-        """Advance one sample; returns the electrical power actually drawn."""
+        """Advance one sample; returns the electrical power actually drawn.
+
+        The controllers call this once per sample with plain floats, so it
+        stays on float arithmetic: ``min``/``max`` clip the element power
+        exactly as ``np.clip`` would, signed zeros, NaN and infinities
+        included.
+        """
         cfg = self.config
         if dt_s <= 0:
             raise ValueError("dt_s must be positive")
         if draw_liters < 0:
             raise ValueError("draw_liters cannot be negative")
-        power = float(np.clip(element_power_w, 0.0, cfg.element_power_w))
+        power = min(max(element_power_w, 0.0), cfg.element_power_w)
         if not cfg.modulating and 0.0 < power < cfg.element_power_w:
             power = cfg.element_power_w  # relay element: on is full power
 
         # draw mixing (hot water out, inlet water in)
+        temp_c = self.temp_c
         if draw_liters > 0:
             frac = min(1.0, draw_liters / cfg.tank_liters)
-            self.temp_c += frac * (cfg.inlet_c - self.temp_c)
+            temp_c += frac * (cfg.inlet_c - temp_c)
 
         # element heat and standby loss
-        loss_w = cfg.standby_loss_w_per_k * max(0.0, self.temp_c - cfg.ambient_c)
+        loss_w = cfg.standby_loss_w_per_k * max(0.0, temp_c - cfg.ambient_c)
         net_w = power - loss_w
-        self.temp_c += net_w * dt_s / cfg.thermal_mass_j_per_k
+        temp_c += net_w * dt_s / self._thermal_mass_j_per_k
 
         # thermostat ceiling: element cannot push past setpoint
-        if self.temp_c > cfg.setpoint_c:
-            overshoot_j = (self.temp_c - cfg.setpoint_c) * cfg.thermal_mass_j_per_k
+        if temp_c > cfg.setpoint_c:
+            overshoot_j = (temp_c - cfg.setpoint_c) * self._thermal_mass_j_per_k
             power = max(0.0, power - overshoot_j / dt_s)
-            self.temp_c = cfg.setpoint_c
+            temp_c = cfg.setpoint_c
 
+        self.temp_c = temp_c
         self.samples += 1
-        if self.temp_c < cfg.min_delivery_c:
+        if temp_c < cfg.min_delivery_c:
             self.comfort_violations += 1
         return power
 
@@ -179,15 +188,19 @@ def thermostat_power(
     """
     config = config or WaterHeaterConfig()
     tank = WaterHeaterTank(config, initial_temp_c)
-    power = np.zeros(len(draws))
+    step = tank.step
+    heat_below_c = config.setpoint_c - config.deadband_c
+    stop_above_c = config.setpoint_c - 1e-9
+    element_w = config.element_power_w
+    power = []
     heating = False
-    for i, draw in enumerate(draws):
-        if tank.temp_c <= config.setpoint_c - config.deadband_c:
+    for draw in np.asarray(draws, dtype=float).tolist():
+        if tank.temp_c <= heat_below_c:
             heating = True
-        elif tank.temp_c >= config.setpoint_c - 1e-9:
+        elif tank.temp_c >= stop_above_c:
             heating = False
-        power[i] = tank.step(period_s, float(draw), config.element_power_w if heating else 0.0)
-    return power, tank
+        power.append(step(period_s, draw, element_w if heating else 0.0))
+    return np.array(power, dtype=float), tank
 
 
 def heater_trace(power: np.ndarray, occupancy: BinaryTrace) -> PowerTrace:

@@ -324,6 +324,9 @@ class SunSpot:
         :func:`envelope_observations`).
     """
 
+    #: fewest envelope windows with a usable dawn and dusk a fit needs
+    MIN_WINDOWS = 5
+
     def __init__(
         self,
         search_center: LatLon = LatLon(38.0, -96.0),
@@ -343,6 +346,12 @@ class SunSpot:
         self.threshold_candidates = threshold_candidates
         self.beam_boost_candidates = beam_boost_candidates
         self.envelope_window_days = envelope_window_days
+
+    @property
+    def min_days(self) -> int:
+        """Fewest whole days a trace must span to reach :attr:`MIN_WINDOWS`
+        envelope windows; a shorter one cannot be localized."""
+        return (self.MIN_WINDOWS - 1) * self.envelope_window_days + 1
 
     @staticmethod
     def _cost(
@@ -380,9 +389,10 @@ class SunSpot:
         """Run the attack on a generation trace."""
         daily = extract_day_observations(generation)
         observations = envelope_edge_observations(daily, self.envelope_window_days)
-        if min(len(observations[0]), len(observations[1])) < 5:
+        if min(len(observations[0]), len(observations[1])) < self.MIN_WINDOWS:
             raise ValueError(
-                f"only {len(observations[0])} usable windows; need at least 5"
+                f"only {len(observations[0])} usable windows; "
+                f"need at least {self.MIN_WINDOWS}"
             )
         box = self.search_half_span_deg
         lat_lo, lat_hi = self.search_center.lat - box, self.search_center.lat + box

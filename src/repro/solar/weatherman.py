@@ -27,6 +27,9 @@ from .geo import LatLon
 from .sunspot import LocalizationResult
 from .weather import WeatherStationDB
 
+#: fewest whole days of hourly generation the cloud proxy works from
+MIN_DAYS = 10
+
 
 @dataclass(frozen=True)
 class CloudProxy:
@@ -57,8 +60,8 @@ def cloud_proxy_from_generation(
     hourly = generation.resample(SECONDS_PER_HOUR, reducer="mean")
     n_per_day = int(SECONDS_PER_DAY // SECONDS_PER_HOUR)
     n_days = len(hourly) // n_per_day
-    if n_days < 10:
-        raise ValueError(f"need at least 10 whole days of data, got {n_days}")
+    if n_days < MIN_DAYS:
+        raise ValueError(f"need at least {MIN_DAYS} whole days of data, got {n_days}")
     grid = hourly.values[: n_days * n_per_day].reshape(n_days, n_per_day)
     envelope = maximum_filter1d(grid, size=envelope_window_days, axis=0, mode="nearest")
     peak = envelope.max()
@@ -94,6 +97,9 @@ def _correlation(a: np.ndarray, b: np.ndarray) -> float:
 
 class Weatherman:
     """The Weatherman localization attack."""
+
+    #: fewest whole days of generation a trace must span to be localized
+    min_days = MIN_DAYS
 
     def __init__(
         self,

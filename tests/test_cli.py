@@ -171,6 +171,12 @@ class TestInputRefusal:
         ["localize", "--trace", "{malformed}"],
         ["knob", "--steps", "0", "--days", "1"],
         ["knob", "--steps", "-3", "--days", "1"],
+        ["localize", "--trace", "{tiny}"],
+        ["localize", "--trace", "{tiny}", "--method", "sunspot"],
+        ["localize", "--trace", "{tiny}", "--method", "both"],
+        ["localize", "--trace", "{coarse}"],
+        ["localize", "--days", "5"],
+        ["localize", "--days", "30", "--method", "sunspot"],
     ], ids=[
         "fleet-homes", "fleet-days", "fleet-mix", "fleet-defenses",
         "stream-fleet-mix", "simulate-days", "attack-days", "knob-days",
@@ -178,11 +184,27 @@ class TestInputRefusal:
         "stream-trace-missing", "localize-trace-missing",
         "stream-trace-malformed", "localize-trace-malformed",
         "knob-steps-0", "knob-steps-negative",
+        "localize-trace-short-weatherman", "localize-trace-short-sunspot",
+        "localize-trace-short-both", "localize-trace-coarse-weatherman",
+        "localize-days-short-weatherman", "localize-days-short-sunspot",
     ])
     def test_bad_input_exits_2(self, argv, tmp_path, capsys):
         malformed = tmp_path / "malformed.csv"
         malformed.write_text("time_s,power_w\n0,100\n60,x\n")
-        paths = {"missing": tmp_path / "missing.csv", "malformed": malformed}
+        # well-formed, but three minutes long
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("time_s,power_w\n0,100\n60,200\n120,150\n")
+        # twelve days at a 2-hour period: Weatherman cannot make it hourly
+        coarse = tmp_path / "coarse.csv"
+        coarse.write_text("time_s,power_w\n" + "".join(
+            f"{i * 7200},{100 * (i % 12)}\n" for i in range(12 * 12)
+        ))
+        paths = {
+            "missing": tmp_path / "missing.csv",
+            "malformed": malformed,
+            "tiny": tiny,
+            "coarse": coarse,
+        }
         argv = [arg.format_map(paths) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -80,6 +80,11 @@ class TestCHPr:
         with pytest.raises(ValueError):
             CHPrConfig(mask_start_hour=10.0, mask_end_hour=9.0)
 
+    @pytest.mark.parametrize("window_s", [0.0, -900.0, float("nan"), float("inf")])
+    def test_bad_window_rejected_when_built(self, window_s):
+        with pytest.raises(ValueError, match="window_s"):
+            CHPrConfig(window_s=window_s)
+
 
 # ---------------------------------------------------------------------------
 # Battery
@@ -102,6 +107,11 @@ class TestBattery:
     def test_power_limits(self):
         battery = Battery(BatteryConfig(max_discharge_w=500.0))
         assert battery.step(2000.0, 60.0) <= 500.0
+
+    @pytest.mark.parametrize("window_s", [0.0, -5.0, float("nan"), float("inf")])
+    def test_nill_bad_window_rejected_when_built(self, window_s):
+        with pytest.raises(ValueError, match="window_s"):
+            NILLDefense(window_s=window_s)
 
     def test_nill_flattens_signal(self, week_home):
         outcome = NILLDefense(BatteryConfig(capacity_wh=4000.0)).apply(week_home.metered)
