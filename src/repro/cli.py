@@ -215,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="executor backend (see 'fleet --help')")
     p.add_argument("--max-retries", type=int, default=2)
     p.add_argument("--job-timeout", type=float, default=None,
-                   help="per-LAN wall-clock timeout (needs --workers > 1)")
+                   help="per-LAN-job wall-clock timeout (needs --workers > 1)")
     p.add_argument("--fail-fast", action="store_true",
                    help="abort at the first permanent job failure")
     p.add_argument("--csv", default=None,
@@ -605,10 +605,11 @@ def cmd_netpriv(args) -> int:
               f"cover {outcome.cover_mb_per_day:.1f} MB/day")
     frontier = result.frontier()
     print(frontier.format_table())
-    print(f"ran {len(result.results)} LAN job(s) in {result.elapsed_s:.2f}s "
-          f"on {result.workers_used} worker(s)")
+    cell_lans = len(result.results) + result.n_failed
+    print(f"ran {cell_lans} cell-LAN(s) in {result.lan_jobs} LAN job(s) "
+          f"in {result.elapsed_s:.2f}s on {result.workers_used} worker(s)")
     if not result.ok:
-        print(f"WARNING: {len(result.failures)} LAN job(s) failed "
+        print(f"WARNING: {result.n_failed} cell-LAN(s) failed "
               "(frontier covers survivors only)")
     return _finish_grid(
         args, result, frontier, "stage.netpriv_job", {"netpriv.flows": "flows"}

@@ -39,9 +39,12 @@ class BatteryConfig:
     initial_soc: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.capacity_wh <= 0:
+        if not (math.isfinite(self.capacity_wh) and self.capacity_wh > 0):
             raise ValueError("capacity must be positive")
-        if self.max_charge_w <= 0 or self.max_discharge_w <= 0:
+        if not all(
+            math.isfinite(limit) and limit > 0
+            for limit in (self.max_charge_w, self.max_discharge_w)
+        ):
             raise ValueError("power limits must be positive")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
@@ -192,7 +195,7 @@ class SteppedDefense(TraceDefense):
         battery: BatteryConfig | None = None,
         step_w: float = 500.0,
     ) -> None:
-        if step_w <= 0:
+        if not (math.isfinite(step_w) and step_w > 0):
             raise ValueError("step_w must be positive")
         self.battery_config = battery or BatteryConfig()
         self.step_w = step_w

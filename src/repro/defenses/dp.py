@@ -17,6 +17,7 @@ that already knows who you are.  Two mechanisms are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,13 @@ class DPConfig:
     release_period_s: float = 900.0
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be positive")
-        if self.sensitivity_w <= 0:
+        if not (math.isfinite(self.sensitivity_w) and self.sensitivity_w > 0):
             raise ValueError("sensitivity must be positive")
-        if self.release_period_s <= 0:
+        if not (
+            math.isfinite(self.release_period_s) and self.release_period_s > 0
+        ):
             raise ValueError("release period must be positive")
 
     @property

@@ -10,6 +10,8 @@ ablation baselines for the privacy/utility frontier.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..timeseries import PowerTrace
@@ -22,7 +24,7 @@ class SmoothingDefense(TraceDefense):
     name = "smoothing"
 
     def __init__(self, window_s: float = 3600.0) -> None:
-        if window_s <= 0:
+        if not (math.isfinite(window_s) and window_s > 0):
             raise ValueError("window must be positive")
         self.window_s = window_s
 
@@ -43,7 +45,7 @@ class CoarseningDefense(TraceDefense):
     name = "coarsening"
 
     def __init__(self, report_period_s: float = 3600.0) -> None:
-        if report_period_s <= 0:
+        if not (math.isfinite(report_period_s) and report_period_s > 0):
             raise ValueError("period must be positive")
         self.report_period_s = report_period_s
 
@@ -69,7 +71,7 @@ class NoiseInjectionDefense(TraceDefense):
     name = "noise"
 
     def __init__(self, std_w: float = 300.0, physical: bool = True) -> None:
-        if std_w < 0:
+        if not (math.isfinite(std_w) and std_w >= 0):
             raise ValueError("std cannot be negative")
         self.std_w = std_w
         self.physical = physical

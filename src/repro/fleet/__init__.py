@@ -86,6 +86,7 @@ from .netpriv import (
     NetprivGrid,
     NetprivJob,
     NetprivJobResult,
+    NetprivLanResult,
     NetprivSweepResult,
     NetprivSweepRunner,
     netpriv_lan_config,
@@ -149,6 +150,7 @@ __all__ = [
     "NetprivGrid",
     "NetprivJob",
     "NetprivJobResult",
+    "NetprivLanResult",
     "NetprivSweepResult",
     "NetprivSweepRunner",
     "netpriv_lan_config",

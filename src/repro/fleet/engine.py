@@ -531,7 +531,7 @@ class FleetRunner:
         under its own :func:`~repro.fleet.cache.job_cache_key`; each home
         with at least one miss becomes one :class:`HomeJob` owing those
         specs' defense tuples, so it is simulated and baseline-scored
-        once (:func:`run_home_job`).  All jobs go to :meth:`run_jobs` in
+        once (:func:`run_home_job`).  All jobs go to :meth:`run_owed` in
         one call — one pool — and each (spec, home) result is cached the
         moment its home job is reported.  A home job that fails
         permanently appears as the same :class:`HomeFailure` in every
@@ -553,10 +553,9 @@ class FleetRunner:
                 replace(spec, defenses=None), []
             ).append(position)
         with captured(self.telemetry) as lookups:
-            pending: list[HomeJob] = []
-            # id(job) -> (spec position, cache key) per owed cell: the
-            # supervisor hands back the very job objects it was given
-            owed: dict[int, list[tuple[int, str | None]]] = {}
+            # each home job with the (spec position, cache key) of every
+            # cell it owes
+            pending: list[tuple[HomeJob, list[tuple[int, str | None]]]] = []
             for positions in populations.values():
                 for home in specs[positions[0]].jobs():
                     slots = []
@@ -577,24 +576,22 @@ class FleetRunner:
                     if slots:
                         cells = tuple(defense_sets[p] for p, _ in slots)
                         job = replace(home, defenses=cells[0], cells=cells)
-                        owed[id(job)] = slots
-                        pending.append(job)
+                        pending.append((job, slots))
 
-            def store(job: HomeJob, result: HomeJobResult) -> None:
+            def store(slot: tuple[int, str | None], home: HomeResult) -> None:
                 # streaming sink: cache at once so a killed run resumes
-                for (position, key), home in zip(owed[id(job)], result.cells):
-                    homes[position][home.index] = home
-                    if key is not None:
-                        # strip telemetry so entry bytes never depend on
-                        # whether the run was being observed
-                        self.cache.put(key, replace(home, telemetry=None))
+                position, key = slot
+                homes[position][home.index] = home
+                if key is not None:
+                    # strip telemetry so entry bytes never depend on
+                    # whether the run was being observed
+                    self.cache.put(key, replace(home, telemetry=None))
 
-            batch = self.run_jobs(pending, run_home_job, on_result=store)
+            batch, failed_cells = self.run_owed(pending, run_home_job, store)
         telemetry = self._telemetry_totals(lookups, [batch])
         failed: list[list[tuple[HomeJob, HomeFailure]]] = [[] for _ in specs]
-        for job, failure in zip(batch.failed_jobs, batch.failures):
-            for position, _ in owed[id(job)]:
-                failed[position].append((job, failure))
+        for (position, _), job, failure in failed_cells:
+            failed[position].append((job, failure))
         elapsed = time.perf_counter() - start
         fleets = []
         for position, spec in enumerate(specs):
@@ -621,6 +618,38 @@ class FleetRunner:
                 )
             )
         return fleets, telemetry
+
+    def run_owed(
+        self,
+        jobs: Sequence[tuple[object, Sequence]],
+        work: Callable,
+        on_cell: Callable[[object, object], None],
+    ) -> tuple[JobsResult, list[tuple[object, object, HomeFailure]]]:
+        """Run jobs that each owe several cells; fan outcomes out per cell.
+
+        ``jobs`` pairs each job with the slots it owes, in the order of
+        the ``cells`` its ``work`` result lists.  ``on_cell(slot, cell)``
+        fires for every owed slot as its job is reported, so a caller can
+        stream cells out (a sweep caches them at once).  A job fails as a
+        whole: the list returned beside the batch holds ``(slot, job,
+        failure)`` for each slot of each permanently failed job, in the
+        batch's failure order.  Sweeps (:meth:`run_specs`) and netpriv
+        grids both dispatch through here.
+        """
+        owed = {id(job): slots for job, slots in jobs}
+
+        def report(job, result) -> None:
+            # the supervisor hands back the very job objects it was given
+            for slot, cell in zip(owed[id(job)], result.cells, strict=True):
+                on_cell(slot, cell)
+
+        batch = self.run_jobs([job for job, _ in jobs], work, on_result=report)
+        failed = [
+            (slot, job, failure)
+            for job, failure in zip(batch.failed_jobs, batch.failures)
+            for slot in owed[id(job)]
+        ]
+        return batch, failed
 
     def run_streaming(
         self,

@@ -353,9 +353,10 @@ class SweepRunner:
     The grid runs its cells on one :class:`~repro.fleet.engine.FleetRunner`
     (built from these arguments, and reused so cache statistics
     accumulate) in one supervised call, one pool per shard: a
-    :class:`SweepGrid` as cached home jobs, a
-    :class:`~repro.fleet.netpriv.NetprivGrid` as LAN jobs, which ignore
-    ``cache_dir`` and ``profile_dir``.
+    :class:`SweepGrid` as cached home jobs, each owing every cell of its
+    home, a :class:`~repro.fleet.netpriv.NetprivGrid` as LAN jobs, each
+    owing dials of one (seed, LAN), which ignore ``cache_dir`` and
+    ``profile_dir``.
     """
 
     def __init__(

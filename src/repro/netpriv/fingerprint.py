@@ -145,11 +145,13 @@ class DeviceFingerprinter:
         self._rng = np.random.default_rng(rng)
         self._scaler = StandardScaler()
         self._model: RandomForestClassifier | None = None
+        self._n_train = 0
 
     def fit(self, features: dict[str, np.ndarray], devices: list[Device]) -> "DeviceFingerprinter":
         X, y = self._stack(features, devices)
         self._model = RandomForestClassifier(n_trees=20, max_depth=10, rng=self._rng)
         self._model.fit(self._scaler.fit_transform(X), y)
+        self._n_train = len(X)
         return self
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
@@ -179,20 +181,29 @@ class DeviceFingerprinter:
             raise ValueError("no labeled windows")
         return np.asarray(X_rows), np.asarray(y_rows)
 
+    def score(
+        self, test_features: dict[str, np.ndarray], devices: list[Device]
+    ) -> FingerprintReport:
+        """Score the fitted model on held-out windows.
+
+        Prediction draws nothing from the generator, so one fit can score
+        any number of test sets exactly as a fresh fit per set would.
+        """
+        X_test, y_test = self._stack(test_features, devices)
+        y_pred = self.predict(X_test)
+        return FingerprintReport(
+            accuracy=accuracy(y_test, y_pred),
+            macro_f1=macro_f1(y_test, y_pred),
+            n_train=self._n_train,
+            n_test=len(X_test),
+            classes=tuple(sorted(set(y_test.tolist()))),
+        )
+
     def evaluate(
         self,
         train_features: dict[str, np.ndarray],
         test_features: dict[str, np.ndarray],
         devices: list[Device],
     ) -> FingerprintReport:
-        self.fit(train_features, devices)
-        X_test, y_test = self._stack(test_features, devices)
-        y_pred = self.predict(X_test)
-        X_train, _ = self._stack(train_features, devices)
-        return FingerprintReport(
-            accuracy=accuracy(y_test, y_pred),
-            macro_f1=macro_f1(y_test, y_pred),
-            n_train=len(X_train),
-            n_test=len(X_test),
-            classes=tuple(sorted(set(y_test.tolist()))),
-        )
+        """Fit on ``train_features``, then :meth:`score` ``test_features``."""
+        return self.fit(train_features, devices).score(test_features, devices)

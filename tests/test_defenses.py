@@ -323,3 +323,30 @@ def test_battery_energy_conservation_property(capacity):
         else:
             charged += -delivered * 60.0 / 3600.0
     assert discharged <= charged * 0.9 + 1e-6
+
+
+#: every defense parameter that a NaN or an infinity would otherwise
+#: carry into ``apply`` (or run with silently), with the message it gets
+NON_FINITE_BUILDS = [
+    (SteppedDefense, "step_w", "step_w must be positive"),
+    (SmoothingDefense, "window_s", "window must be positive"),
+    (CoarseningDefense, "report_period_s", "period must be positive"),
+    (NoiseInjectionDefense, "std_w", "std cannot be negative"),
+    (DPConfig, "epsilon", "epsilon must be positive"),
+    (DPConfig, "sensitivity_w", "sensitivity must be positive"),
+    (DPConfig, "release_period_s", "release period must be positive"),
+    (BatteryConfig, "capacity_wh", "capacity must be positive"),
+    (BatteryConfig, "max_charge_w", "power limits must be positive"),
+    (BatteryConfig, "max_discharge_w", "power limits must be positive"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build, parameter, message",
+    NON_FINITE_BUILDS,
+    ids=[f"{build.__name__}-{parameter}" for build, parameter, _ in NON_FINITE_BUILDS],
+)
+def test_non_finite_parameter_rejected_when_built(build, parameter, message, value):
+    with pytest.raises(ValueError, match=message):
+        build(**{parameter: value})

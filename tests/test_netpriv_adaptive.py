@@ -368,24 +368,24 @@ class TestAdaptiveOccupancy:
 
 class TestArmsRace:
     def test_adaptive_beats_naive_under_cover(self):
-        outcome = evaluate_arms_race(
-            "cover", 0.5, days=2, seed=0, lan_config=SMALL_LAN
+        [outcome] = evaluate_arms_race(
+            [("cover", 0.5)], days=2, seed=0, lan_config=SMALL_LAN
         )
         assert outcome.adaptive.occupancy_mcc > outcome.naive.occupancy_mcc + 0.2
         assert outcome.adaptive.occupancy_mcc > 0.3
         assert outcome.cover_bytes > 0
 
     def test_undefended_lan_falls_to_both_attackers(self):
-        outcome = evaluate_arms_race(
-            "cover", 0.0, days=2, seed=0, lan_config=SMALL_LAN
+        [outcome] = evaluate_arms_race(
+            [("cover", 0.0)], days=2, seed=0, lan_config=SMALL_LAN
         )
         assert outcome.naive.occupancy_mcc > 0.4
         assert outcome.adaptive.occupancy_mcc > 0.4
         assert outcome.cover_flows == 0
 
     def test_outcome_dict_roundtrips_scalars(self):
-        outcome = evaluate_arms_race(
-            "jitter", 0.5, days=1, seed=1, lan_config=SMALL_LAN
+        [outcome] = evaluate_arms_race(
+            [("jitter", 0.5)], days=1, seed=1, lan_config=SMALL_LAN
         )
         doc = outcome.as_dict()
         assert doc["defense"] == "jitter"
@@ -417,13 +417,13 @@ class TestSeedDeterminism:
             assert flow_log_digest(shaped) != digests[0]
 
     def test_arms_race_reproducible_end_to_end(self):
-        a = evaluate_arms_race("cover", 0.5, days=1, seed=42, lan_config=SMALL_LAN)
-        b = evaluate_arms_race("cover", 0.5, days=1, seed=42, lan_config=SMALL_LAN)
+        [a] = evaluate_arms_race([("cover", 0.5)], days=1, seed=42, lan_config=SMALL_LAN)
+        [b] = evaluate_arms_race([("cover", 0.5)], days=1, seed=42, lan_config=SMALL_LAN)
         assert a.shaped_digest == b.shaped_digest
         assert a.naive == b.naive
         assert a.adaptive == b.adaptive
 
     def test_arms_race_seed_sensitivity(self):
-        a = evaluate_arms_race("cover", 0.5, days=1, seed=42, lan_config=SMALL_LAN)
-        c = evaluate_arms_race("cover", 0.5, days=1, seed=43, lan_config=SMALL_LAN)
+        [a] = evaluate_arms_race([("cover", 0.5)], days=1, seed=42, lan_config=SMALL_LAN)
+        [c] = evaluate_arms_race([("cover", 0.5)], days=1, seed=43, lan_config=SMALL_LAN)
         assert a.shaped_digest != c.shaped_digest
