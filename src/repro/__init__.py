@@ -8,8 +8,8 @@ Safeguarding User Privacy in the IoT Era":
   smart meters);
 - :mod:`repro.solar` — PV generation, weather, and the SunSpot/Weatherman
   localization and SunDance disaggregation attacks;
-- :mod:`repro.attacks` — NIOM occupancy detection, NILM (PowerPlay, FHMM,
-  Hart), and behavioral profiling;
+- :mod:`repro.attacks` — NIOM occupancy detection, NILM (PowerPlay and
+  FHMM), and behavioral profiling;
 - :mod:`repro.defenses` — CHPr, battery load-hiding, differential privacy,
   ZKP billing, local services, and obfuscation baselines;
 - :mod:`repro.netpriv` — IoT LAN traffic, device fingerprinting,

@@ -12,7 +12,6 @@ from .nilm import (
     DisaggregationResult,
     FHMMConfig,
     FHMMDisaggregator,
-    HartDisaggregator,
     LoadKind,
     LoadSignature,
     PowerPlayTracker,
@@ -41,7 +40,6 @@ __all__ = [
     "DisaggregationResult",
     "FHMMConfig",
     "FHMMDisaggregator",
-    "HartDisaggregator",
     "LoadKind",
     "LoadSignature",
     "PowerPlayTracker",

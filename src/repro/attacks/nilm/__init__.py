@@ -1,8 +1,7 @@
-"""NILM attacks: PowerPlay (model-driven), FHMM (learned), Hart (edges)."""
+"""NILM attacks: PowerPlay (model-driven) and FHMM (learned)."""
 
 from .common import DisaggregationResult, align_truth_to_meter, disaggregation_error
 from .fhmm import FHMMConfig, FHMMDisaggregator
-from .hart import HartDisaggregator
 from .powerplay import LoadKind, LoadSignature, PowerPlayTracker, fig2_signatures
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "disaggregation_error",
     "FHMMConfig",
     "FHMMDisaggregator",
-    "HartDisaggregator",
     "LoadKind",
     "LoadSignature",
     "PowerPlayTracker",

@@ -45,7 +45,6 @@ from .registry import (
     RegistryError,
     defense_names,
     make_defense,
-    make_niom_attack,
     niom_attack_names,
     register_defense,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "RegistryError",
     "defense_names",
     "make_defense",
-    "make_niom_attack",
     "niom_attack_names",
     "register_defense",
 ]

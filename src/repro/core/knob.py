@@ -52,34 +52,30 @@ class KnobStage:
         return (setting - self.from_setting) / (1.0 - self.from_setting)
 
 
+#: The meter's own report period, which the knob's coarsening starts from.
+KNOB_BASE_PERIOD_S = 60.0
+#: Each stage's strength at full dial: the coarsest report period, the
+#: noise std and the battery capacity (:class:`BatteryConfig`'s default).
+KNOB_MAX_PERIOD_S = 3600.0
+KNOB_MAX_NOISE_W = 400.0
+KNOB_BATTERY_WH = 3000.0
+
+
 class PrivacyKnob:
     """Maps a user's knob setting in [0, 1] to a defense pipeline.
 
-    The default staging mirrors how aggressively each mechanism degrades
+    The staging mirrors how aggressively each mechanism degrades
     analytics: first *coarsen* the reporting interval (cheap, mild), then
     *noise* the readings, then *battery-level* the signal (strong).  At
     setting 0 the trace passes through untouched; at 1 everything runs at
     full strength.
     """
 
-    def __init__(
-        self,
-        battery: BatteryConfig | None = None,
-        max_report_period_s: float = 3600.0,
-        max_noise_w: float = 400.0,
-        base_period_s: float = 60.0,
-    ) -> None:
-        if not 0 < base_period_s <= max_report_period_s:
-            raise ValueError("invalid period configuration")
-        self.battery = battery or BatteryConfig()
-        self.max_report_period_s = max_report_period_s
-        self.max_noise_w = max_noise_w
-        self.base_period_s = base_period_s
-        self.stages = (
-            KnobStage("coarsen", 0.0),
-            KnobStage("noise", 0.35),
-            KnobStage("battery", 0.65),
-        )
+    stages = (
+        KnobStage("coarsen", 0.0),
+        KnobStage("noise", 0.35),
+        KnobStage("battery", 0.65),
+    )
 
     def defenses_for(self, setting: float) -> list[TraceDefense]:
         """The configured defense stack for a knob setting."""
@@ -89,33 +85,19 @@ class PrivacyKnob:
         coarsen, noise, battery = self.stages
         s = coarsen.local_strength(setting)
         if s > 0:
-            # report period grows geometrically from base to max, snapped to
-            # clean divisors of an hour so downstream hourly analytics and
-            # further resampling always line up
-            ratio = self.max_report_period_s / self.base_period_s
-            period = self.base_period_s * ratio**s
-            candidates = [
-                p
-                for p in (60.0, 120.0, 180.0, 300.0, 600.0, 900.0, 1800.0, 3600.0)
-                if self.base_period_s <= p <= self.max_report_period_s
-                and p % self.base_period_s == 0
-            ]
-            if candidates:
-                period = min(candidates, key=lambda p: abs(p - period))
-                if period > self.base_period_s:
-                    stack.append(CoarseningDefense(report_period_s=period))
+            # the report period grows geometrically from the meter's to an
+            # hour, snapped to divisors of an hour so downstream hourly
+            # analytics and further resampling always line up
+            period = _hour_divisor_period(KNOB_BASE_PERIOD_S, KNOB_MAX_PERIOD_S, s)
+            if period > KNOB_BASE_PERIOD_S:
+                stack.append(CoarseningDefense(report_period_s=period))
         s = noise.local_strength(setting)
         if s > 0:
-            stack.append(NoiseInjectionDefense(std_w=self.max_noise_w * s))
+            stack.append(NoiseInjectionDefense(std_w=KNOB_MAX_NOISE_W * s))
         s = battery.local_strength(setting)
         if s > 0:
-            scaled = BatteryConfig(
-                capacity_wh=self.battery.capacity_wh * s,
-                max_charge_w=self.battery.max_charge_w,
-                max_discharge_w=self.battery.max_discharge_w,
-                efficiency=self.battery.efficiency,
-            )
-            stack.append(NILLDefense(battery=scaled))
+            battery_config = BatteryConfig(capacity_wh=KNOB_BATTERY_WH * s)
+            stack.append(NILLDefense(battery=battery_config))
         return stack
 
     def apply(

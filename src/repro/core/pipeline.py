@@ -27,14 +27,6 @@ class PipelineResult:
     baseline: TradeoffPoint
     defenses: dict[str, TradeoffPoint]
 
-    def mcc_reduction(self, defense: str) -> float:
-        """Factor by which the defense reduced worst-case attack MCC."""
-        after = self.defenses[defense].privacy.worst_case_mcc
-        before = self.baseline.privacy.worst_case_mcc
-        if after <= 0:
-            return float("inf") if before > 0 else 1.0
-        return before / after
-
 
 def evaluate_baseline(
     sim: HomeSimulation, detectors=DEFAULT_DETECTORS

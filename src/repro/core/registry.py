@@ -67,16 +67,6 @@ def defense_names() -> list[str]:
     return sorted(_DEFENSES)
 
 
-def make_niom_attack(name: str):
-    """Build the detector :data:`DEFAULT_DETECTORS` names ``name``."""
-    factories = dict(DEFAULT_DETECTORS)
-    if name not in factories:
-        raise RegistryError(
-            f"unknown attack {name!r}; available: {niom_attack_names()}"
-        )
-    return factories[name]()
-
-
 def niom_attack_names() -> list[str]:
     return sorted(name for name, _ in DEFAULT_DETECTORS)
 

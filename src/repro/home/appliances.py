@@ -23,7 +23,7 @@ Two behavioural categories matter for NIOM:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,16 +55,6 @@ class TimeOfDayAffinity:
         idx = rng.choice(len(self.peaks), p=weights)
         hour, _, std = self.peaks[idx]
         return float((rng.normal(hour, std)) % 24.0)
-
-    def density(self, hours: np.ndarray) -> np.ndarray:
-        """Unnormalized preference density at the given hours-of-day."""
-        out = np.zeros_like(hours, dtype=float)
-        for hour, weight, std in self.peaks:
-            # wrap-around distance on the 24h circle
-            delta = np.abs(hours - hour)
-            delta = np.minimum(delta, 24.0 - delta)
-            out += weight * np.exp(-0.5 * (delta / std) ** 2)
-        return out
 
 
 ANYTIME = TimeOfDayAffinity(((12.0, 1.0, 8.0),))

@@ -99,10 +99,6 @@ class HomeSimulation:
                 out = out + trace
         return out
 
-    def metered_occupancy(self) -> BinaryTrace:
-        """Ground-truth occupancy aligned to the metered trace's clock."""
-        return self.occupancy.align_to(self.metered)
-
 
 def simulate_home(
     config: HomeConfig,

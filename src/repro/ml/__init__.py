@@ -3,30 +3,27 @@
 The offline environment has no scikit-learn, so the classifiers and sequence
 models the paper's attacks depend on are implemented here: Gaussian HMMs
 (NIOM, appliance chains), a factorial HMM (the conventional NILM baseline of
-Fig. 2), k-means (feature clustering), and tabular classifiers (decision
-tree, random forest, naive Bayes, kNN, logistic regression) used by the
-Sec. IV network fingerprinting work.
+Fig. 2), k-means (feature clustering), CART trees and the random forest
+built from them (the Sec. IV device fingerprinter), and logistic regression
+(the adaptive occupancy attacker).
 """
 
 from .fhmm import FactorialHMM, fit_appliance_chain
 from .forest import RandomForestClassifier
 from .hmm import GaussianHMM
 from .kmeans import KMeans
-from .knn import KNeighborsClassifier
 from .logistic import LogisticRegression
 from .metrics import (
     BinaryCounts,
     accuracy,
     binary_counts,
-    confusion_matrix,
     f1_score,
     macro_f1,
     mcc,
     precision,
     recall,
 )
-from .naive_bayes import GaussianNB
-from .preprocessing import StandardScaler, check_features, check_xy, train_test_split
+from .preprocessing import StandardScaler, check_features, check_xy
 from .tree import DecisionTreeClassifier
 
 __all__ = [
@@ -35,21 +32,17 @@ __all__ = [
     "RandomForestClassifier",
     "GaussianHMM",
     "KMeans",
-    "KNeighborsClassifier",
     "LogisticRegression",
     "BinaryCounts",
     "accuracy",
     "binary_counts",
-    "confusion_matrix",
     "f1_score",
     "macro_f1",
     "mcc",
     "precision",
     "recall",
-    "GaussianNB",
     "StandardScaler",
     "check_features",
     "check_xy",
-    "train_test_split",
     "DecisionTreeClassifier",
 ]

@@ -1,8 +1,7 @@
 """Lloyd's k-means with k-means++ initialization.
 
 Used by the clustering NIOM detector (two clusters: occupied features vs.
-unoccupied features) and by Hart-style NILM to group edge magnitudes into
-appliance signatures.
+unoccupied features) and to initialise the Gaussian HMM's states.
 """
 
 from __future__ import annotations

@@ -21,23 +21,6 @@ def _as_labels(y) -> np.ndarray:
     return array
 
 
-def confusion_matrix(y_true, y_pred, labels=None) -> np.ndarray:
-    """Confusion matrix ``C[i, j]`` = count of true label i predicted as j."""
-    y_true = _as_labels(y_true)
-    y_pred = _as_labels(y_pred)
-    if len(y_true) != len(y_pred):
-        raise ValueError("y_true and y_pred length mismatch")
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    else:
-        labels = np.asarray(labels)
-    index = {label: i for i, label in enumerate(labels.tolist())}
-    matrix = np.zeros((len(labels), len(labels)), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        matrix[index[t], index[p]] += 1
-    return matrix
-
-
 @dataclass(frozen=True)
 class BinaryCounts:
     """True/false positive/negative counts for a binary problem."""

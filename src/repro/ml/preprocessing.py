@@ -62,21 +62,3 @@ class StandardScaler:
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
-
-def train_test_split(
-    X,
-    y,
-    test_fraction: float = 0.25,
-    rng: np.random.Generator | int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shuffle and split into train/test; returns (X_tr, X_te, y_tr, y_te)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    X, y = check_xy(X, y)
-    rng = np.random.default_rng(rng)
-    order = rng.permutation(len(X))
-    n_test = max(1, int(round(len(X) * test_fraction)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    if len(train_idx) == 0:
-        raise ValueError("split leaves zero training samples")
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]

@@ -22,7 +22,6 @@ from .gateway import (
     GatewayPolicy,
     GatewayReport,
     SmartGateway,
-    Verdict,
 )
 from .lan import LanConfig, LanSimulation, simulate_lan
 from .shaping import (
@@ -68,7 +67,6 @@ __all__ = [
     "GatewayPolicy",
     "GatewayReport",
     "SmartGateway",
-    "Verdict",
     "LanConfig",
     "LanSimulation",
     "simulate_lan",

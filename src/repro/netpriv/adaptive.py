@@ -293,7 +293,9 @@ def evaluate_arms_race(
     simulated, the raw lab log featurized and the naive fingerprinter
     fitted once for every dial.  Each dial is then shaped and scored
     with fresh generators from the same spawned streams, so its outcome
-    equals that of a call owing that dial alone.  Fully deterministic
+    equals that of a call owing that dial alone.  Every setting-0 dial is
+    the identity shaper, so the first one owed is scored and each later
+    one copies its outcome under its own defense name.  Fully deterministic
     given ``seed`` (every stochastic stage gets its own spawned stream),
     which is what the sweep's digests pin.  With telemetry on, each
     outcome's ``telemetry`` is its own dial's share, taken out of the
@@ -323,21 +325,29 @@ def evaluate_arms_race(
         ).fit(train_naive, lab.devices)
 
     outcomes = []
+    unshaped = None  # the first setting-0 dial's outcome
     for defense, setting in dials:
+        identity = float(setting) == 0.0
         # one call per dial, so a dial's shaped logs are freed before the
         # next dial is shaped
         with captured() as own:
-            outcome = _dial_outcome(
-                defense,
-                setting,
-                lab,
-                victim,
-                naive_fp,
-                (lab_shape_seed, victim_shape_seed, adaptive_fp_seed),
-                days=days,
-                window_s=window_s,
-                fingerprint_window_s=fingerprint_window_s,
-            )
+            if identity and unshaped is not None:
+                outcome = replace(unshaped, defense=defense, setting=float(setting))
+            else:
+                outcome = _dial_outcome(
+                    defense,
+                    setting,
+                    lab,
+                    victim,
+                    train_naive,
+                    naive_fp,
+                    (lab_shape_seed, victim_shape_seed, adaptive_fp_seed),
+                    days=days,
+                    window_s=window_s,
+                    fingerprint_window_s=fingerprint_window_s,
+                )
+                if identity:
+                    unshaped = outcome
         outcomes.append(replace(outcome, telemetry=own.snapshot))
     return outcomes
 
@@ -347,6 +357,7 @@ def _dial_outcome(
     setting: float,
     lab: LanSimulation,
     victim: LanSimulation,
+    train_naive: dict[str, np.ndarray],
     naive_fp: DeviceFingerprinter,
     seeds: tuple[np.random.SeedSequence, ...],
     *,
@@ -354,7 +365,11 @@ def _dial_outcome(
     window_s: float,
     fingerprint_window_s: float,
 ) -> ArmsRaceOutcome:
-    """Shape both LANs for one dial and score both attacker generations."""
+    """Shape both LANs for one dial and score both attacker generations.
+
+    ``train_naive`` is the raw lab log's window features, which
+    ``naive_fp`` was fitted on.
+    """
     lab_shape_seed, victim_shape_seed, adaptive_fp_seed = seeds
     shaper = make_shaper(defense, setting)
     with TELEMETRY.timer("stage.shape"):
@@ -369,8 +384,13 @@ def _dial_outcome(
         )
 
     with TELEMETRY.timer("stage.fingerprint"):
-        train_adaptive = device_window_features(
-            shaped_lab, lab.duration_s, fingerprint_window_s, devices=lab.devices
+        # the identity shaper hands back the raw lab log, already featurized
+        train_adaptive = (
+            train_naive
+            if shaped_lab is lab.log
+            else device_window_features(
+                shaped_lab, lab.duration_s, fingerprint_window_s, devices=lab.devices
+            )
         )
         test = device_window_features(
             shaped_victim,

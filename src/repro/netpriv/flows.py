@@ -64,14 +64,8 @@ class FlowLog:
     def __iter__(self):
         return iter(self.flows)
 
-    def for_device(self, device_id: str) -> "FlowLog":
-        return FlowLog([f for f in self.flows if f.device_id == device_id])
-
     def in_window(self, t0_s: float, t1_s: float) -> "FlowLog":
         return FlowLog([f for f in self.flows if t0_s <= f.time_s < t1_s])
-
-    def device_ids(self) -> list[str]:
-        return sorted({f.device_id for f in self.flows})
 
 
 def flow_log_digest(log: FlowLog) -> str:

@@ -12,22 +12,11 @@ quarantined automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-from .devices import Device
-from .fingerprint import FEATURE_NAMES, flow_features, windowed_device_flows
+from .fingerprint import flow_features, windowed_device_flows
 from .flows import Direction, Flow, FlowLog
-
-
-class Verdict(Enum):
-    """Gateway decision for one observed flow."""
-
-    ALLOW = "allow"
-    BLOCK_LATERAL = "block_lateral"
-    BLOCK_UNKNOWN_ENDPOINT = "block_unknown_endpoint"
-    QUARANTINED = "quarantined"
 
 
 @dataclass(frozen=True)

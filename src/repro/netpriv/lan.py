@@ -40,9 +40,6 @@ class LanConfig:
     # be shared by every LanConfig ever constructed
     occupancy: OccupancyConfig = field(default_factory=OccupancyConfig)
 
-    def total_devices(self) -> int:
-        return sum(self.device_counts.values())
-
 
 @dataclass
 class LanSimulation:

@@ -208,9 +208,6 @@ class Telemetry:
                 name: stat.total_s for name, stat in snapshot.timers.items()
             }
 
-    def reset(self) -> None:
-        self.restore(TelemetrySnapshot())
-
 
 def _enabled_from_env() -> bool:
     return os.environ.get(TELEMETRY_ENV, "") not in ("", "0")

@@ -8,23 +8,20 @@ SunDance net-meter disaggregation of Sec. II-B.
 
 from .disaggregation import DisaggregationEstimate, SunDance
 from .generation import PVArrayConfig, SolarSite, fig5_sites, simulate_generation
-from .geo import EARTH_RADIUS_KM, LatLon, grid_around, haversine_km
+from .geo import EARTH_RADIUS_KM, LatLon, haversine_km
 from .irradiance import (
     clearsky_ghi_w_m2,
-    day_length_hours,
     day_of_year,
     declination_rad,
     equation_of_time_minutes,
     solar_time_hours,
     sun_position,
-    sunrise_sunset_utc_hours,
 )
 from .sunspot import (
     DayObservation,
     LocalizationResult,
     SunSpot,
     extract_day_observations,
-    predicted_crossings,
 )
 from .weather import (
     Octave,
@@ -44,21 +41,17 @@ __all__ = [
     "simulate_generation",
     "EARTH_RADIUS_KM",
     "LatLon",
-    "grid_around",
     "haversine_km",
     "clearsky_ghi_w_m2",
-    "day_length_hours",
     "day_of_year",
     "declination_rad",
     "equation_of_time_minutes",
     "solar_time_hours",
     "sun_position",
-    "sunrise_sunset_utc_hours",
     "DayObservation",
     "LocalizationResult",
     "SunSpot",
     "extract_day_observations",
-    "predicted_crossings",
     "Octave",
     "WeatherConfig",
     "WeatherField",

@@ -1,11 +1,9 @@
-"""Geodesy helpers: sites, distances, and search grids."""
+"""Geodesy helpers: sites and great-circle distances."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -33,19 +31,3 @@ def haversine_km(a: LatLon, b: LatLon) -> float:
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
-
-def grid_around(
-    center: LatLon, half_span_deg: float, n_per_side: int
-) -> list[LatLon]:
-    """A square lat/lon grid centred on ``center`` (clipped to valid range)."""
-    if half_span_deg <= 0 or n_per_side < 2:
-        raise ValueError("need positive span and at least 2 points per side")
-    lats = np.linspace(center.lat - half_span_deg, center.lat + half_span_deg, n_per_side)
-    lons = np.linspace(center.lon - half_span_deg, center.lon + half_span_deg, n_per_side)
-    points = []
-    for lat in lats:
-        for lon in lons:
-            points.append(
-                LatLon(float(np.clip(lat, -89.9, 89.9)), float(np.clip(lon, -179.9, 179.9)))
-            )
-    return points

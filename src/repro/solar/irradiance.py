@@ -1,4 +1,4 @@
-"""Solar geometry: declination, equation of time, sun position, day length.
+"""Solar geometry: declination, equation of time, sun position, irradiance.
 
 This is the astronomy that makes SunSpot (Sec. II-B) work: sunrise and
 sunset times at a site are a deterministic function of its latitude and
@@ -97,37 +97,6 @@ def sun_position(
     az = np.arccos(np.clip(cos_az, -1.0, 1.0))
     az = np.where(ha > 0, 2.0 * np.pi - az, az)  # afternoon sun is in the west
     return el, az
-
-
-def sunrise_sunset_utc_hours(
-    day_index: int, lat_deg: float, lon_deg: float
-) -> tuple[float, float] | None:
-    """Sunrise and sunset (UTC hours in the site's epoch day) or None.
-
-    Returns None for polar day/night.  Times may fall outside [0, 24) for
-    longitudes far from the prime meridian; callers compare them against the
-    same convention from observed traces.
-    """
-    n = float(day_index % 365 + 1)
-    lat = math.radians(lat_deg)
-    dec = float(declination_rad(n))
-    cos_omega = -math.tan(lat) * math.tan(dec)
-    if cos_omega < -1.0 or cos_omega > 1.0:
-        return None
-    omega0 = math.acos(cos_omega)  # half day length in radians
-    eot_h = float(equation_of_time_minutes(n)) / 60.0
-    noon_utc = 12.0 - lon_deg / 15.0 - eot_h
-    half_day_h = omega0 * 12.0 / math.pi
-    return noon_utc - half_day_h, noon_utc + half_day_h
-
-
-def day_length_hours(day_index: int, lat_deg: float) -> float | None:
-    """Length of daylight at a latitude (independent of longitude)."""
-    result = sunrise_sunset_utc_hours(day_index, lat_deg, 0.0)
-    if result is None:
-        return None
-    sunrise, sunset = result
-    return sunset - sunrise
 
 
 def clearsky_ghi_w_m2(elevation_rad: np.ndarray) -> np.ndarray:

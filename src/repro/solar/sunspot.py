@@ -8,11 +8,12 @@ trace and then searches for the (lat, lon) whose astronomical
 sunrise/sunset best matches them across many days.
 
 Panels do not produce exactly at astronomical sunrise — there is a turn-on
-threshold and low-sun attenuation — so the fit includes a nuisance
-parameter ``el0``: the sun elevation at which production effectively starts.
-Sites with skewed panel azimuth or obstructed horizons violate the
-east/west symmetry this model assumes, which biases the estimate; those are
-the high-error sites in Fig. 5.
+threshold and low-sun attenuation — so the fit includes two nuisance
+parameters of a physical dawn model (:func:`predicted_crossings_physical`):
+the turn-on irradiance threshold and the direct-beam boost a tilted panel
+gets in winter.  Sites with skewed panel azimuth or obstructed horizons
+violate the east/west symmetry this model assumes, which biases the
+estimate; those are the high-error sites in Fig. 5.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def extract_day_observations(
     is estimated from the trace itself (the circular mean of
     production-weighted time of day approximates solar noon); reported
     crossing hours keep the UTC convention and may lie outside [0, 24),
-    matching :func:`predicted_crossings`.
+    matching :func:`predicted_crossings_physical`.
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold_fraction must be in (0, 1)")
@@ -124,34 +125,6 @@ def extract_day_observations(
         end_h = (base_s + idx[-1] * period) / SECONDS_PER_HOUR
         observations.append(DayObservation(day, float(start_h), float(end_h)))
     return observations
-
-
-def envelope_observations(
-    observations: list[DayObservation], window_days: int = 10
-) -> list[DayObservation]:
-    """Collapse per-day observations to their clear-sky envelope.
-
-    Clouds can only *delay* the apparent production start and *advance* the
-    apparent end — never the reverse — so within a window of nearby days
-    (over which astronomy changes little) the day with the *longest*
-    apparent production span is the least cloud-biased one.  Keeping that
-    single day (with its own day index, so the start/end pair stays
-    astronomically consistent) de-biases the fit on realistically cloudy
-    traces.
-    """
-    if window_days < 1:
-        raise ValueError("window_days must be >= 1")
-    if not observations:
-        return []
-    out: list[DayObservation] = []
-    first = observations[0].day_index
-    by_window: dict[int, list[DayObservation]] = {}
-    for obs in observations:
-        by_window.setdefault((obs.day_index - first) // window_days, []).append(obs)
-    for group in by_window.values():
-        out.append(max(group, key=lambda o: o.end_utc_h - o.start_utc_h))
-    out.sort(key=lambda o: o.day_index)
-    return out
 
 
 def envelope_edge_observations(
@@ -204,36 +177,6 @@ def _sustained_runs(mask: np.ndarray, min_run: int) -> np.ndarray:
     if run_start is not None and len(mask) - run_start >= min_run:
         out[run_start:] = True
     return out
-
-
-def predicted_crossings(
-    day_index: np.ndarray,
-    lat_deg: float,
-    lon_deg: float,
-    el0_deg: float | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted UTC hours at which the sun crosses elevation ``el0_deg``.
-
-    ``el0_deg`` may be per-day (an array aligned with ``day_index``) to
-    model a seasonally varying production threshold.  Vectorized over days;
-    entries are NaN where the sun never reaches el0 (polar night at that
-    threshold).
-    """
-    n = (np.asarray(day_index) % 365) + 1
-    lat = math.radians(lat_deg)
-    dec = declination_rad(n)
-    el0 = np.radians(np.asarray(el0_deg, dtype=float))
-    cos_omega = (np.sin(el0) - math.sin(lat) * np.sin(dec)) / (
-        math.cos(lat) * np.cos(dec)
-    )
-    omega = np.arccos(np.clip(cos_omega, -1.0, 1.0))
-    invalid = (cos_omega < -1.0) | (cos_omega > 1.0)
-    eot_h = equation_of_time_minutes(n) / 60.0
-    noon_utc = 12.0 - lon_deg / 15.0 - eot_h
-    half_day = omega * 12.0 / np.pi
-    rise = np.where(invalid, np.nan, noon_utc - half_day)
-    sset = np.where(invalid, np.nan, noon_utc + half_day)
-    return rise, sset
 
 
 def predicted_crossings_physical(
@@ -320,8 +263,8 @@ class SunSpot:
         Grids for the dawn-model nuisance parameters of
         :func:`predicted_crossings_physical`.
     envelope_window_days:
-        Days per clearest-day selection window (see
-        :func:`envelope_observations`).
+        Days per clearest-edge selection window (see
+        :func:`envelope_edge_observations`).
     """
 
     #: fewest envelope windows with a usable dawn and dusk a fit needs

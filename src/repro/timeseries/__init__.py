@@ -1,4 +1,4 @@
-"""Time-series substrate: traces, events, and rolling statistics."""
+"""Time-series substrate: traces, edge events, and window statistics."""
 
 from .series import (
     SECONDS_PER_DAY,
@@ -7,18 +7,11 @@ from .series import (
     BinaryTrace,
     PowerTrace,
     TraceError,
-    concat,
     constant,
     zeros_like,
 )
-from .events import Edge, SteadyState, detect_edges, pair_edges, steady_states
-from .stats import (
-    burstiness,
-    daily_profile,
-    rolling_mean,
-    rolling_std,
-    window_features,
-)
+from .events import Edge, detect_edges, pair_edges
+from .stats import daily_profile, window_features
 
 __all__ = [
     "SECONDS_PER_DAY",
@@ -27,17 +20,11 @@ __all__ = [
     "BinaryTrace",
     "PowerTrace",
     "TraceError",
-    "concat",
     "constant",
     "zeros_like",
     "Edge",
-    "SteadyState",
     "detect_edges",
     "pair_edges",
-    "steady_states",
-    "burstiness",
     "daily_profile",
-    "rolling_mean",
-    "rolling_std",
     "window_features",
 ]

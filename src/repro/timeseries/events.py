@@ -2,8 +2,8 @@
 
 NILM techniques in the edge-detection family (Hart's algorithm) and the
 PowerPlay tracker both begin from the same primitive: detecting step changes
-("edges") in an aggregate power signal and grouping the signal into steady
-states between them.  This module provides those primitives.
+("edges") in an aggregate power signal.  This module provides it, and Hart's
+pairing of rising with falling edges that the streamed edges attack runs.
 """
 
 from __future__ import annotations
@@ -40,17 +40,6 @@ class Edge:
     @property
     def is_rising(self) -> bool:
         return self.delta_w > 0
-
-
-@dataclass(frozen=True)
-class SteadyState:
-    """A maximal run of samples between two edges."""
-
-    start_index: int
-    end_index: int  # exclusive
-    level_w: float
-    start_s: float
-    duration_s: float
 
 
 def detect_edges(
@@ -113,31 +102,6 @@ def detect_edges(
             )
         )
     return edges
-
-
-def steady_states(
-    trace: PowerTrace,
-    min_delta_w: float = 30.0,
-    min_duration_samples: int = 1,
-) -> list[SteadyState]:
-    """Partition the trace into steady states separated by detected edges."""
-    edges = detect_edges(trace, min_delta_w=min_delta_w)
-    boundaries = [0] + [e.index for e in edges] + [len(trace)]
-    states: list[SteadyState] = []
-    for i0, i1 in zip(boundaries, boundaries[1:]):
-        if i1 - i0 < min_duration_samples:
-            continue
-        segment = trace.values[i0:i1]
-        states.append(
-            SteadyState(
-                start_index=i0,
-                end_index=i1,
-                level_w=float(np.median(segment)),
-                start_s=trace.start_s + i0 * trace.period_s,
-                duration_s=(i1 - i0) * trace.period_s,
-            )
-        )
-    return states
 
 
 def pair_edges(

@@ -13,7 +13,7 @@ cloud log exposes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -86,14 +86,6 @@ class PowerTrace:
     def hours_of_day(self) -> np.ndarray:
         """Hour-of-day (fractional, in [0, 24)) for each sample."""
         return (self.times() % SECONDS_PER_DAY) / SECONDS_PER_HOUR
-
-    def index_at(self, time_s: float) -> int:
-        """Index of the sample covering absolute time ``time_s``."""
-        if not self.start_s <= time_s < self.end_s:
-            raise TraceError(
-                f"time {time_s} outside trace span [{self.start_s}, {self.end_s})"
-            )
-        return int((time_s - self.start_s) // self.period_s)
 
     # ------------------------------------------------------------------
     # Derivation
@@ -306,19 +298,6 @@ class BinaryTrace:
         if run_start is not None:
             spans.append((run_start, self.end_s))
         return spans
-
-
-def concat(traces: Sequence[PowerTrace]) -> PowerTrace:
-    """Concatenate traces that abut each other in time."""
-    if not traces:
-        raise TraceError("cannot concatenate zero traces")
-    for prev, nxt in zip(traces, traces[1:]):
-        if abs(prev.period_s - nxt.period_s) > 1e-9:
-            raise TraceError("concat requires equal periods")
-        if abs(prev.end_s - nxt.start_s) > 1e-6:
-            raise TraceError("concat requires abutting traces")
-    values = np.concatenate([t.values for t in traces])
-    return PowerTrace(values, traces[0].period_s, traces[0].start_s, traces[0].unit)
 
 
 def zeros_like(trace: PowerTrace) -> PowerTrace:

@@ -1,8 +1,8 @@
-"""Rolling statistics and burstiness measures over power traces.
+"""Per-window statistics and daily profiles of power traces.
 
 NIOM's core observation (Sec. II-A of the paper) is that occupancy manifests
 as *elevated* and *bursty* power: interactive appliances raise both the local
-mean and the local variance.  The statistics here are the features every NIOM
+mean and the local variance.  The window features here are what every NIOM
 variant consumes.
 """
 
@@ -11,36 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .series import PowerTrace, TraceError
-
-
-def rolling_mean(trace: PowerTrace, window_s: float) -> np.ndarray:
-    """Trailing mean over ``window_s`` seconds, evaluated at every sample."""
-    window = _window_samples(trace, window_s)
-    csum = np.concatenate(([0.0], np.cumsum(trace.values)))
-    idx = np.arange(len(trace)) + 1
-    lo = np.maximum(0, idx - window)
-    return (csum[idx] - csum[lo]) / (idx - lo)
-
-
-def rolling_std(trace: PowerTrace, window_s: float) -> np.ndarray:
-    """Trailing standard deviation over ``window_s`` seconds."""
-    window = _window_samples(trace, window_s)
-    values = trace.values
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    csum2 = np.concatenate(([0.0], np.cumsum(values * values)))
-    idx = np.arange(len(values)) + 1
-    lo = np.maximum(0, idx - window)
-    n = idx - lo
-    mean = (csum[idx] - csum[lo]) / n
-    var = (csum2[idx] - csum2[lo]) / n - mean * mean
-    return np.sqrt(np.maximum(var, 0.0))
-
-
-def _window_samples(trace: PowerTrace, window_s: float) -> int:
-    window = int(round(window_s / trace.period_s))
-    if window < 1:
-        raise ValueError(f"window {window_s}s shorter than one sample period")
-    return window
 
 
 def window_features(trace: PowerTrace, window_s: float) -> np.ndarray:
@@ -79,19 +49,6 @@ def block_features(blocks: np.ndarray) -> np.ndarray:
     thresholds = 2.0 * np.maximum(stds, 1.0)
     edge_counts = (diffs > thresholds[:, None]).sum(axis=1).astype(float)
     return np.stack([means, stds, ranges, edge_counts], axis=1)
-
-
-def burstiness(trace: PowerTrace) -> float:
-    """Coefficient-of-variation burstiness of sample-to-sample changes.
-
-    Values near zero mean a flat signal; interactive appliance activity
-    drives this up.  Defined as std of |diff| over (mean power + 1 W) so it
-    is scale-aware but defined for near-zero signals.
-    """
-    if len(trace) < 2:
-        return 0.0
-    diffs = np.abs(np.diff(trace.values))
-    return float(diffs.std() / (trace.values.mean() + 1.0))
 
 
 def daily_profile(trace: PowerTrace, bins_per_day: int = 24) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Tests for the NILM family: PowerPlay, FHMM, Hart."""
+"""Tests for the NILM family: PowerPlay and FHMM."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.attacks import (
     FHMMConfig,
     FHMMDisaggregator,
-    HartDisaggregator,
     LoadKind,
     LoadSignature,
     PowerPlayTracker,
@@ -17,7 +16,7 @@ from repro.attacks import (
 from repro.home import FIG2_DEVICES, fig2_home, simulate_home
 from repro.home.household import HomeConfig
 from repro.home.presets import _fridge, _freezer, _hrv, _toaster
-from repro.timeseries import PowerTrace, SECONDS_PER_DAY, constant
+from repro.timeseries import SECONDS_PER_DAY, constant
 
 
 @pytest.fixture(scope="module")
@@ -170,32 +169,3 @@ class TestFHMM:
         with pytest.raises(ValueError):
             FHMMDisaggregator().fit({})
 
-
-class TestHart:
-    def test_tracks_distinct_resistive_loads(self):
-        # synthetic aggregate: 1000 W and 2500 W devices with clean cycles
-        rng = np.random.default_rng(0)
-        n = 3 * 1440
-        a = np.zeros(n)
-        b = np.zeros(n)
-        for start in range(60, n - 60, 480):
-            a[start : start + 20] = 1000.0
-        for start in range(200, n - 120, 720):
-            b[start : start + 60] = 2500.0
-        aggregate = PowerTrace(a + b + rng.normal(0, 5, n), 60.0)
-        hart = HartDisaggregator({"kettle": 1000.0, "heater": 2500.0}, rng=1)
-        result = hart.disaggregate(aggregate)
-        err_a = disaggregation_error(result.appliance("kettle"), PowerTrace(a, 60.0))
-        err_b = disaggregation_error(result.appliance("heater"), PowerTrace(b, 60.0))
-        assert err_a < 0.3
-        assert err_b < 0.3
-
-    def test_empty_appliances_rejected(self):
-        with pytest.raises(ValueError):
-            HartDisaggregator({})
-
-    def test_no_matching_pairs_gives_zero_estimates(self):
-        flat = constant(100.0, 1440, 60.0)
-        hart = HartDisaggregator({"kettle": 1000.0}, rng=0)
-        result = hart.disaggregate(flat)
-        assert result.appliance("kettle").max() == 0.0

@@ -12,7 +12,6 @@ from repro.core import (
     dial_violations,
     evaluate_defense_outcome,
     make_defense,
-    make_niom_attack,
     niom_attack_names,
     occupancy_privacy,
     register_defense,
@@ -26,7 +25,13 @@ from repro.datasets import (
     population_dataset,
     save_trace_csv,
 )
-from repro.defenses import DefenseOutcome, NILLDefense
+from repro.defenses import (
+    BatteryConfig,
+    CoarseningDefense,
+    DefenseOutcome,
+    NILLDefense,
+    NoiseInjectionDefense,
+)
 from repro.home import home_a, simulate_home
 from repro.timeseries import PowerTrace, TraceError, constant
 
@@ -72,8 +77,6 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(RegistryError):
             make_defense("nonexistent")
-        with pytest.raises(RegistryError):
-            make_niom_attack("nonexistent")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(RegistryError):
@@ -100,7 +103,8 @@ class TestPipeline:
 
     def test_mcc_reduction_computation(self, sim):
         result = run_pipeline(sim, defense_names=["dp-laplace"], rng=1)
-        assert result.mcc_reduction("dp-laplace") > 1.0
+        defended = result.defenses["dp-laplace"].privacy.worst_case_mcc
+        assert defended < result.baseline.privacy.worst_case_mcc
 
     def test_subset_of_defenses(self, sim):
         result = run_pipeline(sim, defense_names=["nill"], rng=2)
@@ -122,6 +126,61 @@ class TestKnob:
         assert len(knob.defenses_for(0.0)) == 0
         assert len(knob.defenses_for(0.5)) >= 1
         assert len(knob.defenses_for(1.0)) == 3
+
+    #: defenses_for(s) at s = 0, 0.05, ..., 1: (coarsening report period,
+    #: noise std, battery Wh), None where the stage is off
+    STAGES = [
+        (None, None, None),
+        (None, None, None),
+        (120.0, None, None),
+        (120.0, None, None),
+        (120.0, None, None),
+        (180.0, None, None),
+        (180.0, None, None),
+        (300.0, 3.4160708450004815e-14, None),
+        (300.0, 30.769230769230795, None),
+        (300.0, 61.538461538461554, None),
+        (600.0, 92.3076923076923, None),
+        (600.0, 123.07692307692311, None),
+        (600.0, 153.8461538461539, None),
+        (900.0, 184.6153846153846, None),
+        (900.0, 215.38461538461542, 428.57142857142895),
+        (900.0, 246.15384615384616, 857.1428571428569),
+        (1800.0, 276.92307692307696, 1285.714285714286),
+        (1800.0, 307.69230769230774, 1714.285714285715),
+        (1800.0, 338.46153846153845, 2142.857142857143),
+        (3600.0, 369.2307692307692, 2571.428571428572),
+        (3600.0, 400.0, 3000.0),
+    ]
+
+    PARAMS = {
+        CoarseningDefense: ("report_period_s",),
+        NoiseInjectionDefense: ("std_w", "physical"),
+        NILLDefense: ("battery_config", "window_s"),
+    }
+
+    def test_stages_pinned_across_the_dial(self):
+        knob = PrivacyKnob()
+        for setting, (period, std, wh) in zip(np.linspace(0, 1, 21), self.STAGES):
+            expected = []
+            if period is not None:
+                expected.append((CoarseningDefense, period))
+            if std is not None:
+                expected.append((NoiseInjectionDefense, std, True))
+            if wh is not None:
+                battery = BatteryConfig(
+                    capacity_wh=wh,
+                    max_charge_w=3000.0,
+                    max_discharge_w=3000.0,
+                    efficiency=0.9,
+                    initial_soc=0.5,
+                )
+                expected.append((NILLDefense, battery, 3600.0))
+            stages = [
+                (type(d), *(getattr(d, p) for p in self.PARAMS[type(d)]))
+                for d in knob.defenses_for(float(setting))
+            ]
+            assert stages == expected, setting
 
     def test_frontier_monotone_trend(self, sim):
         points = sweep_knob(

@@ -18,7 +18,6 @@ from repro.timeseries import (
     constant,
     detect_edges,
     pair_edges,
-    steady_states,
 )
 
 
@@ -29,12 +28,6 @@ class TestEdgeDetectionEdgeCases:
         edges = detect_edges(trace, min_delta_w=500.0)
         assert pair_edges(edges, tolerance_w=100.0, max_gap_s=60.0) == []
         assert len(pair_edges(edges, tolerance_w=100.0, max_gap_s=60.0 * 500)) == 1
-
-    def test_steady_states_min_duration_filters(self):
-        values = [100.0] * 20 + [900.0] * 2 + [100.0] * 20
-        trace = PowerTrace(np.asarray(values), 60.0)
-        states = steady_states(trace, min_delta_w=300.0, min_duration_samples=5)
-        assert all(s.duration_s >= 5 * 60.0 for s in states)
 
     def test_detect_edges_invalid_params(self):
         trace = constant(1.0, 10, 60.0)

@@ -41,17 +41,6 @@ class TestTimeOfDayAffinity:
             hour = MEALS.sample_hour(rng)
             assert 0.0 <= hour < 24.0
 
-    def test_density_peaks_where_expected(self):
-        affinity = TimeOfDayAffinity(((18.0, 1.0, 1.0),))
-        hours = np.asarray([3.0, 18.0])
-        density = affinity.density(hours)
-        assert density[1] > density[0]
-
-    def test_density_wraps_midnight(self):
-        affinity = TimeOfDayAffinity(((23.5, 1.0, 1.0),))
-        density = affinity.density(np.asarray([0.5, 12.0]))
-        assert density[0] > density[1]
-
     def test_invalid_peak_rejected(self):
         with pytest.raises(ValueError):
             TimeOfDayAffinity(((25.0, 1.0, 1.0),))
@@ -278,7 +267,7 @@ class TestHousehold:
 
     def test_occupied_periods_are_busier(self):
         sim = simulate_home(home_b(), 7, rng=6)
-        occ = sim.metered_occupancy().values
+        occ = sim.occupancy.align_to(sim.metered).values
         metered = sim.metered.values
         assert metered[occ == 1].mean() > 1.5 * metered[occ == 0].mean()
 

@@ -1,5 +1,5 @@
-"""The docs-consistency lint's two-way telemetry check and its check
-that the repo paths the docs cite exist.
+"""The docs-consistency lint's two-way telemetry check, its check that
+the repo paths the docs cite exist, and its unreferenced-names pass.
 
 ``tools/lint_docstrings.py`` is a standalone script (CI runs it without
 installing the package), so it is loaded from its path here.
@@ -93,3 +93,40 @@ def test_repository_docs_cite_only_existing_paths():
         for doc in lint.path_checked_docs()
         for problem in lint.stale_doc_paths(doc)
     ] == []
+
+
+def _tree(root, files):
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_names_only_tests_or_a_reexport_reach_are_reported(tmp_path):
+    _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/pkg/__init__.py": (
+            "from .mod import by_sibling, only_tests, only_reexported\n"
+        ),
+        "src/repro/pkg/mod.py": (
+            "def by_sibling():\n    return 1\n\n\n"
+            "def only_tests():\n    return only_tests\n\n\n"
+            "def only_reexported():\n    return 3\n"
+        ),
+        "src/repro/pkg/user.py": (
+            "from .mod import by_sibling\n\nVALUE = by_sibling()\n"
+        ),
+        "tests/test_mod.py": (
+            "from repro.pkg import only_reexported, only_tests\n\n"
+            "only_tests()\nonly_reexported()\n"
+        ),
+    })
+    problems = lint.unreferenced_names(tmp_path)
+    reported = sorted(p.split("'")[1] for p in problems)
+    assert reported == ["pkg.mod.only_reexported", "pkg.mod.only_tests"]
+    mod = tmp_path / "src" / "repro" / "pkg" / "mod.py"
+    assert problems[0].startswith(f"{mod}:5:")
+
+
+def test_repository_has_no_unreferenced_names():
+    assert lint.unreferenced_names() == []

@@ -1,39 +1,16 @@
-"""Coverage for remaining branches: profiling fallbacks, pipeline math,
+"""Coverage for remaining branches: profiling fallbacks, utility bounds,
 DP aggregate validation, and dataset invariants."""
 
 import numpy as np
 import pytest
 
 from repro.attacks import estimated_bedtime_hour, usage_hours_histogram
-from repro.core import PipelineResult
-from repro.core.evaluation import PrivacyScore, TradeoffPoint, UtilityScore
+from repro.core.evaluation import UtilityScore
 from repro.defenses import DefenseOutcome, dp_aggregate_consumption
 from repro.timeseries import BinaryTrace, PowerTrace, constant
 
 
-def _point(mcc: float) -> TradeoffPoint:
-    return TradeoffPoint(
-        defense="x",
-        privacy=PrivacyScore(per_detector_mcc={"d": mcc}, per_detector_accuracy={"d": 0.5}),
-        utility=UtilityScore(0.0, 0.0, 0.0),
-        extra_energy_kwh=0.0,
-        comfort_violation_fraction=0.0,
-    )
-
-
 class TestPipelineMath:
-    def test_mcc_reduction_finite(self):
-        result = PipelineResult(baseline=_point(0.8), defenses={"d": _point(0.2)})
-        assert result.mcc_reduction("d") == pytest.approx(4.0)
-
-    def test_mcc_reduction_infinite_when_fully_masked(self):
-        result = PipelineResult(baseline=_point(0.8), defenses={"d": _point(0.0)})
-        assert result.mcc_reduction("d") == float("inf")
-
-    def test_mcc_reduction_unity_when_both_zero(self):
-        result = PipelineResult(baseline=_point(0.0), defenses={"d": _point(0.0)})
-        assert result.mcc_reduction("d") == 1.0
-
     def test_utility_composite_bounds(self):
         good = UtilityScore(0.0, 0.0, 0.0)
         bad = UtilityScore(5.0, 5.0, 5000.0)

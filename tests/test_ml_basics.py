@@ -7,21 +7,17 @@ from hypothesis import strategies as st
 
 from repro.ml import (
     DecisionTreeClassifier,
-    GaussianNB,
     KMeans,
-    KNeighborsClassifier,
     LogisticRegression,
     RandomForestClassifier,
     StandardScaler,
     accuracy,
     binary_counts,
-    confusion_matrix,
     f1_score,
     macro_f1,
     mcc,
     precision,
     recall,
-    train_test_split,
 )
 
 
@@ -67,10 +63,6 @@ class TestMetrics:
         assert recall([0, 0], [0, 0]) == 0.0
         assert f1_score([0, 0], [0, 0]) == 0.0
 
-    def test_confusion_matrix(self):
-        m = confusion_matrix(["a", "b", "a"], ["a", "a", "a"])
-        assert m.tolist() == [[2, 0], [1, 0]]
-
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             accuracy([1], [1, 0])
@@ -114,14 +106,6 @@ class TestPreprocessing:
         with pytest.raises(ValueError):
             scaler.transform(np.zeros((5, 3)))
 
-    def test_split_sizes_and_disjoint(self):
-        X = np.arange(40.0).reshape(-1, 1)
-        y = np.arange(40)
-        X_tr, X_te, y_tr, y_te = train_test_split(X, y, 0.25, rng=0)
-        assert len(X_te) == 10 and len(X_tr) == 30
-        assert set(y_tr) | set(y_te) == set(range(40))
-        assert not set(y_tr) & set(y_te)
-
 
 # ---------------------------------------------------------------------------
 # Classifiers — all should nail a well-separated 3-class blob problem
@@ -137,8 +121,6 @@ def blob_data(rng_seed=0, n_per_class=60):
 CLASSIFIERS = [
     lambda: DecisionTreeClassifier(max_depth=8),
     lambda: RandomForestClassifier(n_trees=10, rng=0),
-    lambda: GaussianNB(),
-    lambda: KNeighborsClassifier(k=5),
     lambda: LogisticRegression(),
 ]
 
@@ -146,9 +128,11 @@ CLASSIFIERS = [
 @pytest.mark.parametrize("factory", CLASSIFIERS, ids=lambda f: type(f()).__name__)
 def test_classifier_separable_blobs(factory):
     X, y = blob_data()
-    X_tr, X_te, y_tr, y_te = train_test_split(X, y, 0.3, rng=1)
-    model = factory().fit(X_tr, y_tr)
-    assert accuracy(y_te, model.predict(X_te)) >= 0.95
+    order = np.random.default_rng(1).permutation(len(X))
+    n_test = round(len(X) * 0.3)
+    test, train = order[:n_test], order[n_test:]
+    model = factory().fit(X[train], y[train])
+    assert accuracy(y[test], model.predict(X[test])) >= 0.95
 
 
 @pytest.mark.parametrize("factory", CLASSIFIERS, ids=lambda f: type(f()).__name__)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.fleet import (
 )
 from repro.fleet.netpriv import NetprivJob
 from repro.netpriv import DeviceType, LanConfig, evaluate_arms_race, simulate_lan
+from repro.netpriv import adaptive
 
 
 def _stats(value: float) -> PopulationStats:
@@ -95,7 +97,8 @@ class TestNetprivGrid:
 
     def test_lan_config_registry(self):
         small = netpriv_lan_config("small")
-        assert small.total_devices() < netpriv_lan_config("default").total_devices()
+        default = netpriv_lan_config("default")
+        assert sum(small.device_counts.values()) < sum(default.device_counts.values())
         # factories, not shared instances
         assert netpriv_lan_config("small") is not small
         with pytest.raises(SweepError):
@@ -241,13 +244,14 @@ TINY_LAN = LanConfig(
     }
 )
 
-#: one dial of every shaper, and the unshaped anchor
+#: one dial of every shaper, and the unshaped anchor under two names
 EVERY_SHAPER = (
     ("cover", 0.5),
     ("constant-rate", 0.5),
     ("merge", 0.5),
     ("jitter", 0.5),
     ("cover", 0.0),
+    ("merge", 0.0),
 )
 
 
@@ -262,6 +266,23 @@ class TestOneJobPerLan:
         alone = [evaluate_arms_race([dial], **shared)[0] for dial in EVERY_SHAPER]
         assert together == alone
         assert [o.as_dict() for o in together] == [o.as_dict() for o in alone]
+
+    def test_identity_dials_featurize_only_the_raw_logs(self, monkeypatch):
+        calls = []
+        featurize = adaptive.device_window_features
+
+        def counted(log, *args, **kwargs):
+            calls.append(log)
+            return featurize(log, *args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "device_window_features", counted)
+        dials = [("cover", 0.0), ("merge", 0.0), ("jitter", 0.0)]
+        outcomes = evaluate_arms_race(dials, days=1, seed=0, lan_config=TINY_LAN)
+        # the raw lab log (naive fit) and the raw victim log (test set),
+        # not one pair of shaped logs per dial
+        assert len(calls) == 2
+        assert [o.defense for o in outcomes] == ["cover", "merge", "jitter"]
+        assert all(replace(o, defense="cover") == outcomes[0] for o in outcomes)
 
     #: 2 seeds x 2 LANs: four (seed, LAN) groups of two cells each
     GRID = NetprivGrid(

@@ -15,10 +15,8 @@ from repro.solar import (
     Weatherman,
     cloud_proxy_from_generation,
     extract_day_observations,
-    predicted_crossings,
     simulate_generation,
 )
-from repro.solar.sunspot import envelope_observations
 from repro.timeseries import SECONDS_PER_DAY
 
 SITE = SolarSite("test-site", LatLon(42.39, -72.53))
@@ -62,37 +60,6 @@ class TestObservationExtraction:
         from repro.timeseries import constant
 
         assert extract_day_observations(constant(0.0, 2880, 60.0)) == []
-
-    def test_envelope_keeps_clearest_day(self):
-        from repro.solar.sunspot import DayObservation
-
-        days = [
-            DayObservation(0, 7.0, 17.0),
-            DayObservation(1, 7.5, 16.5),  # cloud-shrunk
-            DayObservation(2, 6.9, 17.1),  # clearest
-        ]
-        out = envelope_observations(days, window_days=10)
-        assert len(out) == 1
-        assert out[0].day_index == 2
-
-
-class TestPredictedCrossings:
-    def test_higher_el0_shrinks_day(self):
-        days = np.asarray([100])
-        r1, s1 = predicted_crossings(days, 42.0, -72.0, 0.0)
-        r2, s2 = predicted_crossings(days, 42.0, -72.0, 5.0)
-        assert (s2 - r2)[0] < (s1 - r1)[0]
-
-    def test_matches_horizon_formula_at_zero(self):
-        from repro.solar import sunrise_sunset_utc_hours
-
-        days = np.asarray([80])
-        rise, sset = predicted_crossings(days, 42.0, -72.0, 0.0)
-        expected = sunrise_sunset_utc_hours(79, 42.0, -72.0)  # day_index 80-1... consistent n
-        # both use n = day%365+1, so day_index=80 -> n=81; call with day 80
-        expected = sunrise_sunset_utc_hours(80, 42.0, -72.0)
-        assert rise[0] == pytest.approx(expected[0], abs=1e-6)
-        assert sset[0] == pytest.approx(expected[1], abs=1e-6)
 
 
 def fast_sunspot() -> SunSpot:

@@ -13,14 +13,11 @@ from repro.solar import (
     WeatherField,
     WeatherStationDB,
     clearsky_ghi_w_m2,
-    day_length_hours,
     declination_rad,
     equation_of_time_minutes,
-    grid_around,
     haversine_km,
     simulate_generation,
     sun_position,
-    sunrise_sunset_utc_hours,
 )
 from repro.timeseries import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -45,12 +42,6 @@ class TestGeo:
         with pytest.raises(ValueError):
             LatLon(0.0, 200.0)
 
-    def test_grid_around(self):
-        pts = grid_around(LatLon(40.0, -100.0), 1.0, 3)
-        assert len(pts) == 9
-        lats = sorted({p.lat for p in pts})
-        assert lats == [39.0, 40.0, 41.0]
-
 
 class TestAstronomy:
     def test_declination_range(self):
@@ -68,37 +59,6 @@ class TestAstronomy:
     def test_equation_of_time_bounds(self):
         eot = equation_of_time_minutes(np.arange(1, 366))
         assert eot.max() < 18.0 and eot.min() > -16.0
-
-    def test_day_length_equator_always_12h(self):
-        for day in (1, 90, 180, 270):
-            assert day_length_hours(day, 0.0) == pytest.approx(12.0, abs=0.2)
-
-    def test_day_length_seasons_northern(self):
-        summer = day_length_hours(171, 45.0)
-        winter = day_length_hours(354, 45.0)
-        assert summer > 15.0 and winter < 9.5
-
-    def test_day_length_hemispheres_mirror(self):
-        north = day_length_hours(171, 40.0)
-        south = day_length_hours(171, -40.0)
-        assert north + south == pytest.approx(24.0, abs=0.3)
-
-    def test_polar_night_returns_none(self):
-        assert sunrise_sunset_utc_hours(354, 80.0, 0.0) is None
-
-    def test_sunrise_before_sunset(self):
-        result = sunrise_sunset_utc_hours(100, 42.0, -72.0)
-        assert result is not None
-        sunrise, sunset = result
-        assert sunrise < sunset
-
-    def test_longitude_shifts_noon(self):
-        east = sunrise_sunset_utc_hours(100, 42.0, 10.0)
-        west = sunrise_sunset_utc_hours(100, 42.0, -100.0)
-        noon_east = sum(east) / 2
-        noon_west = sum(west) / 2
-        # 110 degrees of longitude = 110/15 hours later in UTC
-        assert noon_west - noon_east == pytest.approx(110.0 / 15.0, abs=0.1)
 
     def test_sun_elevation_peaks_at_solar_noon(self):
         times = np.arange(0, SECONDS_PER_DAY, 60.0) + 100 * SECONDS_PER_DAY
@@ -212,15 +172,6 @@ class TestGeneration:
         site = SolarSite("s", LatLon(40.0, -95.0))
         with pytest.raises(ValueError):
             simulate_generation(site, 1, 7.0, rng=0)  # 7 s does not divide a day
-
-
-@given(st.floats(min_value=-60.0, max_value=60.0), st.integers(min_value=1, max_value=365))
-@settings(max_examples=60, deadline=None)
-def test_day_length_bounded_property(lat, day):
-    """At temperate latitudes day length stays within physical bounds."""
-    length = day_length_hours(day, lat)
-    assert length is not None
-    assert 0.0 < length < 24.0
 
 
 @given(

@@ -11,15 +11,10 @@ from repro.timeseries import (
     BinaryTrace,
     PowerTrace,
     TraceError,
-    burstiness,
-    concat,
     constant,
     daily_profile,
     detect_edges,
     pair_edges,
-    rolling_mean,
-    rolling_std,
-    steady_states,
     window_features,
     zeros_like,
 )
@@ -57,13 +52,6 @@ class TestPowerTraceStructure:
         hours = trace.hours_of_day()
         assert hours[0] == 23.0
         assert hours[1] == 0.0
-
-    def test_index_at(self):
-        trace = make_trace([0, 0, 0], period_s=60.0, start_s=60.0)
-        assert trace.index_at(60.0) == 0
-        assert trace.index_at(179.9) == 1
-        with pytest.raises(TraceError):
-            trace.index_at(240.0)
 
 
 class TestSliceResample:
@@ -153,18 +141,6 @@ class TestArithmetic:
 
 
 class TestConcatHelpers:
-    def test_concat(self):
-        a = make_trace([1, 2])
-        b = make_trace([3, 4], start_s=120.0)
-        joined = concat([a, b])
-        assert list(joined.values) == [1.0, 2.0, 3.0, 4.0]
-
-    def test_concat_gap_raises(self):
-        a = make_trace([1, 2])
-        b = make_trace([3], start_s=500.0)
-        with pytest.raises(TraceError):
-            concat([a, b])
-
     def test_zeros_like(self):
         trace = make_trace([5, 6])
         z = zeros_like(trace)
@@ -226,38 +202,8 @@ class TestEdges:
         pairs = pair_edges(edges, tolerance_w=100.0)
         assert pairs == []  # -500 fall does not match +1000 rise
 
-    def test_steady_states(self):
-        values = [100.0] * 10 + [600.0] * 10
-        states = steady_states(make_trace(values), min_delta_w=300.0)
-        assert len(states) == 2
-        assert states[0].level_w == pytest.approx(100.0)
-        assert states[1].level_w == pytest.approx(600.0)
-
 
 class TestStats:
-    def test_rolling_mean_matches_naive(self):
-        rng = np.random.default_rng(2)
-        trace = make_trace(rng.uniform(0, 100, 50))
-        fast = rolling_mean(trace, 300.0)
-        for i in range(len(trace)):
-            lo = max(0, i - 4)
-            assert fast[i] == pytest.approx(trace.values[lo : i + 1].mean())
-
-    def test_rolling_std_matches_naive(self):
-        rng = np.random.default_rng(3)
-        trace = make_trace(rng.uniform(0, 100, 40))
-        fast = rolling_std(trace, 300.0)
-        for i in range(len(trace)):
-            lo = max(0, i - 4)
-            assert fast[i] == pytest.approx(trace.values[lo : i + 1].std(), abs=1e-8)
-
-    def test_burstiness_flat_vs_bursty(self):
-        flat = constant(500.0, 100, 60.0)
-        rng = np.random.default_rng(4)
-        bursty_values = 500.0 + np.where(rng.uniform(size=100) < 0.2, 1500.0, 0.0)
-        bursty = make_trace(bursty_values)
-        assert burstiness(bursty) > burstiness(flat)
-
     def test_window_features_shape(self):
         trace = make_trace(range(60))
         feats = window_features(trace, 600.0)
