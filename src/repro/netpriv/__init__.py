@@ -14,7 +14,6 @@ from .fingerprint import (
     DeviceFingerprinter,
     FingerprintReport,
     device_window_features,
-    flow_features,
 )
 from .flows import Direction, Flow, FlowLog, flow_log_digest
 from .gateway import (
@@ -58,7 +57,6 @@ __all__ = [
     "DeviceFingerprinter",
     "FingerprintReport",
     "device_window_features",
-    "flow_features",
     "Direction",
     "Flow",
     "FlowLog",

@@ -34,76 +34,6 @@ FEATURE_NAMES = (
 )
 
 
-def flow_features(log: "FlowLog | list", window_s: float) -> np.ndarray:
-    """Feature vector for one device's flows within one window.
-
-    Accepts a :class:`FlowLog` or a plain list of flows.  Returns a vector
-    of ``len(FEATURE_NAMES)``; a window with no flows yields all zeros
-    (itself informative — silence is a pattern).
-    """
-    flows = log.flows if isinstance(log, FlowLog) else log
-    if not flows:
-        return np.zeros(len(FEATURE_NAMES))
-    times = np.asarray([f.time_s for f in flows])
-    up = np.asarray([f.bytes_up for f in flows], dtype=float)
-    down = np.asarray([f.bytes_down for f in flows], dtype=float)
-    packets = np.asarray([max(f.packets, 1) for f in flows], dtype=float)
-    durations = np.asarray([f.duration_s for f in flows])
-    inter = np.diff(np.sort(times)) if len(times) > 1 else np.asarray([window_s])
-    total = up + down
-    return np.asarray(
-        [
-            len(flows) / (window_s / 3600.0),
-            up.mean(),
-            down.mean(),
-            up.sum() / max(down.sum(), 1.0),
-            float(np.percentile(up, 95)),
-            float(np.median(inter)),
-            float(np.percentile(inter, 75) - np.percentile(inter, 25)),
-            len({f.endpoint for f in flows}),
-            float(np.mean([f.direction is Direction.INBOUND for f in flows])),
-            float(durations.mean()),
-            float((total / packets).mean()),
-            float(np.mean(total > 100_000)),
-        ]
-    )
-
-
-def windowed_device_flows(
-    log: FlowLog,
-    duration_s: float,
-    window_s: float,
-    devices: "list[Device] | list[str] | None" = None,
-) -> dict[str, list[list]]:
-    """Group flows by device and window in one pass: device -> [flows]*n.
-
-    A single O(F) sweep instead of per-(device, window) rescans — flow logs
-    for a 40-device LAN run to hundreds of thousands of flows.
-
-    ``devices`` (a list of :class:`Device` or of device-id strings) pre-seeds
-    the grouping, so a device with zero in-range flows still gets its full
-    run of empty windows — honouring :func:`flow_features`'s "silence is a
-    pattern" contract instead of silently vanishing from the feature set.
-    Devices present in the log but absent from ``devices`` are kept too.
-    """
-    if window_s <= 0 or duration_s < window_s:
-        raise ValueError("need at least one whole window")
-    n_windows = int(duration_s // window_s)
-    grouped: dict[str, list[list]] = {}
-    if devices is not None:
-        for device in devices:
-            device_id = device if isinstance(device, str) else device.device_id
-            grouped[device_id] = [[] for _ in range(n_windows)]
-    for flow in log:
-        w = int(flow.time_s // window_s)
-        if not 0 <= w < n_windows:
-            continue
-        if flow.device_id not in grouped:
-            grouped[flow.device_id] = [[] for _ in range(n_windows)]
-        grouped[flow.device_id][w].append(flow)
-    return grouped
-
-
 def device_window_features(
     log: FlowLog,
     duration_s: float,
@@ -112,14 +42,133 @@ def device_window_features(
 ) -> dict[str, np.ndarray]:
     """Per-device feature matrices: device_id -> (n_windows, n_features).
 
-    Pass ``devices`` to guarantee a row block (of all-zero feature vectors)
-    for devices that never sent an in-range flow.
+    Row ``w`` of a device's matrix describes its flows with
+    ``w * window_s <= time_s < (w + 1) * window_s``; flows outside the
+    ``duration_s // window_s`` whole windows are dropped.  A window with
+    no flows is all zeros (silence is a pattern too).  Pass ``devices``
+    (a list of :class:`Device` or of device-id strings) to guarantee a
+    row block for devices that never sent an in-range flow; they come
+    first, in that order, then every other device in the order its
+    first in-range flow appears in the log.
+
+    The whole log is featurized at once.  Each flow column is gathered
+    once and each flow gets a (device, window) segment.  Counts, byte
+    means and sums and the fractions are segment sums, exact because byte
+    and packet counts are integers.  The p95 and the inter-arrival median
+    and IQR take one sort per column and numpy's linear-method
+    arithmetic.  The two means whose float summation order matters are
+    numpy's ``mean`` over each segment's flows in log order.
+    ``repro.netpriv._reference`` keeps the per-window loop this matches
+    bit for bit.
     """
-    grouped = windowed_device_flows(log, duration_s, window_s, devices)
-    return {
-        device_id: np.asarray([flow_features(flows, window_s) for flows in windows])
-        for device_id, windows in grouped.items()
-    }
+    if window_s <= 0 or duration_s < window_s:
+        raise ValueError("need at least one whole window")
+    n_windows = int(duration_s // window_s)
+    index: dict[str, int] = {}
+    for device in devices or ():
+        device_id = device if isinstance(device, str) else device.device_id
+        index.setdefault(device_id, len(index))
+
+    flows = log.flows
+    times = np.array([f.time_s for f in flows], dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("flow times must be finite")
+    window = times // window_s
+    keep = (window >= 0) & (window < n_windows)
+    if not keep.all():
+        flows = [flows[i] for i in np.flatnonzero(keep).tolist()]
+        times, window = times[keep], window[keep]
+    device = [index.setdefault(f.device_id, len(index)) for f in flows]
+    segment = np.array(device, dtype=np.intp) * n_windows + window.astype(np.intp)
+    del device, window
+    n_segments = len(index) * n_windows
+    counts = np.bincount(segment, minlength=n_segments)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    rows = np.flatnonzero(counts)
+    n = counts[rows]
+    out = np.zeros((n_segments, len(FEATURE_NAMES)))
+
+    def segment_sums(values: np.ndarray) -> np.ndarray:
+        return np.bincount(segment, weights=values, minlength=n_segments)[rows]
+
+    up = np.array([f.bytes_up for f in flows], dtype=float)
+    down = np.array([f.bytes_down for f in flows], dtype=float)
+    up_sum, down_sum = segment_sums(up), segment_sums(down)
+    out[rows, 0] = n / (window_s / 3600.0)
+    out[rows, 1] = up_sum / n
+    out[rows, 2] = down_sum / n
+    out[rows, 3] = up_sum / np.maximum(down_sum, 1.0)
+    up_sorted = up[np.lexsort((up, segment))]
+    out[rows, 4] = _segment_percentile(up_sorted, starts[rows], n, 95)
+    total = up + down
+    del up, down, up_sorted
+    out[rows, 11] = segment_sums(total > 100_000) / n
+
+    # inter-arrival gaps within each window; a lone flow's gap is the window
+    by_time = np.lexsort((times, segment))
+    sorted_times, sorted_segment = times[by_time], segment[by_time]
+    same = sorted_segment[1:] == sorted_segment[:-1]
+    lone = rows[n == 1]
+    gaps = np.concatenate(
+        [np.diff(sorted_times)[same], np.full(len(lone), float(window_s))]
+    )
+    gap_segment = np.concatenate([sorted_segment[1:][same], lone])
+    del times, by_time, sorted_times, sorted_segment, same
+    gaps = gaps[np.lexsort((gaps, gap_segment))]
+    m = np.maximum(n - 1, 1)
+    gap_starts = np.cumsum(m) - m
+    lower, upper = gap_starts + (m - 1) // 2, gap_starts + m // 2
+    # np.median: the middle value, or the mean of the two middle values
+    median = np.where(lower == upper, gaps[lower], (gaps[lower] + gaps[upper]) / 2)
+    out[rows, 5] = median
+    out[rows, 6] = _segment_percentile(gaps, gap_starts, m, 75) - (
+        _segment_percentile(gaps, gap_starts, m, 25)
+    )
+    del gaps, gap_segment
+
+    endpoints: dict[str, int] = {}
+    endpoint = [endpoints.setdefault(f.endpoint, len(endpoints)) for f in flows]
+    n_endpoints = max(len(endpoints), 1)
+    pairs = segment * n_endpoints + np.array(endpoint, dtype=np.intp)
+    distinct = np.unique(pairs) // n_endpoints
+    out[:, 7] = np.bincount(distinct, minlength=n_segments)
+    del endpoint, pairs, distinct
+    inbound = np.array([f.direction is Direction.INBOUND for f in flows], dtype=bool)
+    out[rows, 8] = segment_sums(inbound) / n
+    del inbound
+
+    # the two float means whose summation order matters: numpy's own 1-D
+    # mean over each window's flows, in log order
+    order = np.argsort(segment, kind="stable")
+    durations = np.array([f.duration_s for f in flows], dtype=float)[order]
+    packets = np.maximum(np.array([f.packets for f in flows]), 1)
+    per_packet = (total / packets)[order]
+    del order, total, packets
+    spans = zip(rows.tolist(), starts[rows].tolist(), ends[rows].tolist())
+    for row, start, end in spans:
+        out[row, 9] = durations[start:end].mean()
+        out[row, 10] = per_packet[start:end].mean()
+    by_device = out.reshape(len(index), n_windows, len(FEATURE_NAMES))
+    return {device_id: by_device[code] for device_id, code in index.items()}
+
+
+def _segment_percentile(
+    values: np.ndarray, starts: np.ndarray, n: np.ndarray, q: float
+) -> np.ndarray:
+    """``np.percentile(values[s:s + k], q)`` of each sorted segment, with
+    numpy's own linear-method arithmetic: the virtual index ``(k-1)*q``,
+    the last value at or past the end (gamma then measured from index
+    -1), and both branches of its ``_lerp``."""
+    virtual = (n - 1) * np.true_divide(q, 100)
+    previous = np.floor(virtual)
+    above = virtual >= n - 1
+    lo = np.where(above, n - 1, previous).astype(np.intp)
+    hi = np.where(above, n - 1, previous + 1).astype(np.intp)
+    gamma = virtual - np.where(above, -1.0, previous)
+    a, b = values[starts + lo], values[starts + hi]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
 @dataclass(frozen=True)

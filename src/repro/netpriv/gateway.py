@@ -15,8 +15,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fingerprint import flow_features, windowed_device_flows
+from .fingerprint import device_window_features
 from .flows import Direction, Flow, FlowLog
+
+
+def _by_device(
+    log: FlowLog, duration_s: float, window_s: float
+) -> dict[str, list[Flow]]:
+    """Each device's flows inside the log's whole windows, earliest window
+    first and in log order within a window: the flows whose features
+    :func:`~repro.netpriv.fingerprint.device_window_features` takes."""
+    n_windows = int(duration_s // window_s)
+    windowed = sorted(
+        ((int(flow.time_s // window_s), flow) for flow in log), key=lambda pair: pair[0]
+    )
+    grouped: dict[str, list[Flow]] = {}
+    for w, flow in windowed:
+        if 0 <= w < n_windows:
+            grouped.setdefault(flow.device_id, []).append(flow)
+    return grouped
 
 
 @dataclass(frozen=True)
@@ -131,16 +148,10 @@ class SmartGateway:
         n_windows = int(duration_s // window_s)
         if n_windows < 4:
             raise ValueError("need at least 4 windows of training traffic")
-        grouped = windowed_device_flows(log, duration_s, window_s)
-        matrices: dict[str, np.ndarray] = {}
+        matrices = device_window_features(log, duration_s, window_s)
         endpoints: dict[str, frozenset[str]] = {}
-        for device_id, windows in grouped.items():
-            matrices[device_id] = np.asarray(
-                [flow_features(flows, window_s) for flows in windows]
-            )
-            endpoints[device_id] = frozenset(
-                flow.endpoint for flows in windows for flow in flows
-            )
+        for flows in _by_device(log, duration_s, window_s).values():
+            endpoints[flows[0].device_id] = frozenset(f.endpoint for f in flows)
         for device_id, matrix in matrices.items():
             pool = matrix
             pooled_endpoints = endpoints[device_id]
@@ -180,17 +191,17 @@ class SmartGateway:
         passed: list[Flow] = []
 
         # evaluate anomaly state window by window, then filter flows
-        grouped = windowed_device_flows(log, n_windows * window_s, window_s)
-        for device_id, windows in grouped.items():
+        horizon_s = n_windows * window_s
+        features = device_window_features(log, horizon_s, window_s)
+        in_range = _by_device(log, horizon_s, window_s)
+        for device_id, matrix in features.items():
             baseline = self.baselines.get(device_id)
             if baseline is None:
                 # unknown device: quarantine on first sight (least privilege)
-                first = next((f.time_s for flows in windows for f in flows), 0.0)
-                quarantined_at[device_id] = float(first)
+                quarantined_at[device_id] = float(in_range[device_id][0].time_s)
                 continue
-            for w, flows in enumerate(windows):
-                features = flow_features(flows, window_s)
-                score = baseline.threat_score(features)
+            for w, row in enumerate(matrix):
+                score = baseline.threat_score(row)
                 report.anomaly_scores.setdefault(device_id, []).append(score)
                 if score > policy.anomaly_z_threshold:
                     anomaly_streak[device_id] = anomaly_streak.get(device_id, 0) + 1

@@ -31,6 +31,7 @@ grid/frontier machinery as the energy defenses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,8 +357,8 @@ class FlowMerging(FlowShaper):
         total_delay = 0.0
         for flow in log:
             if flow.device_id in merged and flow.direction is not Direction.LATERAL:
-                held = (np.floor(flow.time_s / self.quantum_s) + 1.0) * self.quantum_s
-                held = min(float(held), duration_s - 1e-3)
+                held = (math.floor(flow.time_s / self.quantum_s) + 1.0) * self.quantum_s
+                held = min(held, duration_s - 1e-3)
                 shaped.append(
                     Flow(
                         time_s=held,
@@ -411,41 +412,43 @@ class HeartbeatJitter(FlowShaper):
         rng = np.random.default_rng(rng)
         report = ShapingReport()
         profiles = {d.device_id: d.profile for d in devices}
-        shaped: list[Flow] = []
-        total_shift = 0.0
-        for flow in log:
-            profile = profiles.get(flow.device_id)
-            is_heartbeat = (
-                profile is not None
-                and flow.bytes_up <= profile.heartbeat_bytes_up * 1.5
-                and flow.duration_s < 1.0
+        shaped = list(log.flows)
+        beats = [
+            i
+            for i, flow in enumerate(shaped)
+            if (profile := profiles.get(flow.device_id)) is not None
+            and flow.bytes_up <= profile.heartbeat_bytes_up * 1.5
+            and flow.duration_s < 1.0
+        ]
+        # one (shift, up, down) row per heartbeat: the stream three scalar
+        # draws per heartbeat would consume, in the same order
+        draws = rng.uniform(-self.scale, self.scale, size=(len(beats), 3))
+        times = np.array([shaped[i].time_s for i in beats], dtype=float)
+        intervals = np.array(
+            [profiles[shaped[i].device_id].heartbeat_interval_s for i in beats],
+            dtype=float,
+        )
+        jittered = np.clip(times + draws[:, 0] * intervals, 0.0, duration_s - 1e-3)
+        total_shift = 0.0  # summed in log order, as a float loop adds
+        for i, time_s, (scale_up, scale_down) in zip(
+            beats, jittered.tolist(), (1.0 + draws[:, 1:]).tolist()
+        ):
+            flow = shaped[i]
+            shaped[i] = Flow(
+                time_s=time_s,
+                device_id=flow.device_id,
+                endpoint=flow.endpoint,
+                port=flow.port,
+                direction=flow.direction,
+                bytes_up=max(1, int(flow.bytes_up * scale_up)),
+                bytes_down=max(1, int(flow.bytes_down * scale_down)),
+                packets=flow.packets,
+                duration_s=flow.duration_s,
             )
-            if not is_heartbeat:
-                shaped.append(flow)
-                continue
-            shift = float(
-                rng.uniform(-self.scale, self.scale) * profile.heartbeat_interval_s
-            )
-            jittered = float(np.clip(flow.time_s + shift, 0.0, duration_s - 1e-3))
-            scale_up = 1.0 + float(rng.uniform(-self.scale, self.scale))
-            scale_down = 1.0 + float(rng.uniform(-self.scale, self.scale))
-            shaped.append(
-                Flow(
-                    time_s=jittered,
-                    device_id=flow.device_id,
-                    endpoint=flow.endpoint,
-                    port=flow.port,
-                    direction=flow.direction,
-                    bytes_up=max(1, int(flow.bytes_up * scale_up)),
-                    bytes_down=max(1, int(flow.bytes_down * scale_down)),
-                    packets=flow.packets,
-                    duration_s=flow.duration_s,
-                )
-            )
-            report.delayed_flows += 1
-            total_shift += abs(jittered - flow.time_s)
-        if report.delayed_flows:
-            report.mean_added_delay_s = total_shift / report.delayed_flows
+            total_shift += abs(time_s - flow.time_s)
+        report.delayed_flows = len(beats)
+        if beats:
+            report.mean_added_delay_s = total_shift / len(beats)
         out = FlowLog(shaped)
         out.sort()
         return out, report
@@ -457,13 +460,16 @@ def make_shaper(name: str, setting: float) -> FlowShaper:
     Setting 0 is always :class:`IdentityShaper` — the knob fully open —
     anchoring every mechanism's frontier at the same unshaped point,
     exactly like :func:`repro.core.knob.knob_defense` on the energy side.
+    A name with no netpriv knob mapping raises ``RegistryError`` at every
+    setting, 0 included.
     """
     setting = float(setting)
     if not 0.0 <= setting <= 1.0:
         raise ValueError(f"knob setting must be in [0, 1], got {setting!r}")
+    mapping = knob_mapping(name, NETPRIV_KNOB_DOMAIN)
     if setting == 0.0:
         return IdentityShaper()
-    return knob_mapping(name, NETPRIV_KNOB_DOMAIN)(setting)
+    return mapping(setting)
 
 
 # Netpriv knob mappings.  Each dials the shaper's natural strength axis so

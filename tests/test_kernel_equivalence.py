@@ -3,11 +3,11 @@
 Every vectorized kernel in the repo ships next to its pre-vectorization
 loop implementation (``repro.ml.kernels``'s ``*_loop`` functions and the
 ``_reference`` modules under ``repro.ml``, ``repro.home``,
-``repro.timeseries``, ``repro.attacks.nilm`` and ``repro.defenses``), and
-so does every sequential loop moved from numpy scalars to plain floats
-(the water-heater tank and thermostat, the CHPr controller, and the NILL
-and stepped battery loops).  These tests pin each production kernel to
-its reference:
+``repro.timeseries``, ``repro.attacks.nilm``, ``repro.defenses`` and
+``repro.netpriv``), and so does every sequential loop moved from numpy
+scalars to plain floats (the water-heater tank and thermostat, the CHPr
+controller, and the NILL and stepped battery loops).  These tests pin
+each production kernel to its reference:
 
 * bitwise-identical where the arithmetic permits (Viterbi paths,
   joint-chain parameters, Gaussian log-densities, simulated appliance
@@ -15,25 +15,29 @@ its reference:
   CART split triples, tree node arrays and forest probabilities; heater
   power, tank temperatures and comfort counts; each defense's visible
   trace, distortion and extra energy, whose scalar *type* every fleet
-  result digest hashes through its ``repr``);
+  result digest hashes through its ``repr``; netpriv window-feature
+  matrices, jittered and merged flow logs and their shaping reports);
 * documented-tolerance-identical for the scan-based E-step (posteriors to
   1e-10, EM-fitted parameters to 1e-9), whose matrix-product prefix scan
   necessarily reassociates float additions;
 * RNG-stream-identical for the appliance simulators, the forest's
-  bootstrap and feature sampling and the CHPr controller's bursts: the
-  kernels must consume the seeded generator exactly as the loops did, or
-  every seeded trace digest and cached fleet result would silently change.
+  bootstrap and feature sampling, the CHPr controller's bursts and the
+  heartbeat jitter's draws: the kernels must consume the seeded generator
+  exactly as the loops did, or every seeded trace digest and cached fleet
+  result would silently change.
 
-The perf tests at the bottom hold the four speedup floors with best-of-N
+The perf tests at the bottom hold the five speedup floors with best-of-N
 timing: vectorized HMM fit+decode, bound-pruned FHMM joint-space decode
 and the forest fit with the CART split kernel, each at least 3x its loop
-baseline, and CHPr's float controller and thermostat at least 2.5x.
+baseline, and the whole-log netpriv window features and CHPr's float
+controller and thermostat, each at least 2.5x.
 End-to-end speed is perfbench's to measure (``perfbench/README.md``).
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -93,9 +97,22 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.hmm import GaussianHMM
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.tree import DecisionTreeClassifier
+from repro.netpriv._reference import (
+    device_window_features_loop,
+    jitter_shape_loop,
+    merge_shape_loop,
+)
+from repro.netpriv.devices import Device as NetDevice
+from repro.netpriv.devices import DeviceType
 from repro.netpriv.fingerprint import DeviceFingerprinter, device_window_features
+from repro.netpriv.flows import Direction, Flow, FlowLog, flow_log_digest
 from repro.netpriv.lan import simulate_lan
-from repro.netpriv.shaping import make_shaper
+from repro.netpriv.shaping import (
+    FlowMerging,
+    HeartbeatJitter,
+    ShapingReport,
+    make_shaper,
+)
 from repro.timeseries import BinaryTrace, Edge, PowerTrace
 from repro.timeseries._reference import detect_edges_loop, window_features_loop
 from repro.timeseries.events import detect_edges
@@ -353,25 +370,40 @@ class TestTimeseriesEquivalence:
 
 
 @pytest.fixture(scope="module")
-def lan_features():
-    """``lan_features(lan, seed, shaper=None)``: the fingerprinter's scaled
-    training matrix for one simulated one-day LAN, raw or shaped, each
-    built once per module."""
-    sims, cache = {}, {}
+def lan_logs():
+    """``lan_logs(lan, seed, shaper=None)``: one simulated one-day LAN and
+    its flow log, raw or shaped by ``"name@dial"`` with a generator seeded
+    ``seed``, each built once per module."""
+    sims, logs = {}, {}
 
-    def features(lan: str, seed: int, shaper: str | None = None):
+    def build(lan: str, seed: int, shaper: str | None = None):
         if (lan, seed) not in sims:
             sims[lan, seed] = simulate_lan(
                 netpriv_lan_config(lan), 1, np.random.default_rng(seed)
             )
-        if (lan, seed, shaper) not in cache:
-            sim = sims[lan, seed]
+        sim = sims[lan, seed]
+        if (lan, seed, shaper) not in logs:
             log = sim.log
             if shaper is not None:
                 name, dial = shaper.split("@")
                 log, _ = make_shaper(name, float(dial)).shape(
                     log, sim.devices, sim.duration_s, np.random.default_rng(seed)
                 )
+            logs[lan, seed, shaper] = log
+        return sim, logs[lan, seed, shaper]
+
+    return build
+
+
+@pytest.fixture(scope="module")
+def lan_features(lan_logs):
+    """``lan_features(lan, seed, shaper=None)``: the fingerprinter's scaled
+    training matrix for one of ``lan_logs``' logs, built once per module."""
+    cache = {}
+
+    def features(lan: str, seed: int, shaper: str | None = None):
+        if (lan, seed, shaper) not in cache:
+            sim, log = lan_logs(lan, seed, shaper)
             windows = device_window_features(
                 log, sim.duration_s, 3600.0, devices=sim.devices
             )
@@ -463,6 +495,165 @@ class TestForestEquivalence:
             assert np.array_equal(a.predict_proba(held_out), want)
         want = loop.predict_proba(held_out)
         assert np.array_equal(kernel.predict_proba(held_out), want)
+
+
+def _same_features(got: dict, want: dict) -> bool:
+    """The same device keys in the same order, and bit-equal matrices."""
+    return list(got) == list(want) and all(
+        got[k].shape == want[k].shape
+        and got[k].dtype == want[k].dtype
+        and got[k].tobytes() == want[k].tobytes()
+        for k in want
+    )
+
+
+def _crafted_log(seed: int, window_s: float, n_windows: int) -> FlowLog:
+    """Flows of four devices, out of time order: times on window edges and
+    just below them, tied, and outside ``[0, duration)``; zero packets, zero
+    and large byte counts, every direction."""
+    rng = np.random.default_rng(seed)
+    edges = np.arange(-1, n_windows + 2) * window_s
+    times = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            rng.uniform(-window_s, (n_windows + 1) * window_s, size=40),
+            np.full(5, 0.5 * window_s),  # tied
+        ]
+    )
+    directions = list(Direction)
+    return FlowLog(
+        [
+            Flow(
+                time_s=float(t),
+                device_id=f"dev-{int(rng.integers(4))}",
+                endpoint=f"host-{int(rng.integers(3))}.example",
+                port=443,
+                direction=directions[int(rng.integers(3))],
+                bytes_up=int(rng.choice([0, 1, 300, 150_000])),
+                bytes_down=int(rng.integers(0, 120_000)),
+                packets=int(rng.integers(0, 4)),
+                duration_s=float(rng.choice([0.0, 0.25, 30.0, 400.0])),
+            )
+            for t in rng.permutation(times)
+        ]
+    )
+
+
+class TestNetprivEquivalence:
+    """Whole-log window features and batched jitter draws vs the per-flow
+    loops they replaced: bit-equal matrices under the same keys in the same
+    order, the same shaped-log digests, report fields and generator state."""
+
+    @pytest.mark.parametrize(
+        "shaper",
+        [None]
+        + [f"{name}@{dial}" for name in ("cover", "constant-rate", "merge", "jitter")
+           for dial in ("0.5", "1")],
+    )
+    def test_features_match_loop_on_shaped_logs(self, lan_logs, shaper):
+        sim, log = lan_logs("small", 0, shaper)
+        got = device_window_features(log, sim.duration_s, 3600.0, sim.devices)
+        want = device_window_features_loop(log, sim.duration_s, 3600.0, sim.devices)
+        assert _same_features(got, want)
+
+    @pytest.mark.parametrize("window_s", [900.0, 1800.0, 3600.0])
+    @pytest.mark.parametrize("listed", ["none", "some"])
+    def test_features_match_loop_across_windows(self, lan_logs, window_s, listed):
+        # "some": every other device, reversed, plus one with no flows
+        sim, log = lan_logs("small", 1, "jitter@0.5")
+        devices = None
+        if listed == "some":
+            devices = [d.device_id for d in sim.devices[::-2]] + ["silent-1"]
+        got = device_window_features(log, sim.duration_s, window_s, devices)
+        want = device_window_features_loop(log, sim.duration_s, window_s, devices)
+        assert _same_features(got, want)
+        assert (devices is None) or list(got)[: len(devices)] == devices
+
+    @pytest.mark.parametrize("shaper", [None, "cover@1"])
+    def test_features_match_loop_on_default_lan(self, lan_logs, shaper):
+        sim, log = lan_logs("default", 1, shaper)
+        got = device_window_features(log, sim.duration_s, 3600.0, sim.devices)
+        want = device_window_features_loop(log, sim.duration_s, 3600.0, sim.devices)
+        assert _same_features(got, want)
+
+    def test_features_match_loop_on_crafted_logs(self):
+        window_s, n_windows = 600.0, 3
+        duration_s = n_windows * window_s + 0.5 * window_s
+        one = Flow(10.0, "dev-9", "x", 443, Direction.INBOUND, 5, 6, 1, 0.1)
+        two = Flow(20.0, "dev-9", "y", 443, Direction.OUTBOUND, 7, 0, 0, 0.2)
+        logs = [
+            FlowLog([]),
+            FlowLog([one]),
+            FlowLog([two, one]),
+            FlowLog([one, one, one]),
+        ] + [_crafted_log(seed, window_s, n_windows) for seed in range(12)]
+        for log in logs:
+            # the listed devices miss dev-0 and dev-9 and add one with no flows
+            for devices in (None, ["dev-3", "dev-1", "silent", "dev-2"]):
+                got = device_window_features(log, duration_s, window_s, devices)
+                want = device_window_features_loop(log, duration_s, window_s, devices)
+                assert _same_features(got, want)
+        assert device_window_features(FlowLog([]), duration_s, window_s) == {}
+        bad = FlowLog([replace(one, time_s=float("nan"))])
+        for features in (device_window_features, device_window_features_loop):
+            with pytest.raises(ValueError):
+                features(bad, duration_s, window_s)
+
+    @staticmethod
+    def _same_shaping(shaper, twin, log, devices, duration_s, seed):
+        rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, report = shaper.shape(log, devices, duration_s, rng)
+        want, twin_report = twin(shaper, log, devices, duration_s, twin_rng)
+        assert flow_log_digest(got) == flow_log_digest(want)
+        for field in fields(ShapingReport):
+            a, b = getattr(report, field.name), getattr(twin_report, field.name)
+            assert repr(a) == repr(b), field.name
+        assert rng.bit_generator.state == twin_rng.bit_generator.state
+        return report
+
+    @pytest.mark.parametrize("scale", [0.4, 0.8])
+    def test_jitter_and_merge_match_loops_on_lan(self, lan_logs, scale):
+        sim, log = lan_logs("small", 0)
+        report = self._same_shaping(
+            HeartbeatJitter(scale), jitter_shape_loop, log, sim.devices,
+            sim.duration_s, 3,
+        )
+        assert report.delayed_flows > 0
+        report = self._same_shaping(
+            FlowMerging(scale / 0.8), merge_shape_loop, log, sim.devices,
+            sim.duration_s, 3,
+        )
+        assert report.merged_flows > 0
+
+    def test_jitter_and_merge_match_loops_on_crafted_logs(self):
+        rng = np.random.default_rng(5)
+        devices = [
+            NetDevice.make(f"dev-{i}", kind, rng)
+            for i, kind in enumerate(
+                (DeviceType.SMART_PLUG, DeviceType.CAMERA, DeviceType.THERMOSTAT)
+            )
+        ]
+        window_s, n_windows = 600.0, 3
+        duration_s = n_windows * window_s
+        beat = devices[0].profile.heartbeat_bytes_up
+        logs = [FlowLog([])]
+        for seed in range(6):
+            log = _crafted_log(seed, window_s, n_windows)
+            # heartbeat-sized flows, some near both ends of the log, so the
+            # jitter clips them; dev-3 has no profile and passes through
+            logs.append(FlowLog([replace(f, bytes_up=beat) for f in log]))
+            logs.append(log)
+        for log in logs:
+            for scale in (0.3, 1.0):
+                self._same_shaping(
+                    HeartbeatJitter(scale), jitter_shape_loop, log, devices,
+                    duration_s, 7,
+                )
+                self._same_shaping(
+                    FlowMerging(scale, quantum_s=250.0), merge_shape_loop, log,
+                    devices, duration_s, 7,
+                )
 
 
 def _sweep_homes(n_homes: int, days: int) -> list[PowerTrace]:
@@ -780,6 +971,29 @@ def test_forest_fit_speedup_at_least_3x(lan_features):
     print(f"forest fit: loop {t_loop*1e3:.1f} ms, kernel {t_kernel*1e3:.1f} ms, "
           f"{speedup:.2f}x")
     assert speedup >= 3.0, f"forest fit speedup {speedup:.2f}x < 3x"
+
+
+def test_device_window_features_speedup_at_least_2_5x(lan_logs):
+    """The window-feature perf pin: the whole-log features >= 2.5x the
+    per-window loop.
+
+    perfbench's small one-day LAN, raw: 9 devices x 24 one-hour windows.
+    Best of 3; the measured factor is ~3-3.5x.
+    """
+    sim, log = lan_logs("small", 0)
+
+    def kernel():
+        return device_window_features(log, sim.duration_s, 3600.0, sim.devices)
+
+    def baseline():
+        return device_window_features_loop(log, sim.duration_s, 3600.0, sim.devices)
+
+    assert _same_features(kernel(), baseline())
+    t_kernel, t_loop = _best_of_alternating(kernel, baseline, reps=3)
+    speedup = t_loop / t_kernel
+    print(f"window features: loop {t_loop*1e3:.1f} ms, kernel {t_kernel*1e3:.1f} ms, "
+          f"{speedup:.2f}x")
+    assert speedup >= 2.5, f"window features speedup {speedup:.2f}x < 2.5x"
 
 
 def test_chpr_apply_speedup_at_least_2_5x():

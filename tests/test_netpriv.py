@@ -17,7 +17,6 @@ from repro.netpriv import (
     LanConfig,
     SmartGateway,
     device_window_features,
-    flow_features,
     inject_compromise,
     occupancy_from_traffic,
     simulate_lan,
@@ -92,12 +91,16 @@ class TestDeviceSimulation:
 
 class TestFingerprinting:
     def test_feature_vector_shape(self, lan):
-        cam = [f for f in lan.log if f.device_id == "camera-1"]
-        features = flow_features(cam, 3600.0)
-        assert features.shape == (len(FEATURE_NAMES),)
+        cam = FlowLog([f for f in lan.log if f.device_id == "camera-1"])
+        features = device_window_features(cam.in_window(0.0, 3600.0), 3600.0)
+        assert list(features) == ["camera-1"]
+        assert features["camera-1"].shape == (1, len(FEATURE_NAMES))
+        assert features["camera-1"][0, 0] > 0.0  # flows_per_hour
 
     def test_empty_window_is_zeros(self):
-        assert np.all(flow_features(FlowLog([]), 3600.0) == 0.0)
+        features = device_window_features(FlowLog([]), 3600.0, devices=["camera-1"])
+        assert features["camera-1"].shape == (1, len(FEATURE_NAMES))
+        assert np.all(features["camera-1"] == 0.0)
 
     def test_classification_beats_chance(self, lan):
         train = device_window_features(lan.log.in_window(0, DAY2), DAY2)

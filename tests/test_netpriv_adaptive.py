@@ -246,6 +246,13 @@ class TestShapers:
         with pytest.raises(RegistryError):
             make_shaper("nonsense", 0.5)
 
+    def test_make_shaper_refuses_unknown_name_at_every_setting(self):
+        from repro.core.registry import RegistryError
+
+        for setting in (0.0, 0.5, 1.0):
+            with pytest.raises(RegistryError):
+                make_shaper("nonsense", setting)
+
     def test_identity_shaper_passes_log_through(self):
         sim = simulate_lan(SMALL_LAN, n_days=1, rng=0)
         shaped, report = IdentityShaper().shape(sim.log, sim.devices, sim.duration_s)
@@ -367,6 +374,22 @@ class TestAdaptiveOccupancy:
 
 
 class TestArmsRace:
+    def test_unknown_dial_refused_before_any_lan(self, monkeypatch):
+        # the second setting-0 dial would copy the first's outcome and never
+        # reach make_shaper, so the names are checked up front
+        from repro.core.registry import RegistryError
+        from repro.netpriv import adaptive
+
+        def simulate_lan(*_args, **_kwargs):
+            raise AssertionError("a LAN was simulated")
+
+        monkeypatch.setattr(adaptive, "simulate_lan", simulate_lan)
+        with pytest.raises(RegistryError):
+            evaluate_arms_race(
+                [("cover", 0.0), ("nonsense", 0.0)], days=1, seed=0,
+                lan_config=SMALL_LAN,
+            )
+
     def test_adaptive_beats_naive_under_cover(self):
         [outcome] = evaluate_arms_race(
             [("cover", 0.5)], days=2, seed=0, lan_config=SMALL_LAN
