@@ -24,18 +24,23 @@ from ...timeseries import PowerTrace
 from .common import DisaggregationResult
 
 
+#: States of an appliance chain ``states_per_appliance`` does not name.
+_DEFAULT_STATES = 2
+#: Meter plus unmodeled-load variance of the factorial model (W^2).
+_NOISE_VAR = 2500.0
+
+
 @dataclass(frozen=True)
 class FHMMConfig:
-    """Training/inference knobs for the FHMM baseline."""
+    """Training knobs for the FHMM baseline: power levels per appliance
+    chain (two, on and off, for an appliance not listed)."""
 
     states_per_appliance: dict[str, int] | None = None
-    default_states: int = 2
-    noise_var: float = 2500.0  # meter + unmodeled-load variance (W^2)
 
     def n_states(self, name: str) -> int:
         if self.states_per_appliance and name in self.states_per_appliance:
             return self.states_per_appliance[name]
-        return self.default_states
+        return _DEFAULT_STATES
 
 
 class FHMMDisaggregator:
@@ -58,9 +63,7 @@ class FHMMDisaggregator:
                 n_states=self.config.n_states(name),
                 rng=self._rng.integers(2**31),
             )
-        self._fhmm = FactorialHMM(
-            list(self.chains_.values()), noise_var=self.config.noise_var
-        )
+        self._fhmm = FactorialHMM(list(self.chains_.values()), noise_var=_NOISE_VAR)
         return self
 
     def disaggregate(self, metered: PowerTrace) -> DisaggregationResult:

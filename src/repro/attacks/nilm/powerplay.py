@@ -155,6 +155,13 @@ def _pair_candidates(
     return [(float(scores[k]), int(r[k]), int(f[k])) for k in order]
 
 
+#: Smallest step the trackers treat as an appliance edge.
+_EDGE_THRESHOLD_W = 40.0
+#: Median over a few settle samples keeps inductive startup spikes out of
+#: the measured steady-state edge magnitude.
+_EDGE_SETTLE_SAMPLES = 3
+
+
 class PowerPlayTracker:
     """Virtual power meters over an aggregate smart-meter trace.
 
@@ -164,12 +171,7 @@ class PowerPlayTracker:
     identifiable features.
     """
 
-    def __init__(
-        self,
-        signatures: list[LoadSignature],
-        edge_threshold_w: float = 40.0,
-        edge_settle_samples: int = 3,
-    ) -> None:
+    def __init__(self, signatures: list[LoadSignature]) -> None:
         if not signatures:
             raise ValueError("need at least one signature")
         names = [s.name for s in signatures]
@@ -178,18 +180,14 @@ class PowerPlayTracker:
         self.signatures = sorted(
             signatures, key=lambda s: s.on_power_w + s.motor_power_w, reverse=True
         )
-        self.edge_threshold_w = edge_threshold_w
-        # median over a few settle samples keeps inductive startup spikes
-        # out of the measured steady-state edge magnitude
-        self.edge_settle_samples = edge_settle_samples
 
     # ------------------------------------------------------------------
     def track(self, metered: PowerTrace) -> DisaggregationResult:
         """Run every virtual sensor; returns per-load power estimates."""
         edges = detect_edges(
             metered,
-            min_delta_w=self.edge_threshold_w,
-            settle_samples=self.edge_settle_samples,
+            min_delta_w=_EDGE_THRESHOLD_W,
+            settle_samples=_EDGE_SETTLE_SAMPLES,
         )
         used = np.zeros(len(edges), dtype=bool)
         estimates: dict[str, PowerTrace] = {}

@@ -169,14 +169,10 @@ class ClusterNIOM(_NIOMDetector):
     the higher mean power "occupied".
     """
 
-    def __init__(
-        self,
-        window_s: float = DEFAULT_WINDOW_S,
-        night_prior: bool = True,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        self.window_s = window_s
-        self.night_prior = night_prior
+    window_s = DEFAULT_WINDOW_S
+    night_prior = True
+
+    def __init__(self, rng: np.random.Generator | int | None = None) -> None:
         self._rng = np.random.default_rng(rng)
 
     def label(self, features: np.ndarray) -> np.ndarray:
@@ -195,21 +191,15 @@ class HMMNIOM(_NIOMDetector):
     make.
     """
 
-    def __init__(
-        self,
-        window_s: float = DEFAULT_WINDOW_S,
-        n_iter: int = 30,
-        night_prior: bool = True,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        self.window_s = window_s
-        self.n_iter = n_iter
-        self.night_prior = night_prior
+    window_s = DEFAULT_WINDOW_S
+    night_prior = True
+
+    def __init__(self, rng: np.random.Generator | int | None = None) -> None:
         self._rng = np.random.default_rng(rng)
 
     def label(self, features: np.ndarray) -> np.ndarray:
         scaled = StandardScaler().fit_transform(features)
-        hmm = GaussianHMM(2, n_iter=self.n_iter, rng=self._rng)
+        hmm = GaussianHMM(2, n_iter=30, rng=self._rng)
         hmm.fit(scaled)
         return _higher_power_group(features, hmm.decode(scaled))
 

@@ -50,8 +50,9 @@ def usage_hours_histogram(trace: PowerTrace) -> np.ndarray:
     return counts / total if total > 0 else counts
 
 
-def active_days_of_week(trace: PowerTrace, threshold_events: int = 1) -> list[int]:
-    """Days of the week (0 = epoch day 0's weekday) the device is used.
+def active_days_of_week(trace: PowerTrace) -> list[int]:
+    """Days of the week (0 = epoch day 0's weekday) the device is used:
+    it started at least once on that weekday in at least half the weeks.
 
     "What days of the week do the users do their laundry?"
     """
@@ -65,7 +66,7 @@ def active_days_of_week(trace: PowerTrace, threshold_events: int = 1) -> list[in
         day_mask = mask[day_index == day]
         if len(day_mask):
             starts = int(np.sum(day_mask[1:] & ~day_mask[:-1]) + (1 if day_mask[0] else 0))
-            if starts >= threshold_events:
+            if starts >= 1:
                 events_per_weekday[weekday] += 1
     active = []
     for weekday in range(7):

@@ -383,7 +383,7 @@ def _localize_min_days(method: str) -> int:
 
     needs = []
     if method in ("sunspot", "both"):
-        needs.append(SunSpot().min_days)
+        needs.append(SunSpot.min_days)
     if method in ("weatherman", "both"):
         needs.append(Weatherman.min_days)
     return max(needs)

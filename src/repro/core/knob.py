@@ -31,7 +31,7 @@ from ..defenses.smoothing import (
     SmoothingDefense,
 )
 from ..timeseries import BinaryTrace, PowerTrace
-from .evaluation import DEFAULT_DETECTORS, TradeoffPoint, evaluate_defense_outcome
+from .evaluation import TradeoffPoint, evaluate_defense_outcome
 from .registry import RegistryError
 
 
@@ -160,7 +160,6 @@ def sweep_knob(
     occupancy: BinaryTrace,
     settings: np.ndarray | list[float] | None = None,
     rng: np.random.Generator | int | None = None,
-    detectors=DEFAULT_DETECTORS,
 ) -> list[TradeoffPoint]:
     """Trace the privacy-utility frontier across knob settings."""
     rng = np.random.default_rng(rng)
@@ -171,7 +170,7 @@ def sweep_knob(
         outcome = knob.apply(true_load, float(setting), rng)
         points.append(
             evaluate_defense_outcome(
-                f"knob={setting:.2f}", outcome, true_load, occupancy, detectors
+                f"knob={setting:.2f}", outcome, true_load, occupancy
             )
         )
     return points

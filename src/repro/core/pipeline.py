@@ -91,9 +91,7 @@ def evaluate_simulation(
 def run_pipeline(
     sim: HomeSimulation | None = None,
     defense_names: list[str] | None = None,
-    n_days: int = 7,
     rng: np.random.Generator | int | None = None,
-    detectors=DEFAULT_DETECTORS,
 ) -> PipelineResult:
     """Evaluate defenses on a simulated home.
 
@@ -102,5 +100,5 @@ def run_pipeline(
     """
     rng = np.random.default_rng(rng)
     if sim is None:
-        sim = simulate_home(home_b(), n_days, rng)
-    return evaluate_simulation(sim, defense_names, rng, detectors)
+        sim = simulate_home(home_b(), 7, rng)
+    return evaluate_simulation(sim, defense_names, rng)

@@ -14,7 +14,7 @@ import numpy as np
 from ..home.household import HomeSimulation, simulate_home
 from ..home.presets import fig2_home, fig6_home, home_a, home_b, random_home
 from ..solar.generation import SolarSite, fig5_sites, simulate_generation
-from ..solar.weather import WeatherConfig, WeatherField, WeatherStationDB
+from ..solar.weather import WeatherField, WeatherStationDB
 from ..timeseries import PowerTrace
 
 FIG1_SEED = 1001
@@ -40,7 +40,7 @@ def fig1_dataset(n_days: int = 7) -> tuple[HomeSimulation, HomeSimulation]:
     raise RuntimeError("no seed produced a representative Home-B week")
 
 
-def fig2_dataset(n_days: int = 14, seed: int = FIG2_SEED) -> HomeSimulation:
+def fig2_dataset(n_days: int = 14) -> HomeSimulation:
     """The Fig. 2 home: sub-metered circuits for the five target devices.
 
     Fourteen days so learning-based NILM has a training week and a test
@@ -50,7 +50,7 @@ def fig2_dataset(n_days: int = 14, seed: int = FIG2_SEED) -> HomeSimulation:
     from ..home.presets import FIG2_DEVICES
 
     for offset in range(10):
-        sim = simulate_home(fig2_home(), n_days, rng=seed + offset)
+        sim = simulate_home(fig2_home(), n_days, rng=FIG2_SEED + offset)
         if all(sim.appliance_traces[d].values.sum() > 0 for d in FIG2_DEVICES):
             return sim
     raise RuntimeError("could not find a seed where all Fig. 2 devices ran")
@@ -67,10 +67,10 @@ class Fig5Dataset:
     hourly_traces: dict[str, PowerTrace]  # Weatherman input (1-hour)
 
 
-def fig5_dataset(n_days: int = 365, seed: int = FIG5_SEED) -> Fig5Dataset:
+def fig5_dataset(n_days: int = 365) -> Fig5Dataset:
     """Ten solar sites with a year of generation under shared weather."""
-    rng = np.random.default_rng(seed)
-    weather = WeatherField(WeatherConfig(seed=seed))
+    rng = np.random.default_rng(FIG5_SEED)
+    weather = WeatherField(FIG5_SEED)
     sites = fig5_sites(rng)
     stations = WeatherStationDB(weather)
     minute: dict[str, PowerTrace] = {}
@@ -90,16 +90,14 @@ def fig5_dataset(n_days: int = 365, seed: int = FIG5_SEED) -> Fig5Dataset:
     )
 
 
-def fig6_dataset(n_days: int = 7, seed: int = FIG6_SEED) -> HomeSimulation:
+def fig6_dataset(n_days: int = 7) -> HomeSimulation:
     """The CHPr week: a two-worker household with a 50-gal electric heater."""
-    return simulate_home(fig6_home(), n_days, rng=seed)
+    return simulate_home(fig6_home(), n_days, rng=FIG6_SEED)
 
 
-def population_dataset(
-    n_homes: int = 10, n_days: int = 10, seed: int = POPULATION_SEED
-) -> list[HomeSimulation]:
+def population_dataset(n_homes: int = 10, n_days: int = 10) -> list[HomeSimulation]:
     """A population of randomized homes for the NIOM accuracy claim."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POPULATION_SEED)
     return [
         simulate_home(random_home(rng), n_days, rng=rng.integers(2**31))
         for _ in range(n_homes)

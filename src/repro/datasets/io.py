@@ -30,8 +30,9 @@ def save_trace_csv(trace: PowerTrace, path: str | Path) -> None:
             writer.writerow([f"{t:.3f}", f"{v:.3f}"])
 
 
-def load_trace_csv(path: str | Path, unit: str = "W") -> PowerTrace:
-    """Read a trace written by :func:`save_trace_csv` (or compatible).
+def load_trace_csv(path: str | Path) -> PowerTrace:
+    """Read a power trace (watts) written by :func:`save_trace_csv` (or
+    compatible).
 
     The file must have a header row and evenly spaced timestamps.  All
     structural problems — an empty file, a missing or garbled header,
@@ -77,7 +78,7 @@ def load_trace_csv(path: str | Path, unit: str = "W") -> PowerTrace:
         raise TraceError(f"{path}: timestamps must be strictly increasing")
     if np.any(np.abs(diffs - period) > 1e-3 * period):
         raise TraceError(f"{path}: timestamps are not evenly spaced")
-    return PowerTrace(np.asarray(values), period, times[0], unit)
+    return PowerTrace(np.asarray(values), period, times[0], "W")
 
 
 def save_rows_csv(

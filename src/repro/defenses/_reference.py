@@ -25,7 +25,13 @@ from ..home._reference import tank_step_loop, thermostat_power_loop
 from ..home.waterheater import WaterHeaterTank
 from ..timeseries import PowerTrace
 from .base import DefenseOutcome
-from .chpr import CHPrController
+from .chpr import (
+    _BURST_POWER_FRACTION,
+    _COMFORT_MARGIN_C,
+    _HEADROOM_MARGIN_C,
+    _TARGET_STD_W,
+    CHPrController,
+)
 
 
 class BatteryLoop:
@@ -144,10 +150,10 @@ def chpr_control_loop(
             quiet = (
                 cfg.mask_start_hour <= hours[i] < cfg.mask_end_hour
                 and w.mean() < cfg.target_mean_w
-                and w.std() < cfg.target_std_w
+                and w.std() < _TARGET_STD_W
             )
             headroom_kwh = (
-                (controller.heater.setpoint_c - cfg.headroom_margin_c - tank.temp_c)
+                (controller.heater.setpoint_c - _HEADROOM_MARGIN_C - tank.temp_c)
                 * controller.heater.thermal_mass_j_per_k
                 / 3.6e6
             )
@@ -163,7 +169,7 @@ def chpr_control_loop(
                 energy_kwh = min(
                     target_add_w * window_h / 1000.0, pacing_kwh, headroom_kwh
                 )
-                lo, hi = cfg.burst_power_fraction
+                lo, hi = _BURST_POWER_FRACTION
                 level = controller.heater.element_power_w * controller._rng.uniform(lo, hi)
                 burst_samples = max(
                     1, int(round(energy_kwh * 3.6e6 / level / period))
@@ -176,7 +182,7 @@ def chpr_control_loop(
                 plan_start = i + offset
                 plan_end = plan_start + burst_samples
 
-        must_heat = tank.temp_c <= controller.heater.min_delivery_c + cfg.comfort_margin_c
+        must_heat = tank.temp_c <= controller.heater.min_delivery_c + _COMFORT_MARGIN_C
         preheat_target = min(
             controller.heater.min_delivery_c + cfg.preheat_buffer_c,
             controller.heater.setpoint_c - controller.heater.deadband_c,

@@ -28,11 +28,23 @@ from ..timeseries import SECONDS_PER_DAY, SECONDS_PER_HOUR, PowerTrace
 from .base import DefenseOutcome, TraceDefense
 
 
+#: A window whose rest-of-home std is below this (and whose mean is
+#: below ``target_mean_w``) reads as unoccupied.
+_TARGET_STD_W = 150.0
+#: Burst level range, as a share of the heater element's power.
+_BURST_POWER_FRACTION = (0.45, 1.0)
+#: The heater runs flat out whenever the tank is within this of the
+#: minimum delivery temperature.
+_COMFORT_MARGIN_C = 3.0
+#: Bursts stop this far below the setpoint.
+_HEADROOM_MARGIN_C = 0.5
+
+
 @dataclass(frozen=True)
 class CHPrConfig:
     """Controller parameters.
 
-    ``target_mean_w`` / ``target_std_w`` describe what "occupied-looking"
+    ``target_mean_w`` (and a 150 W std) describe what "occupied-looking"
     demand is; CHPr injects heater load whenever the rest-of-home signal
     falls below both.  Bursts are randomized in length and level so the
     injected signal has the variance NIOM looks for, not just the level.
@@ -40,13 +52,9 @@ class CHPrConfig:
 
     window_s: float = 900.0
     target_mean_w: float = 450.0
-    target_std_w: float = 150.0
     # masked windows get their mean raised by a draw from this range,
     # mimicking the spread of genuinely busy windows
     mask_mean_range_w: tuple[float, float] = (250.0, 900.0)
-    burst_power_fraction: tuple[float, float] = (0.45, 1.0)
-    comfort_margin_c: float = 3.0
-    headroom_margin_c: float = 0.5
     # Mask only waking hours: an idle signal overnight reads as "occupants
     # asleep" whether or not anyone is home, so spending tank budget there
     # is wasted.  This is how a 50-gal tank stretches to cover a full day.
@@ -66,13 +74,13 @@ class CHPrConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.window_s) and self.window_s > 0):
             raise ValueError("window_s must be positive and finite")
-        if self.target_mean_w <= 0 or self.target_std_w <= 0:
-            raise ValueError("targets must be positive")
+        if self.target_mean_w <= 0:
+            raise ValueError("target_mean_w must be positive")
         if not 0.0 <= self.mask_start_hour < self.mask_end_hour <= 24.0:
             raise ValueError("invalid masking hours")
-        for lo, hi in (self.mask_mean_range_w, self.burst_power_fraction):
-            if lo <= 0 or hi < lo:
-                raise ValueError("invalid (lo, hi) range")
+        lo, hi = self.mask_mean_range_w
+        if lo <= 0 or hi < lo:
+            raise ValueError("invalid (lo, hi) range")
 
 
 class CHPrController:
@@ -125,7 +133,7 @@ class CHPrController:
         samples_per_window = max(1, int(cfg.window_s / period))
         window_h = cfg.window_s / 3600.0
         # thresholds of the per-sample heating tests, computed once
-        must_heat_c = heater.min_delivery_c + cfg.comfort_margin_c
+        must_heat_c = heater.min_delivery_c + _COMFORT_MARGIN_C
         preheat_target = min(
             heater.min_delivery_c + cfg.preheat_buffer_c,
             heater.setpoint_c - heater.deadband_c,
@@ -153,10 +161,10 @@ class CHPrController:
             quiet = (
                 cfg.mask_start_hour <= hours[start] < cfg.mask_end_hour
                 and w.mean() < cfg.target_mean_w
-                and w.std() < cfg.target_std_w
+                and w.std() < _TARGET_STD_W
             )
             headroom_kwh = (
-                (heater.setpoint_c - cfg.headroom_margin_c - tank.temp_c)
+                (heater.setpoint_c - _HEADROOM_MARGIN_C - tank.temp_c)
                 * heater.thermal_mass_j_per_k
                 / 3.6e6
             )
@@ -172,7 +180,7 @@ class CHPrController:
                 energy_kwh = min(
                     target_add_w * window_h / 1000.0, pacing_kwh, headroom_kwh
                 )
-                lo, hi = cfg.burst_power_fraction
+                lo, hi = _BURST_POWER_FRACTION
                 level = element_w * self._rng.uniform(lo, hi)
                 burst_samples = max(
                     1, int(round(energy_kwh * 3.6e6 / level / period))
@@ -202,9 +210,7 @@ class CHPrController:
 
 
 def apply_chpr(
-    sim: HomeSimulation,
-    config: CHPrConfig | None = None,
-    rng: np.random.Generator | int | None = None,
+    sim: HomeSimulation, rng: np.random.Generator | int | None = None
 ) -> DefenseOutcome:
     """Re-run a simulated home's water heater under CHPr control.
 
@@ -216,7 +222,7 @@ def apply_chpr(
     if sim.hot_water_draws is None or sim.config.water_heater is None:
         raise ValueError("home was not simulated with a water heater")
     rest = sim.aggregate_without(WATER_HEATER_NAME)
-    controller = CHPrController(sim.config.water_heater, config, rng)
+    controller = CHPrController(sim.config.water_heater, rng=rng)
     chpr_power, tank = controller.control(rest, sim.hot_water_draws)
 
     baseline_power, _ = thermostat_power(
@@ -269,6 +275,7 @@ class CHPrTraceDefense(TraceDefense):
     temperature bounds and comfort, so the adapter cannot promise more
     masking than a real tank could fund.
 
+    The tank is a default :class:`~repro.home.waterheater.WaterHeaterConfig`.
     ``strength`` scales the masking burst budget (the knob's dial for
     CHPr): at 1.0 bursts target the full busy-window range, at lower
     values proportionally gentler injections.
@@ -276,17 +283,12 @@ class CHPrTraceDefense(TraceDefense):
 
     name = "chpr"
 
-    def __init__(
-        self,
-        heater: WaterHeaterConfig | None = None,
-        config: CHPrConfig | None = None,
-        strength: float = 1.0,
-    ) -> None:
+    def __init__(self, strength: float = 1.0) -> None:
         if not 0.0 < strength <= 1.0:
             raise ValueError("strength must be in (0, 1]")
-        self.heater = heater or WaterHeaterConfig()
+        self.heater = WaterHeaterConfig()
         self.strength = strength
-        self.config = config or CHPrConfig(
+        self.config = CHPrConfig(
             mask_mean_range_w=(250.0 * strength, 900.0 * strength),
         )
         #: diagnostics from the last ``apply`` call (tank for comfort and

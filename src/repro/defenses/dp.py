@@ -37,29 +37,28 @@ def laplace_noise(
     return rng.laplace(0.0, scale, size)
 
 
+#: Reporting interval of a released trace; a coarser trace keeps its own.
+_RELEASE_PERIOD_S = 900.0
+
+
 @dataclass(frozen=True)
 class DPConfig:
     """Release parameters.
 
     ``epsilon`` is the per-interval privacy budget; ``sensitivity_w`` is
     the maximum influence any protected activity can have on one reported
-    interval (e.g. the largest appliance's power).  Laplace scale is
-    sensitivity / epsilon.
+    15-minute interval (e.g. the largest appliance's power).  Laplace
+    scale is sensitivity / epsilon.
     """
 
     epsilon: float = 1.0
     sensitivity_w: float = 2000.0
-    release_period_s: float = 900.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be positive")
         if not (math.isfinite(self.sensitivity_w) and self.sensitivity_w > 0):
             raise ValueError("sensitivity must be positive")
-        if not (
-            math.isfinite(self.release_period_s) and self.release_period_s > 0
-        ):
-            raise ValueError("release period must be positive")
 
     @property
     def noise_scale_w(self) -> float:
@@ -78,15 +77,15 @@ class LaplaceReleaseDefense(TraceDefense):
         rng = np.random.default_rng(rng)
         cfg = self.config
         coarse = true_load
-        if cfg.release_period_s > true_load.period_s:
-            coarse = true_load.resample(cfg.release_period_s, reducer="mean")
+        if _RELEASE_PERIOD_S > true_load.period_s:
+            coarse = true_load.resample(_RELEASE_PERIOD_S, reducer="mean")
         noised = coarse.values + laplace_noise(cfg.noise_scale_w, len(coarse), rng)
         visible = PowerTrace(
             np.maximum(noised, 0.0), coarse.period_s, coarse.start_s, coarse.unit
         )
         reference = (
-            true_load.resample(cfg.release_period_s, reducer="mean")
-            if cfg.release_period_s > true_load.period_s
+            true_load.resample(_RELEASE_PERIOD_S, reducer="mean")
+            if _RELEASE_PERIOD_S > true_load.period_s
             else true_load
         )
         return DefenseOutcome(

@@ -100,12 +100,8 @@ class OpeningProof:
 class PrivateMeter:
     """The meter side: holds readings locally, publishes only commitments."""
 
-    def __init__(
-        self,
-        params: PedersenParams | None = None,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        self.params = params or PedersenParams()
+    def __init__(self, rng: np.random.Generator | int | None = None) -> None:
+        self.params = PedersenParams()
         self._rng = np.random.default_rng(rng)
         self._readings: list[int] = []
         self._blindings: list[int] = []
@@ -178,8 +174,8 @@ def _fiat_shamir(params: PedersenParams, commitment: int, t: int) -> int:
 class UtilityVerifier:
     """The utility side: verifies bills and audits from public data only."""
 
-    def __init__(self, params: PedersenParams | None = None) -> None:
-        self.params = params or PedersenParams()
+    def __init__(self) -> None:
+        self.params = PedersenParams()
 
     def verify_bill(
         self,

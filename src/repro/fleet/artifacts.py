@@ -241,15 +241,13 @@ def load_artifact(path: str | Path) -> Artifact:
     return artifact_from_dict(doc, source=str(path))
 
 
-def artifact_from_report(
-    report: "Frontier | StreamReport", source: str | None = None
-) -> Artifact:
+def artifact_from_report(report: "Frontier | StreamReport") -> Artifact:
     """Wrap an in-memory report: either frontier, or a stream report.
 
-    ``source`` defaults to the report's type name in angle brackets.
+    The artifact's source is the report's type name in angle brackets.
     """
     return artifact_from_dict(
-        report.as_dict(), source=source or f"<{type(report).__name__}>"
+        report.as_dict(), source=f"<{type(report).__name__}>"
     )
 
 

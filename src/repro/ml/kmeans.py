@@ -10,6 +10,13 @@ import numpy as np
 
 from .preprocessing import check_features
 
+#: Independent restarts; the run with the lowest inertia wins.
+_N_INIT = 4
+#: Lloyd iterations per restart.
+_MAX_ITER = 100
+#: Convergence threshold on total centroid movement.
+_TOL = 1e-6
+
 
 class KMeans:
     """k-means clustering.
@@ -18,12 +25,6 @@ class KMeans:
     ----------
     n_clusters:
         Number of clusters ``k``.
-    n_init:
-        Independent restarts; the run with the lowest inertia wins.
-    max_iter:
-        Lloyd iterations per restart.
-    tol:
-        Convergence threshold on total centroid movement.
     rng:
         Seed or numpy Generator; all randomness flows through it.
     """
@@ -31,17 +32,11 @@ class KMeans:
     def __init__(
         self,
         n_clusters: int,
-        n_init: int = 4,
-        max_iter: int = 100,
-        tol: float = 1e-6,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         self.n_clusters = n_clusters
-        self.n_init = n_init
-        self.max_iter = max_iter
-        self.tol = tol
         self._rng = np.random.default_rng(rng)
         self.centroids_: np.ndarray | None = None
         self.inertia_: float = float("inf")
@@ -79,9 +74,9 @@ class KMeans:
             )
         best_inertia = float("inf")
         best_centroids: np.ndarray | None = None
-        for _ in range(self.n_init):
+        for _ in range(_N_INIT):
             centroids = self._init_centroids(X)
-            for _ in range(self.max_iter):
+            for _ in range(_MAX_ITER):
                 labels, _ = self._assign(X, centroids)
                 new_centroids = centroids.copy()
                 for k in range(self.n_clusters):
@@ -90,7 +85,7 @@ class KMeans:
                         new_centroids[k] = members.mean(axis=0)
                 movement = float(np.abs(new_centroids - centroids).sum())
                 centroids = new_centroids
-                if movement < self.tol:
+                if movement < _TOL:
                     break
             _, inertia = self._assign(X, centroids)
             if inertia < best_inertia:

@@ -16,6 +16,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Gradient-descent step size, iterations and L2 penalty.
+_LR = 0.5
+_N_ITER = 400
+_L2 = 1e-3
+
+
 class LogisticRegression:
     """L2-regularized logistic regression trained by full-batch gradient descent.
 
@@ -23,17 +29,7 @@ class LogisticRegression:
     (see :class:`repro.ml.preprocessing.StandardScaler`) for fast convergence.
     """
 
-    def __init__(
-        self,
-        lr: float = 0.5,
-        n_iter: int = 400,
-        l2: float = 1e-3,
-    ) -> None:
-        if lr <= 0 or n_iter < 1 or l2 < 0:
-            raise ValueError("invalid hyperparameters")
-        self.lr = lr
-        self.n_iter = n_iter
-        self.l2 = l2
+    def __init__(self) -> None:
         self.classes_: np.ndarray | None = None
         self.weights_: np.ndarray | None = None  # (n_classes_or_1, d + 1)
 
@@ -41,10 +37,10 @@ class LogisticRegression:
         n, d = X.shape
         Xb = np.hstack([X, np.ones((n, 1))])
         w = np.zeros(d + 1)
-        for _ in range(self.n_iter):
+        for _ in range(_N_ITER):
             p = _sigmoid(Xb @ w)
-            grad = Xb.T @ (p - y01) / n + self.l2 * np.r_[w[:-1], 0.0]
-            w -= self.lr * grad
+            grad = Xb.T @ (p - y01) / n + _L2 * np.r_[w[:-1], 0.0]
+            w -= _LR * grad
         return w
 
     def fit(self, X, y) -> "LogisticRegression":

@@ -76,8 +76,8 @@ def f1_score(y_true, y_pred, positive=1) -> float:
     return 2 * p * r / (p + r) if (p + r) else 0.0
 
 
-def mcc(y_true, y_pred, positive=1) -> float:
-    """Matthews Correlation Coefficient.
+def mcc(y_true, y_pred) -> float:
+    """Matthews Correlation Coefficient, with 1 the positive label.
 
     Ranges over [-1, 1]: 1.0 is perfect detection, 0.0 random prediction,
     -1.0 always-wrong (Matthews 1975, ref. [28] of the paper).  By the
@@ -86,7 +86,7 @@ def mcc(y_true, y_pred, positive=1) -> float:
     random prediction, which is exactly the behaviour a masking defense aims
     to induce in the attacker.
     """
-    c = binary_counts(y_true, y_pred, positive)
+    c = binary_counts(y_true, y_pred)
     denom = math.sqrt(
         float(c.tp + c.fp) * float(c.tp + c.fn) * float(c.tn + c.fp) * float(c.tn + c.fn)
     )

@@ -18,7 +18,6 @@ from .fingerprint import (
 from .flows import Direction, Flow, FlowLog, flow_log_digest
 from .gateway import (
     DeviceBaseline,
-    GatewayPolicy,
     GatewayReport,
     SmartGateway,
 )
@@ -30,7 +29,6 @@ from .shaping import (
     FlowShaper,
     HeartbeatJitter,
     IdentityShaper,
-    ShapingConfig,
     ShapingReport,
     TrafficShaper,
     make_shaper,
@@ -62,7 +60,6 @@ __all__ = [
     "FlowLog",
     "flow_log_digest",
     "DeviceBaseline",
-    "GatewayPolicy",
     "GatewayReport",
     "SmartGateway",
     "LanConfig",
@@ -74,7 +71,6 @@ __all__ = [
     "FlowShaper",
     "HeartbeatJitter",
     "IdentityShaper",
-    "ShapingConfig",
     "ShapingReport",
     "TrafficShaper",
     "make_shaper",

@@ -42,7 +42,7 @@ from ..attacks.niom import score_occupancy_attack
 from ..ml import LogisticRegression, StandardScaler
 from ..obs import TELEMETRY, TelemetrySnapshot, captured
 from ..timeseries import BinaryTrace
-from .devices import Device
+from .devices import Device, is_event
 from .fingerprint import DeviceFingerprinter, device_window_features
 from .flows import FlowLog, flow_log_digest
 from .lan import LanConfig, LanSimulation, simulate_lan
@@ -58,47 +58,50 @@ ADAPTIVE_FEATURE_NAMES = (
     "secondary_endpoint_events",
 )
 
+#: Occupancy window of both attackers in the arms race.
+_WINDOW_S = 1800.0
+#: Sub-bins per occupancy window, for the burstiness features.
+_N_SUBBINS = 6
+#: Window of the device-fingerprinting features.
+_FINGERPRINT_WINDOW_S = 3600.0
+
 
 def occupancy_window_features(
-    log: FlowLog,
-    devices: list[Device],
-    duration_s: float,
-    window_s: float = 1800.0,
-    n_subbins: int = 6,
+    log: FlowLog, devices: list[Device], duration_s: float
 ) -> np.ndarray:
     """Per-window traffic features for occupancy inference, (n_windows, 6).
 
-    Event-sized flows (the shared big-and-short heuristic) are counted
-    regardless of which device emitted them, so flows re-attributed to a
-    gateway tunnel by :class:`~repro.netpriv.shaping.FlowMerging` still
-    contribute volume and burstiness.  The last feature counts events on
-    *non-primary* endpoints: cover traffic from the adaptive shaper only
-    uses ``profile.endpoints[0]``, real events sample the whole endpoint
-    set — a residual that survives cover-traffic shaping intact.
+    Windows are 30 minutes, each split into six sub-bins for the
+    burstiness features.  Event-sized flows
+    (:func:`~repro.netpriv.devices.is_event`) are counted regardless of
+    which device emitted them, so flows re-attributed to a gateway tunnel
+    by :class:`~repro.netpriv.shaping.FlowMerging` still contribute volume
+    and burstiness.  The last feature counts events on *non-primary*
+    endpoints: cover traffic from the adaptive shaper only uses
+    ``profile.endpoints[0]``, real events sample the whole endpoint set —
+    a residual that survives cover-traffic shaping intact.
     """
-    if window_s <= 0 or duration_s < window_s:
+    if duration_s < _WINDOW_S:
         raise ValueError("need at least one whole window")
-    if n_subbins < 1:
-        raise ValueError("n_subbins must be >= 1")
-    n_windows = int(duration_s // window_s)
-    subbin_s = window_s / n_subbins
+    n_windows = int(duration_s // _WINDOW_S)
+    subbin_s = _WINDOW_S / _N_SUBBINS
     primary = {d.device_id: d.profile.endpoints[0] for d in devices}
 
     counts = np.zeros(n_windows)
     bytes_up = np.zeros(n_windows)
     secondary = np.zeros(n_windows)
-    subbins = np.zeros((n_windows, n_subbins))
+    subbins = np.zeros((n_windows, _N_SUBBINS))
     active: list[set[str]] = [set() for _ in range(n_windows)]
     for flow in log:
-        if flow.bytes_up + flow.bytes_down <= 5_000 or flow.duration_s >= 200.0:
+        if not is_event(flow):
             continue
-        w = int(flow.time_s // window_s)
+        w = int(flow.time_s // _WINDOW_S)
         if not 0 <= w < n_windows:
             continue
         counts[w] += 1
         bytes_up[w] += flow.bytes_up
         active[w].add(flow.device_id)
-        b = min(int((flow.time_s - w * window_s) // subbin_s), n_subbins - 1)
+        b = min(int((flow.time_s - w * _WINDOW_S) // subbin_s), _N_SUBBINS - 1)
         subbins[w, b] += 1
         p = primary.get(flow.device_id)
         if p is not None and flow.endpoint != p:
@@ -137,11 +140,7 @@ class AdaptiveOccupancyInferrer:
     fallback threshold when the lab labels degenerate to a single class.
     """
 
-    def __init__(self, window_s: float = 1800.0, n_subbins: int = 6) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        self.window_s = float(window_s)
-        self.n_subbins = int(n_subbins)
+    def __init__(self) -> None:
         self._scaler: StandardScaler | None = None
         self._model: LogisticRegression | None = None
         self._constant: int | None = None
@@ -156,10 +155,8 @@ class AdaptiveOccupancyInferrer:
         duration_s: float,
     ) -> "AdaptiveOccupancyInferrer":
         """Train on a shaped lab log whose true occupancy is known."""
-        X = occupancy_window_features(
-            log, devices, duration_s, self.window_s, self.n_subbins
-        )
-        y = occupancy_window_labels(occupancy, len(X), self.window_s)
+        X = occupancy_window_features(log, devices, duration_s)
+        y = occupancy_window_labels(occupancy, len(X), _WINDOW_S)
         empty = X[y == 0, 0]
         self.empty_event_baseline_ = float(empty.mean()) if len(empty) else 0.0
         if len(np.unique(y)) < 2:
@@ -179,9 +176,7 @@ class AdaptiveOccupancyInferrer:
         self, log: FlowLog, devices: list[Device], duration_s: float
     ) -> BinaryTrace:
         """Predicted occupancy over a shaped victim log."""
-        X = occupancy_window_features(
-            log, devices, duration_s, self.window_s, self.n_subbins
-        )
+        X = occupancy_window_features(log, devices, duration_s)
         if self._model is None or self._scaler is None:
             if self._constant is None:
                 raise RuntimeError("inferrer is not fitted")
@@ -191,9 +186,9 @@ class AdaptiveOccupancyInferrer:
                 occupied = np.maximum(
                     occupied, (X[:, 0] >= max(1.0, baseline)).astype(int)
                 )
-            return BinaryTrace(occupied, self.window_s, 0.0)
+            return BinaryTrace(occupied, _WINDOW_S, 0.0)
         pred = self._model.predict(self._scaler.transform(X)).astype(int)
-        return BinaryTrace(pred, self.window_s, 0.0)
+        return BinaryTrace(pred, _WINDOW_S, 0.0)
 
 
 @dataclass(frozen=True)
@@ -275,8 +270,6 @@ def evaluate_arms_race(
     days: int = 3,
     seed: "int | np.random.SeedSequence" = 0,
     lan_config: LanConfig | None = None,
-    window_s: float = 1800.0,
-    fingerprint_window_s: float = 3600.0,
 ) -> list[ArmsRaceOutcome]:
     """Run the full arms-race experiment: one outcome per ``(defense, setting)``.
 
@@ -322,7 +315,7 @@ def evaluate_arms_race(
         # lab and victim share the same config, hence the same device-id ->
         # type map; lab.devices labels every feature set
         train_naive = device_window_features(
-            lab.log, lab.duration_s, fingerprint_window_s, devices=lab.devices
+            lab.log, lab.duration_s, _FINGERPRINT_WINDOW_S, devices=lab.devices
         )
         naive_fp = DeviceFingerprinter(
             rng=np.random.default_rng(naive_fp_seed)
@@ -348,8 +341,6 @@ def evaluate_arms_race(
                     naive_fp,
                     (lab_shape_seed, victim_shape_seed, adaptive_fp_seed),
                     days=days,
-                    window_s=window_s,
-                    fingerprint_window_s=fingerprint_window_s,
                 )
                 if identity:
                     unshaped = outcome
@@ -368,8 +359,6 @@ def _dial_outcome(
     seeds: tuple[np.random.SeedSequence, ...],
     *,
     days: int,
-    window_s: float,
-    fingerprint_window_s: float,
 ) -> ArmsRaceOutcome:
     """Shape both LANs with ``shaper`` (the ``defense@setting`` dial) and
     score both attacker generations.
@@ -395,13 +384,13 @@ def _dial_outcome(
             train_naive
             if shaped_lab is lab.log
             else device_window_features(
-                shaped_lab, lab.duration_s, fingerprint_window_s, devices=lab.devices
+                shaped_lab, lab.duration_s, _FINGERPRINT_WINDOW_S, devices=lab.devices
             )
         )
         test = device_window_features(
             shaped_victim,
             victim.duration_s,
-            fingerprint_window_s,
+            _FINGERPRINT_WINDOW_S,
             devices=victim.devices,
         )
         naive_fp_report = naive_fp.score(test, lab.devices)
@@ -410,11 +399,11 @@ def _dial_outcome(
         ).evaluate(train_adaptive, test, lab.devices)
 
     naive_trace = occupancy_from_traffic_naive(
-        shaped_victim, victim.devices, victim.duration_s, window_s
+        shaped_victim, victim.devices, victim.duration_s
     )
     naive_occ = score_occupancy_attack(naive_trace, victim.occupancy)
 
-    inferrer = AdaptiveOccupancyInferrer(window_s).fit(
+    inferrer = AdaptiveOccupancyInferrer().fit(
         shaped_lab, lab.devices, lab.occupancy, lab.duration_s
     )
     adaptive_trace = inferrer.infer(shaped_victim, victim.devices, victim.duration_s)
@@ -449,14 +438,14 @@ def _dial_outcome(
 
 
 def occupancy_from_traffic_naive(
-    log: FlowLog, devices: list[Device], duration_s: float, window_s: float
+    log: FlowLog, devices: list[Device], duration_s: float
 ) -> BinaryTrace:
     """The naive occupancy attack as the arms race scores it.
 
     Thin wrapper over :func:`repro.netpriv.threats.occupancy_from_traffic`
-    with its defaults (profile-derived baseline, night prior on) — named
-    so the arms-race code reads as naive-vs-adaptive.
+    on the arms-race window — named so the arms-race code reads as
+    naive-vs-adaptive.
     """
     from .threats import occupancy_from_traffic
 
-    return occupancy_from_traffic(log, devices, duration_s, window_s)
+    return occupancy_from_traffic(log, devices, duration_s, _WINDOW_S)

@@ -54,15 +54,20 @@ class TrafficProfile:
     stream_rate_bytes_per_s: float = 0.0  # continuous upstream (cameras)
     evening_stream_bytes_per_s: float = 0.0  # downstream sessions (TVs)
     endpoints: tuple[str, ...] = ("cloud.example.com",)
-    port: int = 443
-    firmware_check_per_day: float = 0.2
-    firmware_bytes_down: int = 5_000_000
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_s <= 0:
             raise ValueError("heartbeat interval must be positive")
         if self.event_rate_per_occupied_hour < 0 or self.event_rate_per_empty_hour < 0:
             raise ValueError("event rates cannot be negative")
+
+
+#: The port every device grammar (and the cover traffic mimicking it)
+#: talks to its cloud endpoints on.
+CLOUD_PORT = 443
+#: Mean firmware checks per device per day, each a large download.
+_FIRMWARE_CHECKS_PER_DAY = 0.2
+_FIRMWARE_BYTES_DOWN = 5_000_000
 
 
 PROFILES: dict[DeviceType, TrafficProfile] = {
@@ -151,6 +156,27 @@ PROFILES: dict[DeviceType, TrafficProfile] = {
 }
 
 
+def is_event(flow: Flow) -> bool:
+    """Whether a flow looks like an event: big and short.
+
+    Heartbeats are too small and streaming chunks too long; shapers, the
+    passive occupancy attack and the adaptive attacker's features all
+    count events by this one rule.
+    """
+    return flow.bytes_up + flow.bytes_down > 5_000 and flow.duration_s < 200.0
+
+
+def event_devices(devices: list[Device]) -> list[Device]:
+    """The devices whose event rate carries an occupancy signal: their
+    occupied-home rate is more than twice their empty-home rate."""
+    return [
+        d
+        for d in devices
+        if d.profile.event_rate_per_occupied_hour
+        > 2.0 * max(d.profile.event_rate_per_empty_hour, 0.05)
+    ]
+
+
 @dataclass(frozen=True)
 class Device:
     """One device instance on the LAN."""
@@ -205,7 +231,7 @@ class Device:
                     time_s=t,
                     device_id=self.device_id,
                     endpoint=profile.endpoints[0],
-                    port=profile.port,
+                    port=CLOUD_PORT,
                     direction=Direction.OUTBOUND,
                     bytes_up=profile.heartbeat_bytes_up,
                     bytes_down=profile.heartbeat_bytes_down,
@@ -234,7 +260,7 @@ class Device:
                         time_s=float(et),
                         device_id=self.device_id,
                         endpoint=endpoint,
-                        port=profile.port,
+                        port=CLOUD_PORT,
                         direction=Direction.OUTBOUND,
                         bytes_up=int(rng.integers(*profile.event_bytes_up)),
                         bytes_down=int(rng.integers(*profile.event_bytes_down)),
@@ -254,7 +280,7 @@ class Device:
                         time_s=t,
                         device_id=self.device_id,
                         endpoint=profile.endpoints[0],
-                        port=profile.port,
+                        port=CLOUD_PORT,
                         direction=Direction.OUTBOUND,
                         bytes_up=int(profile.stream_rate_bytes_per_s * chunk),
                         bytes_down=int(profile.stream_rate_bytes_per_s * chunk * 0.02),
@@ -280,7 +306,7 @@ class Device:
                                 time_s=float(t),
                                 device_id=self.device_id,
                                 endpoint=profile.endpoints[0],
-                                port=profile.port,
+                                port=CLOUD_PORT,
                                 direction=Direction.INBOUND,
                                 bytes_up=int(profile.evening_stream_bytes_per_s * 300 * 0.01),
                                 bytes_down=int(profile.evening_stream_bytes_per_s * 300),
@@ -292,17 +318,17 @@ class Device:
 
         # firmware checks
         n_days = max(1, int(np.ceil(duration_s / SECONDS_PER_DAY)))
-        for _ in range(rng.poisson(profile.firmware_check_per_day * n_days)):
+        for _ in range(rng.poisson(_FIRMWARE_CHECKS_PER_DAY * n_days)):
             t = rng.uniform(0.0, duration_s)
             flows.append(
                 Flow(
                     time_s=float(t),
                     device_id=self.device_id,
                     endpoint=profile.endpoints[-1],
-                    port=profile.port,
+                    port=CLOUD_PORT,
                     direction=Direction.OUTBOUND,
                     bytes_up=2_000,
-                    bytes_down=profile.firmware_bytes_down,
+                    bytes_down=_FIRMWARE_BYTES_DOWN,
                     packets=4000,
                     duration_s=60.0,
                 )

@@ -18,6 +18,13 @@ import numpy as np
 from .fingerprint import device_window_features
 from .flows import Direction, Flow, FlowLog
 
+#: Baseline and enforcement window.
+_WINDOW_S = 1800.0
+#: A window whose threat score exceeds this many (floored) std is anomalous.
+_ANOMALY_Z_THRESHOLD = 6.0
+#: Consecutive anomalous windows that quarantine a device.
+_ANOMALY_WINDOWS_TO_QUARANTINE = 2
+
 
 def _by_device(
     log: FlowLog, duration_s: float, window_s: float
@@ -34,23 +41,6 @@ def _by_device(
         if 0 <= w < n_windows:
             grouped.setdefault(flow.device_id, []).append(flow)
     return grouped
-
-
-@dataclass(frozen=True)
-class GatewayPolicy:
-    """Least-privilege policy knobs."""
-
-    block_lateral: bool = True
-    enforce_endpoint_allowlist: bool = True
-    anomaly_z_threshold: float = 6.0
-    anomaly_windows_to_quarantine: int = 2
-    window_s: float = 1800.0
-
-    def __post_init__(self) -> None:
-        if self.anomaly_z_threshold <= 0:
-            raise ValueError("z threshold must be positive")
-        if self.anomaly_windows_to_quarantine < 1:
-            raise ValueError("need at least one anomalous window")
 
 
 # Minimum std per feature (aligned with fingerprint.FEATURE_NAMES): a
@@ -122,10 +112,13 @@ class GatewayReport:
 
 
 class SmartGateway:
-    """Baseline-learning, least-privilege enforcing gateway."""
+    """Baseline-learning, least-privilege enforcing gateway.
 
-    def __init__(self, policy: GatewayPolicy | None = None) -> None:
-        self.policy = policy or GatewayPolicy()
+    Lateral flows are always blocked, and a known device may reach only
+    the endpoints its baseline saw.
+    """
+
+    def __init__(self) -> None:
         self.baselines: dict[str, DeviceBaseline] = {}
 
     # ------------------------------------------------------------------
@@ -144,13 +137,11 @@ class SmartGateway:
         inherits the streaming variance its sibling exhibited, which is
         what keeps rare-but-legitimate behaviours out of quarantine.
         """
-        window_s = self.policy.window_s
-        n_windows = int(duration_s // window_s)
-        if n_windows < 4:
+        if int(duration_s // _WINDOW_S) < 4:
             raise ValueError("need at least 4 windows of training traffic")
-        matrices = device_window_features(log, duration_s, window_s)
+        matrices = device_window_features(log, duration_s, _WINDOW_S)
         endpoints: dict[str, frozenset[str]] = {}
-        for flows in _by_device(log, duration_s, window_s).values():
+        for flows in _by_device(log, duration_s, _WINDOW_S).values():
             endpoints[flows[0].device_id] = frozenset(f.endpoint for f in flows)
         for device_id, matrix in matrices.items():
             pool = matrix
@@ -173,7 +164,7 @@ class SmartGateway:
 
     # ------------------------------------------------------------------
     def enforce(self, log: FlowLog, duration_s: float) -> tuple[FlowLog, GatewayReport]:
-        """Filter a live log through policy + anomaly quarantine.
+        """Filter a live log through least privilege + anomaly quarantine.
 
         Returns (the flows that actually left the gateway, report).
         Quarantine is sticky: once a device trips the anomaly detector for
@@ -181,9 +172,7 @@ class SmartGateway:
         """
         if not self.baselines:
             raise RuntimeError("gateway has no baselines; call learn_baselines first")
-        policy = self.policy
-        window_s = policy.window_s
-        n_windows = int(np.ceil(duration_s / window_s))
+        n_windows = int(np.ceil(duration_s / _WINDOW_S))
 
         quarantined_at: dict[str, float] = {}
         anomaly_streak: dict[str, int] = {}
@@ -191,9 +180,9 @@ class SmartGateway:
         passed: list[Flow] = []
 
         # evaluate anomaly state window by window, then filter flows
-        horizon_s = n_windows * window_s
-        features = device_window_features(log, horizon_s, window_s)
-        in_range = _by_device(log, horizon_s, window_s)
+        horizon_s = n_windows * _WINDOW_S
+        features = device_window_features(log, horizon_s, _WINDOW_S)
+        in_range = _by_device(log, horizon_s, _WINDOW_S)
         for device_id, matrix in features.items():
             baseline = self.baselines.get(device_id)
             if baseline is None:
@@ -203,10 +192,10 @@ class SmartGateway:
             for w, row in enumerate(matrix):
                 score = baseline.threat_score(row)
                 report.anomaly_scores.setdefault(device_id, []).append(score)
-                if score > policy.anomaly_z_threshold:
+                if score > _ANOMALY_Z_THRESHOLD:
                     anomaly_streak[device_id] = anomaly_streak.get(device_id, 0) + 1
-                    if anomaly_streak[device_id] >= policy.anomaly_windows_to_quarantine:
-                        quarantined_at[device_id] = (w + 1) * window_s
+                    if anomaly_streak[device_id] >= _ANOMALY_WINDOWS_TO_QUARANTINE:
+                        quarantined_at[device_id] = (w + 1) * _WINDOW_S
                         break
                 else:
                     anomaly_streak[device_id] = 0
@@ -216,15 +205,11 @@ class SmartGateway:
             q_time = quarantined_at.get(device_id)
             if q_time is not None and flow.time_s >= q_time:
                 continue  # dropped: device is in quarantine
-            if policy.block_lateral and flow.direction is Direction.LATERAL:
+            if flow.direction is Direction.LATERAL:
                 report.blocked_lateral += 1
                 continue
             baseline = self.baselines.get(device_id)
-            if (
-                policy.enforce_endpoint_allowlist
-                and baseline is not None
-                and flow.endpoint not in baseline.endpoints
-            ):
+            if baseline is not None and flow.endpoint not in baseline.endpoints:
                 report.blocked_unknown_endpoint += 1
                 continue
             report.allowed += 1

@@ -36,9 +36,6 @@ class LanConfig:
             DeviceType.VOICE_ASSISTANT: 2,
         }
     )
-    # default_factory, not a default instance: a class-level instance would
-    # be shared by every LanConfig ever constructed
-    occupancy: OccupancyConfig = field(default_factory=OccupancyConfig)
 
 
 @dataclass
@@ -60,7 +57,7 @@ def simulate_lan(
     if n_days < 1:
         raise ValueError("n_days must be >= 1")
     rng = np.random.default_rng(rng)
-    occupancy = simulate_occupancy(config.occupancy, n_days, 60.0, rng)
+    occupancy = simulate_occupancy(OccupancyConfig(), n_days, 60.0, rng)
     duration_s = n_days * SECONDS_PER_DAY
 
     devices: list[Device] = []

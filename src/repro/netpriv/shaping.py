@@ -38,37 +38,12 @@ import numpy as np
 
 from ..core.knob import knob_mapping, register_knob_mapping
 from ..timeseries import SECONDS_PER_HOUR
-from .devices import Device
+from .devices import CLOUD_PORT, Device, event_devices, is_event
 from .flows import Direction, Flow, FlowLog
 
 #: Knob-mapping domain netpriv shapers register under (vs. energy's
 #: ``TraceDefense`` mappings — see :mod:`repro.core.knob`).
 NETPRIV_KNOB_DOMAIN = "netpriv"
-
-
-@dataclass(frozen=True)
-class ShapingConfig:
-    """Gateway traffic-shaping policy for :class:`TrafficShaper`.
-
-    Cover traffic is *adaptive*: each shaped device is topped up to
-    ``rate_margin`` times its occupied-home event rate every hour, counting
-    the real events that already happened.  An empty home then emits the
-    same event statistics as a busy one — constant-rate padding alone
-    leaves the real events' additive bump visible.
-    """
-
-    rate_margin: float = 1.2  # target = margin * occupied event rate
-    max_delay_s: float = 120.0  # event flows held up to this long
-    shape_start_hour: float = 6.0  # overnight silence is normal; don't pad it
-    shape_end_hour: float = 23.5
-
-    def __post_init__(self) -> None:
-        if self.rate_margin < 1.0:
-            raise ValueError("rate_margin must be >= 1")
-        if self.max_delay_s < 0:
-            raise ValueError("delays cannot be negative")
-        if not 0.0 <= self.shape_start_hour < self.shape_end_hour <= 24.0:
-            raise ValueError("invalid shaping hours")
 
 
 @dataclass
@@ -86,21 +61,6 @@ class ShapingReport:
     delayed_flows: int = 0
     mean_added_delay_s: float = 0.0
     merged_flows: int = 0
-
-
-def _event_devices(devices: list[Device]) -> list[Device]:
-    """Devices whose event rate carries an occupancy signal worth shaping."""
-    return [
-        d
-        for d in devices
-        if d.profile.event_rate_per_occupied_hour
-        > 2.0 * max(d.profile.event_rate_per_empty_hour, 0.05)
-    ]
-
-
-def _is_event(flow: Flow) -> bool:
-    """The event heuristic shared with the threat side: big and short."""
-    return flow.bytes_up + flow.bytes_down > 5_000 and flow.duration_s < 200.0
 
 
 class FlowShaper:
@@ -121,10 +81,6 @@ class FlowShaper:
         """Return the shaped log and the shaping cost report."""
         raise NotImplementedError
 
-    @staticmethod
-    def _event_devices(devices: list[Device]) -> list[Device]:
-        return _event_devices(devices)
-
 
 class IdentityShaper(FlowShaper):
     """Setting 0 of every netpriv dial: pass the log through untouched."""
@@ -139,18 +95,34 @@ class IdentityShaper(FlowShaper):
         return log, ShapingReport()
 
 
+#: Hours of the day :class:`TrafficShaper` pads: overnight silence is
+#: normal, so padding it would only cost bandwidth.
+_SHAPE_START_HOUR = 6.0
+_SHAPE_END_HOUR = 23.5
+
+
 class TrafficShaper(FlowShaper):
     """Adaptive cover traffic plus randomized event delays.
 
     Only *event-driven* devices are shaped (heartbeats and streams are
-    metronomic already and carry no occupancy signal).  Cover flows mimic
-    each device's own event size distribution and go to the device's own
-    cloud endpoint — indistinguishable at the flow level from the real
-    thing.
+    metronomic already and carry no occupancy signal).  Cover traffic is
+    *adaptive*: from 06:00 to 23:30 each shaped device is topped up to
+    ``margin`` times its occupied-home event rate every hour, counting the
+    real events that already happened, so an empty home emits the same
+    event statistics as a busy one (constant-rate padding alone leaves the
+    real events' additive bump visible).  Real events are held for up to
+    ``max_delay_s``.  Cover flows mimic each device's own event size
+    distribution and go to the device's own cloud endpoint —
+    indistinguishable at the flow level from the real thing.
     """
 
-    def __init__(self, config: ShapingConfig | None = None) -> None:
-        self.config = config or ShapingConfig()
+    def __init__(self, margin: float = 1.2, max_delay_s: float = 120.0) -> None:
+        if margin < 1.0:
+            raise ValueError("margin must be >= 1")
+        if max_delay_s < 0:
+            raise ValueError("delays cannot be negative")
+        self.margin = float(margin)
+        self.max_delay_s = float(max_delay_s)
 
     def shape(
         self,
@@ -161,10 +133,9 @@ class TrafficShaper(FlowShaper):
     ) -> tuple[FlowLog, ShapingReport]:
         """Return the shaped log (delayed events + cover flows) and costs."""
         rng = np.random.default_rng(rng)
-        cfg = self.config
         report = ShapingReport()
         shaped: list[Flow] = []
-        event_ids = {d.device_id: d for d in self._event_devices(devices)}
+        event_ids = {d.device_id: d for d in event_devices(devices)}
 
         # real events are bucketed by their *shaped* timestamps, in the
         # same pass that delays them: a delayed event that crosses an hour
@@ -177,10 +148,10 @@ class TrafficShaper(FlowShaper):
         }
         total_delay = 0.0
         for flow in log:
-            is_event = flow.device_id in event_ids and _is_event(flow)
+            event = flow.device_id in event_ids and is_event(flow)
             shaped_time = flow.time_s
-            if is_event and cfg.max_delay_s > 0:
-                delay = float(rng.uniform(0.0, cfg.max_delay_s))
+            if event and self.max_delay_s > 0:
+                delay = float(rng.uniform(0.0, self.max_delay_s))
                 shaped_time = min(flow.time_s + delay, duration_s - 1e-3)
                 shaped.append(
                     Flow(
@@ -199,17 +170,17 @@ class TrafficShaper(FlowShaper):
                 total_delay += delay
             else:
                 shaped.append(flow)
-            if is_event:
+            if event:
                 real_events[flow.device_id][int(shaped_time // SECONDS_PER_HOUR)] += 1
 
         # adaptive cover traffic: top each device up to its occupied rate
         for device in event_ids.values():
             profile = device.profile
-            target = cfg.rate_margin * profile.event_rate_per_occupied_hour
+            target = self.margin * profile.event_rate_per_occupied_hour
             hour = 0.0
             while hour * SECONDS_PER_HOUR < duration_s:
                 hour_of_day = hour % 24.0
-                if cfg.shape_start_hour <= hour_of_day < cfg.shape_end_hour:
+                if _SHAPE_START_HOUR <= hour_of_day < _SHAPE_END_HOUR:
                     already = real_events[device.device_id][int(hour)]
                     deficit = max(0.0, target - already)
                     for _ in range(rng.poisson(deficit)):
@@ -223,7 +194,7 @@ class TrafficShaper(FlowShaper):
                                 time_s=float(t),
                                 device_id=device.device_id,
                                 endpoint=profile.endpoints[0],
-                                port=profile.port,
+                                port=CLOUD_PORT,
                                 direction=Direction.OUTBOUND,
                                 bytes_up=bytes_up,
                                 bytes_down=bytes_down,
@@ -269,13 +240,13 @@ class ConstantRatePadding(FlowShaper):
     ) -> tuple[FlowLog, ShapingReport]:
         rng = np.random.default_rng(rng)
         report = ShapingReport()
-        event_ids = {d.device_id: d for d in self._event_devices(devices)}
+        event_ids = {d.device_id: d for d in event_devices(devices)}
         n_hours = int(np.ceil(duration_s / SECONDS_PER_HOUR))
         real_events: dict[str, np.ndarray] = {
             device_id: np.zeros(n_hours) for device_id in event_ids
         }
         for flow in log:
-            if flow.device_id in event_ids and _is_event(flow):
+            if flow.device_id in event_ids and is_event(flow):
                 real_events[flow.device_id][int(flow.time_s // SECONDS_PER_HOUR)] += 1
 
         shaped = list(log.flows)
@@ -300,7 +271,7 @@ class ConstantRatePadding(FlowShaper):
                             time_s=float(t),
                             device_id=device.device_id,
                             endpoint=endpoint,
-                            port=profile.port,
+                            port=CLOUD_PORT,
                             direction=Direction.OUTBOUND,
                             bytes_up=bytes_up,
                             bytes_down=bytes_down,
@@ -428,10 +399,16 @@ class HeartbeatJitter(FlowShaper):
             [profiles[shaped[i].device_id].heartbeat_interval_s for i in beats],
             dtype=float,
         )
-        jittered = np.clip(times + draws[:, 0] * intervals, 0.0, duration_s - 1e-3)
+        jittered = np.clip(
+            times + draws[:, 0] * intervals, 0.0, duration_s - 1e-3
+        ).tolist()
+        # flat columns, and no array kept alive while the flows are built
+        scales_up = (1.0 + draws[:, 1]).tolist()
+        scales_down = (1.0 + draws[:, 2]).tolist()
+        del draws, times, intervals
         total_shift = 0.0  # summed in log order, as a float loop adds
-        for i, time_s, (scale_up, scale_down) in zip(
-            beats, jittered.tolist(), (1.0 + draws[:, 1:]).tolist()
+        for i, time_s, scale_up, scale_down in zip(
+            beats, jittered, scales_up, scales_down
         ):
             flow = shaped[i]
             shaped[i] = Flow(
@@ -479,9 +456,7 @@ def make_shaper(name: str, setting: float) -> FlowShaper:
 register_knob_mapping(
     # cover margin grows 1.0 -> 1.4 and the event-delay budget 0 -> 240 s
     "cover",
-    lambda s: TrafficShaper(
-        ShapingConfig(rate_margin=1.0 + 0.4 * s, max_delay_s=240.0 * s)
-    ),
+    lambda s: TrafficShaper(margin=1.0 + 0.4 * s, max_delay_s=240.0 * s),
     domain=NETPRIV_KNOB_DOMAIN,
 )
 register_knob_mapping(

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from ..timeseries import BinaryTrace, SECONDS_PER_HOUR
-from .devices import Device
+from .devices import Device, event_devices, is_event
 from .flows import Direction, Flow, FlowLog
 
 
@@ -128,73 +128,52 @@ def inject_compromise(
     return out
 
 
+#: Pad on the profile-derived empty-home event count.
+_BASELINE_MARGIN = 2.0
+
+
 def occupancy_from_traffic(
     log: FlowLog,
     devices: list[Device],
     duration_s: float,
     window_s: float = 1800.0,
-    night_prior: bool = True,
-    baseline_quantile: float | None = None,
-    baseline_margin: float = 2.0,
 ) -> BinaryTrace:
     """Passive observer's occupancy inference from flow timing alone.
 
-    Counts event-sized flows (larger than heartbeats) from event-driven
-    devices per window; windows with activity above the empty-home baseline
-    are "occupied".  Works on fully encrypted traffic — only sizes and
-    timing are used.
+    Counts event-sized flows (:func:`~repro.netpriv.devices.is_event`,
+    larger than heartbeats) from event-driven devices per window; windows
+    with activity above the empty-home baseline are "occupied", and so is
+    every window from 23:00 to 06:00 (a night prior).  Works on fully
+    encrypted traffic — only sizes and timing are used.
 
     The empty-home baseline is derived from the *device profiles*: the sum
     of the event devices' empty-home event rates, scaled to the window and
-    padded by ``baseline_margin``.  This matches the module's threat model
+    padded by a factor of two.  This matches the module's threat model
     (the attacker lab-profiles device models before observing the victim,
     exactly as :class:`~repro.netpriv.fingerprint.DeviceFingerprinter`
     assumes) and — unlike a quantile of the observed counts — stays correct
     for a home that is occupied in most or all windows.  Overnight windows
     are no refuge for a data-driven baseline either: occupants are *home*
     at night, so event devices keep firing at occupied rates.
-
-    ``baseline_quantile`` switches to the data-driven alternative: the
-    threshold becomes that quantile of the observed per-window counts
-    (``0.25`` reproduces the historical behaviour, which over-estimated the
-    baseline — and so under-reported occupancy — on mostly-occupied homes).
     """
     if window_s <= 0 or duration_s < window_s:
         raise ValueError("need at least one whole window")
-    if baseline_quantile is not None and not 0.0 <= baseline_quantile <= 1.0:
-        raise ValueError("baseline_quantile must be in [0, 1]")
-    if baseline_margin <= 0:
-        raise ValueError("baseline_margin must be positive")
-    event_devices = {
-        d.device_id: d
-        for d in devices
-        if d.profile.event_rate_per_occupied_hour
-        > 2.0 * max(d.profile.event_rate_per_empty_hour, 0.05)
-    }
+    signalling = {d.device_id: d for d in event_devices(devices)}
     n_windows = int(duration_s // window_s)
     counts = np.zeros(n_windows)
     for flow in log:
-        if flow.device_id not in event_devices:
+        if flow.device_id not in signalling or not is_event(flow):
             continue
-        heartbeat_cutoff = 5_000
-        if flow.bytes_up + flow.bytes_down <= heartbeat_cutoff:
-            continue
-        if flow.duration_s >= 200.0:
-            continue  # streaming chunks, not events
         w = int(flow.time_s // window_s)
         if 0 <= w < n_windows:
             counts[w] += 1
-    if baseline_quantile is not None:
-        threshold = max(1.0, float(np.quantile(counts, baseline_quantile)))
-    else:
-        empty_rate_per_hour = sum(
-            d.profile.event_rate_per_empty_hour for d in event_devices.values()
-        )
-        threshold = max(
-            1.0, baseline_margin * empty_rate_per_hour * window_s / SECONDS_PER_HOUR
-        )
+    empty_rate_per_hour = sum(
+        d.profile.event_rate_per_empty_hour for d in signalling.values()
+    )
+    threshold = max(
+        1.0, _BASELINE_MARGIN * empty_rate_per_hour * window_s / SECONDS_PER_HOUR
+    )
     occupied = (counts > threshold).astype(int)
-    if night_prior:
-        hours = (np.arange(n_windows) * window_s % 86400.0) / SECONDS_PER_HOUR
-        occupied[(hours >= 23.0) | (hours < 6.0)] = 1
+    hours = (np.arange(n_windows) * window_s % 86400.0) / SECONDS_PER_HOUR
+    occupied[(hours >= 23.0) | (hours < 6.0)] = 1
     return BinaryTrace(occupied, window_s, 0.0)

@@ -25,7 +25,6 @@ from .sunspot import (
 )
 from .weather import (
     Octave,
-    WeatherConfig,
     WeatherField,
     WeatherStation,
     WeatherStationDB,
@@ -53,7 +52,6 @@ __all__ = [
     "SunSpot",
     "extract_day_observations",
     "Octave",
-    "WeatherConfig",
     "WeatherField",
     "WeatherStation",
     "WeatherStationDB",

@@ -43,6 +43,13 @@ class DisaggregationEstimate:
     base_load_w: float
 
 
+#: Quantile of (base - net) taken as the clear-sky envelope: slightly
+#: below 1 for robustness to spikes.
+_ENVELOPE_QUANTILE = 0.98
+#: Width of the moving average over the envelope's time-of-day slots.
+_SMOOTHING_SLOTS = 3
+
+
 class SunDance:
     """Black-box net-meter disaggregator.
 
@@ -52,26 +59,17 @@ class SunDance:
         Optional: if the site has been localized (e.g. by Weatherman) and a
         public weather service is available, per-sample transmittance comes
         from the weather; otherwise it is inferred from the trace itself.
-    envelope_quantile:
-        Quantile of (base - net) used for the clear-sky envelope; slightly
-        below 1.0 for robustness to spikes.
     """
 
     def __init__(
         self,
         location: LatLon | None = None,
         weather: WeatherStationDB | None = None,
-        envelope_quantile: float = 0.98,
-        smoothing_slots: int = 3,
     ) -> None:
-        if not 0.5 < envelope_quantile <= 1.0:
-            raise ValueError("envelope_quantile must be in (0.5, 1]")
         if (location is None) != (weather is None):
             raise ValueError("location and weather must be provided together")
         self.location = location
         self.weather = weather
-        self.envelope_quantile = envelope_quantile
-        self.smoothing_slots = smoothing_slots
 
     def disaggregate(self, net: PowerTrace) -> DisaggregationEstimate:
         slots_per_day = int(round(SECONDS_PER_DAY / net.period_s))
@@ -94,11 +92,10 @@ class SunDance:
 
         # 2. clear-sky envelope per slot
         deficit = base_load - grid  # positive where solar pushes net down
-        envelope = np.quantile(deficit, self.envelope_quantile, axis=0)
+        envelope = np.quantile(deficit, _ENVELOPE_QUANTILE, axis=0)
         envelope = np.maximum(envelope, 0.0)
-        if self.smoothing_slots > 1:
-            kernel = np.ones(self.smoothing_slots) / self.smoothing_slots
-            envelope = np.convolve(envelope, kernel, mode="same")
+        kernel = np.ones(_SMOOTHING_SLOTS) / _SMOOTHING_SLOTS
+        envelope = np.convolve(envelope, kernel, mode="same")
 
         # 3. per-sample transmittance
         n_used = n_days * slots_per_day

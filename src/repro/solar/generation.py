@@ -35,23 +35,23 @@ class PVArrayConfig:
     capacity_w: float = 6000.0
     tilt_deg: float = 30.0
     azimuth_deg: float = 180.0
-    derate: float = 0.82
     horizon_east_deg: float = 0.0
     horizon_west_deg: float = 0.0
     noise_w: float = 15.0
-    diffuse_fraction: float = 0.18
 
     def __post_init__(self) -> None:
         if self.capacity_w <= 0:
             raise ValueError("capacity_w must be positive")
         if not 0.0 <= self.tilt_deg <= 90.0:
             raise ValueError("tilt must be in [0, 90] degrees")
-        if not 0.0 < self.derate <= 1.0:
-            raise ValueError("derate must be in (0, 1]")
         if self.horizon_east_deg < 0 or self.horizon_west_deg < 0:
             raise ValueError("horizon obstructions cannot be negative")
-        if not 0.0 <= self.diffuse_fraction <= 1.0:
-            raise ValueError("diffuse_fraction must be in [0, 1]")
+
+
+#: System derate: inverter, wiring and soiling losses.
+_DERATE = 0.82
+#: Share of clear-sky irradiance that arrives diffuse.
+_DIFFUSE_FRACTION = 0.18
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def simulate_generation(
 
     elevation, azimuth = sun_position(times, site.location.lat, site.location.lon)
     ghi = clearsky_ghi_w_m2(elevation)
-    direct = (1.0 - cfg.diffuse_fraction) * ghi
-    diffuse = cfg.diffuse_fraction * ghi
+    direct = (1.0 - _DIFFUSE_FRACTION) * ghi
+    diffuse = _DIFFUSE_FRACTION * ghi
 
     # plane-of-array projection of the direct beam
     sun_vec = np.stack(
@@ -135,7 +135,7 @@ def simulate_generation(
         irradiance = irradiance * weather.transmittance(site.location, times)
 
     # reference irradiance 1000 W/m^2 defines nameplate capacity
-    power = cfg.capacity_w * cfg.derate * irradiance / 1000.0
+    power = cfg.capacity_w * _DERATE * irradiance / 1000.0
     power = np.minimum(power, cfg.capacity_w)
     power = np.where(elevation > 0.0, power, 0.0)
     if cfg.noise_w > 0:

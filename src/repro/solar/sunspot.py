@@ -49,17 +49,20 @@ class LocalizationResult:
         return haversine_km(self.estimate, truth)
 
 
-def extract_day_observations(
-    generation: PowerTrace,
-    threshold_fraction: float = 0.005,
-    min_daily_peak_fraction: float = 0.25,
-    sustain_samples: int = 5,
-) -> list[DayObservation]:
+#: Production threshold, as a share of the trace-wide peak.
+_THRESHOLD_FRACTION = 0.005
+#: A day whose peak is below this share of the trace-wide peak is skipped.
+_MIN_DAILY_PEAK_FRACTION = 0.25
+#: Consecutive samples above the threshold that count as production.
+_SUSTAIN_SAMPLES = 5
+
+
+def extract_day_observations(generation: PowerTrace) -> list[DayObservation]:
     """Apparent sunrise/sunset per day from a generation trace.
 
-    A day's production start/end are the first/last runs of at least
-    ``sustain_samples`` consecutive samples exceeding ``threshold_fraction``
-    of the *trace-wide* peak.  Two details matter for accuracy:
+    A day's production start/end are the first/last runs of at least five
+    consecutive samples exceeding 0.5% of the *trace-wide* peak.  Two
+    details matter for accuracy:
 
     * the threshold must be global, not per-day — daily peaks grow from
       winter to summer, so a per-day threshold corresponds to a seasonally
@@ -72,9 +75,9 @@ def extract_day_observations(
       the crossing is diffuse-dominated year-round, and diffuse irradiance
       depends only on sun elevation.
 
-    Heavily overcast days (peak below ``min_daily_peak_fraction`` of the
-    trace-wide peak) are discarded — their apparent sunrise says more than
-    clouds than astronomy.
+    Heavily overcast days (peak below a quarter of the trace-wide peak) are
+    discarded — their apparent sunrise says more than clouds than
+    astronomy.
 
     Days are sliced on *local solar* boundaries, not UTC ones: for sites far
     from the prime meridian the solar day straddles the UTC date line, so a
@@ -84,8 +87,6 @@ def extract_day_observations(
     crossing hours keep the UTC convention and may lie outside [0, 24),
     matching :func:`predicted_crossings_physical`.
     """
-    if not 0.0 < threshold_fraction < 1.0:
-        raise ValueError("threshold_fraction must be in (0, 1)")
     trace_peak = generation.max()
     if trace_peak <= 0:
         return []
@@ -113,10 +114,10 @@ def extract_day_observations(
             continue  # window not fully covered by the trace
         values = generation.values[i0:i1]
         peak = values.max()
-        if peak < min_daily_peak_fraction * trace_peak:
+        if peak < _MIN_DAILY_PEAK_FRACTION * trace_peak:
             continue
-        above = values > threshold_fraction * trace_peak
-        sustained = _sustained_runs(above, sustain_samples)
+        above = values > _THRESHOLD_FRACTION * trace_peak
+        sustained = _sustained_runs(above, _SUSTAIN_SAMPLES)
         idx = np.flatnonzero(sustained)
         if len(idx) < 10:
             continue
@@ -127,8 +128,12 @@ def extract_day_observations(
     return observations
 
 
+#: Days per clearest-edge selection window.
+_ENVELOPE_WINDOW_DAYS = 10
+
+
 def envelope_edge_observations(
-    observations: list[DayObservation], window_days: int = 10
+    observations: list[DayObservation],
 ) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
     """Per-window clear-sky *edges*: earliest rise and latest set separately.
 
@@ -137,17 +142,17 @@ def envelope_edge_observations(
     *different* days.  Since the location fit scores rise and set residuals
     independently, each edge can keep its own day index (staying
     astronomically consistent) — capturing a clean dawn even in windows
-    with no single fully clear day.  Returns ``(rise_obs, set_obs)`` as
-    lists of ``(day_index, utc_hour)``.
+    with no single fully clear day.  Windows are ten days long.  Returns
+    ``(rise_obs, set_obs)`` as lists of ``(day_index, utc_hour)``.
     """
-    if window_days < 1:
-        raise ValueError("window_days must be >= 1")
     if not observations:
         return [], []
     first = observations[0].day_index
     by_window: dict[int, list[DayObservation]] = {}
     for obs in observations:
-        by_window.setdefault((obs.day_index - first) // window_days, []).append(obs)
+        by_window.setdefault(
+            (obs.day_index - first) // _ENVELOPE_WINDOW_DAYS, []
+        ).append(obs)
     rises: list[tuple[int, float]] = []
     sets: list[tuple[int, float]] = []
     for group in by_window.values():
@@ -248,13 +253,19 @@ def predicted_crossings_physical(
     return rise, sset
 
 
+#: Initial search region: 30 degrees either way of the continental US's
+#: middle.
+_SEARCH_CENTER = LatLon(38.0, -96.0)
+_SEARCH_HALF_SPAN_DEG = 30.0
+
+
 class SunSpot:
     """The SunSpot localization attack.
 
+    The search starts from a square that covers the continental US.
+
     Parameters
     ----------
-    search_center / search_half_span_deg:
-        Initial search region (defaults cover the continental US).
     refine_levels:
         Hierarchical grid-search depth; each level shrinks the span 3.3x,
         so 5 levels from 25 degrees resolves to ~0.03 degrees (~3 km),
@@ -262,39 +273,27 @@ class SunSpot:
     threshold_candidates / beam_boost_candidates:
         Grids for the dawn-model nuisance parameters of
         :func:`predicted_crossings_physical`.
-    envelope_window_days:
-        Days per clearest-edge selection window (see
-        :func:`envelope_edge_observations`).
     """
 
     #: fewest envelope windows with a usable dawn and dusk a fit needs
     MIN_WINDOWS = 5
+    #: fewest whole days a trace must span to reach :attr:`MIN_WINDOWS`
+    #: envelope windows; a shorter one cannot be localized
+    min_days = (MIN_WINDOWS - 1) * _ENVELOPE_WINDOW_DAYS + 1
 
     def __init__(
         self,
-        search_center: LatLon = LatLon(38.0, -96.0),
-        search_half_span_deg: float = 30.0,
         grid_per_side: int = 9,
         refine_levels: int = 4,
         threshold_candidates: tuple[float, ...] = (5.0, 12.0, 25.0, 50.0),
         beam_boost_candidates: tuple[float, ...] = (0.0, 0.4, 0.8, 1.2, 1.6),
-        envelope_window_days: int = 10,
     ) -> None:
         if refine_levels < 1 or grid_per_side < 3:
             raise ValueError("need >=1 refine level and >=3 grid points per side")
-        self.search_center = search_center
-        self.search_half_span_deg = search_half_span_deg
         self.grid_per_side = grid_per_side
         self.refine_levels = refine_levels
         self.threshold_candidates = threshold_candidates
         self.beam_boost_candidates = beam_boost_candidates
-        self.envelope_window_days = envelope_window_days
-
-    @property
-    def min_days(self) -> int:
-        """Fewest whole days a trace must span to reach :attr:`MIN_WINDOWS`
-        envelope windows; a shorter one cannot be localized."""
-        return (self.MIN_WINDOWS - 1) * self.envelope_window_days + 1
 
     @staticmethod
     def _cost(
@@ -331,17 +330,17 @@ class SunSpot:
     def localize(self, generation: PowerTrace) -> LocalizationResult:
         """Run the attack on a generation trace."""
         daily = extract_day_observations(generation)
-        observations = envelope_edge_observations(daily, self.envelope_window_days)
+        observations = envelope_edge_observations(daily)
         if min(len(observations[0]), len(observations[1])) < self.MIN_WINDOWS:
             raise ValueError(
                 f"only {len(observations[0])} usable windows; "
                 f"need at least {self.MIN_WINDOWS}"
             )
-        box = self.search_half_span_deg
-        lat_lo, lat_hi = self.search_center.lat - box, self.search_center.lat + box
-        lon_lo, lon_hi = self.search_center.lon - box, self.search_center.lon + box
-        center = self.search_center
-        half_span = self.search_half_span_deg
+        box = _SEARCH_HALF_SPAN_DEG
+        lat_lo, lat_hi = _SEARCH_CENTER.lat - box, _SEARCH_CENTER.lat + box
+        lon_lo, lon_hi = _SEARCH_CENTER.lon - box, _SEARCH_CENTER.lon + box
+        center = _SEARCH_CENTER
+        half_span = _SEARCH_HALF_SPAN_DEG
         best = (float("inf"), center.lat, center.lon, self.threshold_candidates[0], 0.0)
         for _level in range(self.refine_levels):
             lats = np.linspace(center.lat - half_span, center.lat + half_span, self.grid_per_side)

@@ -93,79 +93,60 @@ class Octave:
     drift_deg_per_hour: float = 0.0
 
 
-DEFAULT_OCTAVES = (
+_OCTAVES = (
     Octave(space_deg=5.0, time_hours=30.0, weight=0.55, drift_deg_per_hour=0.25),
     Octave(space_deg=0.9, time_hours=7.0, weight=0.30, drift_deg_per_hour=0.12),
     Octave(space_deg=0.18, time_hours=2.0, weight=0.15, drift_deg_per_hour=0.0),
 )
-
-
-@dataclass(frozen=True)
-class WeatherConfig:
-    """Cloud-field parameters.
-
-    ``regional_weight`` scales a *static* very-low-frequency component of
-    mean cloudiness: real climates differ by region (the US Southwest is
-    far drier than the Pacific Northwest), which both modulates how often a
-    solar site sees clear days and gives Weatherman a coarse regional
-    signal, as in the real datasets.
-    """
-
-    seed: int = 2018
-    mean_cloud: float = 0.45
-    amplitude: float = 1.3
-    # Real sky cover is bimodal — hours are mostly either clear or
-    # overcast, not permanently 40% cloudy.  The contrast gain saturates
-    # the smooth noise field at both ends, producing clear spells and
-    # overcast spells; without it, generation is barely modulated and the
-    # weather-signature attack has nothing to correlate against.
-    contrast: float = 2.2
-    regional_weight: float = 0.35
-    regional_space_deg: float = 14.0
-    octaves: tuple[Octave, ...] = DEFAULT_OCTAVES
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mean_cloud <= 1.0:
-            raise ValueError("mean_cloud must be in [0, 1]")
-        if self.regional_weight < 0:
-            raise ValueError("regional_weight cannot be negative")
-        if self.contrast <= 0:
-            raise ValueError("contrast must be positive")
-        if not self.octaves:
-            raise ValueError("need at least one octave")
+_MEAN_CLOUD = 0.45
+_AMPLITUDE = 1.3
+# Real sky cover is bimodal — hours are mostly either clear or overcast,
+# not permanently 40% cloudy.  The contrast gain saturates the smooth
+# noise field at both ends, producing clear spells and overcast spells;
+# without it, generation is barely modulated and the weather-signature
+# attack has nothing to correlate against.
+_CONTRAST = 2.2
+# A *static* very-low-frequency component of mean cloudiness: real
+# climates differ by region (the US Southwest is far drier than the
+# Pacific Northwest), which both modulates how often a solar site sees
+# clear days and gives Weatherman a coarse regional signal, as in the real
+# datasets.
+_REGIONAL_WEIGHT = 0.35
+_REGIONAL_SPACE_DEG = 14.0
 
 
 class WeatherField:
-    """The ground-truth sky: cloud cover anywhere, any time, in [0, 1]."""
+    """The ground-truth sky: cloud cover anywhere, any time, in [0, 1].
 
-    def __init__(self, config: WeatherConfig | None = None) -> None:
-        self.config = config or WeatherConfig()
+    ``seed`` picks the sky; a simulator and a weather station network
+    built on the same seed describe the same weather.
+    """
+
+    def __init__(self, seed: int = 2018) -> None:
+        self.seed = seed
 
     def cloud_cover(self, site: LatLon, times_s: np.ndarray) -> np.ndarray:
         """Cloud-cover fraction at ``site`` for each UTC timestamp."""
         times_s = np.asarray(times_s, dtype=float)
         total = np.zeros_like(times_s)
         hours = times_s / SECONDS_PER_HOUR
-        for i, octave in enumerate(self.config.octaves):
+        for i, octave in enumerate(_OCTAVES):
             lon_drifted = site.lon + octave.drift_deg_per_hour * hours
             x = lon_drifted / octave.space_deg
             y = np.full_like(times_s, site.lat / octave.space_deg)
             t = hours / octave.time_hours
             total += octave.weight * (
-                _value_noise(x, y, t, self.config.seed + 101 * i) - 0.5
+                _value_noise(x, y, t, self.seed + 101 * i) - 0.5
             )
-        mean = self.config.mean_cloud
-        if self.config.regional_weight > 0:
-            scale = self.config.regional_space_deg
-            regional = _value_noise(
-                np.asarray([site.lon / scale]),
-                np.asarray([site.lat / scale]),
-                np.asarray([0.0]),
-                self.config.seed + 7777,
-            )[0]
-            mean = mean + self.config.regional_weight * (regional - 0.5)
-        raw = mean + self.config.amplitude * total
-        cloud = 0.5 + self.config.contrast * (raw - 0.5)
+        regional = _value_noise(
+            np.asarray([site.lon / _REGIONAL_SPACE_DEG]),
+            np.asarray([site.lat / _REGIONAL_SPACE_DEG]),
+            np.asarray([0.0]),
+            self.seed + 7777,
+        )[0]
+        mean = _MEAN_CLOUD + _REGIONAL_WEIGHT * (regional - 0.5)
+        raw = mean + _AMPLITUDE * total
+        cloud = 0.5 + _CONTRAST * (raw - 0.5)
         return np.clip(cloud, 0.0, 1.0)
 
     def transmittance(self, site: LatLon, times_s: np.ndarray) -> np.ndarray:

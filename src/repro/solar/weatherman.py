@@ -39,11 +39,13 @@ class CloudProxy:
     values: np.ndarray  # in [0, 1]: 0 = clear, 1 = fully attenuated
 
 
-def cloud_proxy_from_generation(
-    generation: PowerTrace,
-    min_envelope_fraction: float = 0.3,
-    envelope_window_days: int = 31,
-) -> CloudProxy:
+#: Days in the moving clear-sky envelope window (+/-15 days).
+_ENVELOPE_WINDOW_DAYS = 31
+#: Slots whose envelope is below this share of its peak carry no weather.
+_MIN_ENVELOPE_FRACTION = 0.3
+
+
+def cloud_proxy_from_generation(generation: PowerTrace) -> CloudProxy:
     """Infer per-hour cloudiness without knowing the site's location.
 
     The clear-sky envelope at each (day, hour-of-day) slot is the maximum
@@ -52,8 +54,8 @@ def cloud_proxy_from_generation(
     clear-sky output drifts with the season (a year-global envelope would
     make every clear winter noon look 60% overcast).  The ratio of actual
     to envelope estimates transmittance; one minus that is the cloud
-    proxy.  Slots whose local envelope is small (night, dawn, dusk) are
-    excluded — they carry geometry, not weather.
+    proxy.  Slots whose local envelope is under 30% of its peak (night,
+    dawn, dusk) are excluded — they carry geometry, not weather.
     """
     from scipy.ndimage import maximum_filter1d
 
@@ -63,11 +65,11 @@ def cloud_proxy_from_generation(
     if n_days < MIN_DAYS:
         raise ValueError(f"need at least {MIN_DAYS} whole days of data, got {n_days}")
     grid = hourly.values[: n_days * n_per_day].reshape(n_days, n_per_day)
-    envelope = maximum_filter1d(grid, size=envelope_window_days, axis=0, mode="nearest")
+    envelope = maximum_filter1d(grid, size=_ENVELOPE_WINDOW_DAYS, axis=0, mode="nearest")
     peak = envelope.max()
     if peak <= 0:
         raise ValueError("generation trace is all zero")
-    usable = envelope > min_envelope_fraction * peak
+    usable = envelope > _MIN_ENVELOPE_FRACTION * peak
     ratio = np.clip(grid[usable] / envelope[usable], 0.0, 1.0)
     times = hourly.times()[: n_days * n_per_day].reshape(n_days, n_per_day)
     return CloudProxy(
@@ -95,27 +97,29 @@ def _correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
+#: Stations whose correlation-weighted mean seeds the refinement.
+_TOP_STATIONS = 3
+#: Refinement grid points per side, and the first level's half span.
+_REFINE_GRID = 7
+_REFINE_INITIAL_SPAN_DEG = 1.0
+
+
 class Weatherman:
-    """The Weatherman localization attack."""
+    """The Weatherman localization attack.
+
+    The refinement searches a 7x7 grid per level, starting 1 degree either
+    way of the three best-correlated stations' weighted mean and shrinking
+    2.8x per level, ``refine_levels`` times.
+    """
 
     #: fewest whole days of generation a trace must span to be localized
     min_days = MIN_DAYS
 
-    def __init__(
-        self,
-        stations: WeatherStationDB,
-        refine_levels: int = 5,
-        refine_grid: int = 7,
-        refine_initial_span_deg: float = 1.0,
-        top_stations: int = 3,
-    ) -> None:
-        if refine_levels < 0 or refine_grid < 3:
-            raise ValueError("invalid refinement parameters")
+    def __init__(self, stations: WeatherStationDB, refine_levels: int = 5) -> None:
+        if refine_levels < 0:
+            raise ValueError("refine_levels cannot be negative")
         self.stations = stations
         self.refine_levels = refine_levels
-        self.refine_grid = refine_grid
-        self.refine_initial_span_deg = refine_initial_span_deg
-        self.top_stations = top_stations
 
     def _score(self, proxy: CloudProxy, point: LatLon) -> float:
         cloud = self.stations.cloud_at(point, proxy.times_s)
@@ -137,7 +141,7 @@ class Weatherman:
             raise ValueError("no station correlates with the generation trace")
 
         # seed refinement from the correlation-weighted top stations
-        top = scored[: self.top_stations]
+        top = scored[:_TOP_STATIONS]
         weights = np.asarray([max(c, 0.0) ** 2 for c, _ in top])
         if weights.sum() > 0:
             lat = float(sum(w * p.lat for w, (_, p) in zip(weights, top)) / weights.sum())
@@ -148,10 +152,10 @@ class Weatherman:
 
         # stage 2: hierarchical refinement against the weather API
         best = (self._score(proxy, center), center)
-        half_span = self.refine_initial_span_deg
+        half_span = _REFINE_INITIAL_SPAN_DEG
         for _level in range(self.refine_levels):
-            lats = np.linspace(center.lat - half_span, center.lat + half_span, self.refine_grid)
-            lons = np.linspace(center.lon - half_span, center.lon + half_span, self.refine_grid)
+            lats = np.linspace(center.lat - half_span, center.lat + half_span, _REFINE_GRID)
+            lons = np.linspace(center.lon - half_span, center.lon + half_span, _REFINE_GRID)
             for lat in lats:
                 for lon in lons:
                     point = LatLon(float(np.clip(lat, -89.9, 89.9)), float(np.clip(lon, -179.9, 179.9)))

@@ -337,54 +337,51 @@ class StreamingFHMMDecoder:
 # ---------------------------------------------------------------------------
 # Hand-built model constructors for online attacks
 # ---------------------------------------------------------------------------
-def two_state_power_hmm(
-    idle_w: float = 150.0,
-    active_w: float = 900.0,
-    idle_std_w: float = 120.0,
-    active_std_w: float = 500.0,
-    stay: float = 0.97,
-) -> GaussianHMM:
+def two_state_power_hmm() -> GaussianHMM:
     """A hand-parameterized idle/active HMM over raw power samples.
 
     Streaming evaluation needs a model *before* the trace exists, so the
     online decoder attack uses fixed, physically motivated parameters
     rather than Baum-Welch (which is inherently batch).  State 0 is idle
-    (background load), state 1 active.
+    (background load, 150 W with a 120 W std), state 1 active (900 W with
+    a 500 W std); each stays put from one sample to the next with
+    probability 0.97.
     """
+    stay = 0.97
     hmm = GaussianHMM(2)
     return hmm.set_parameters(
         startprob=np.array([0.6, 0.4]),
         transmat=np.array([[stay, 1.0 - stay], [1.0 - stay, stay]]),
-        means=np.array([[idle_w], [active_w]]),
-        variances=np.array([[idle_std_w**2], [active_std_w**2]]),
+        means=np.array([[150.0], [900.0]]),
+        variances=np.array([[120.0**2], [500.0**2]]),
     )
 
 
-def signature_fhmm(
-    appliance_w: dict[str, float] | None = None,
-    base_w: float = 120.0,
-    noise_var: float = 2500.0,
-    stay: float = 0.98,
-) -> FactorialHMM:
+#: On-power (W) of the appliances the online NILM adversary knows.
+_SIGNATURE_APPLIANCE_W = {"fridge": 150.0, "heater": 1500.0, "oven": 2200.0}
+
+
+def signature_fhmm() -> FactorialHMM:
     """A factorial HMM from known on-power signatures.
 
     Models the online NILM adversary of the paper's threat model: the
     attacker knows typical appliance wattages (public spec sheets) and
-    composes two-state (off/on) chains without any training trace.  A
-    constant ``base_w`` chain absorbs the always-on background load.
+    composes two-state (off/on) chains without any training trace, each
+    staying put from one sample to the next with probability 0.98.  A
+    constant 120 W chain absorbs the always-on background load, and the
+    model's noise variance is 2500 W^2.
     """
-    if appliance_w is None:
-        appliance_w = {"fridge": 150.0, "heater": 1500.0, "oven": 2200.0}
+    stay = 0.98
     chains = []
     base = GaussianHMM(1)
     base.set_parameters(
         startprob=np.array([1.0]),
         transmat=np.array([[1.0]]),
-        means=np.array([[base_w]]),
+        means=np.array([[120.0]]),
         variances=np.array([[50.0**2]]),
     )
     chains.append(base)
-    for watts in appliance_w.values():
+    for watts in _SIGNATURE_APPLIANCE_W.values():
         chain = GaussianHMM(2)
         chain.set_parameters(
             startprob=np.array([0.8, 0.2]),
@@ -393,4 +390,4 @@ def signature_fhmm(
             variances=np.array([[25.0**2], [(0.1 * watts) ** 2 + 1.0]]),
         )
         chains.append(chain)
-    return FactorialHMM(chains, noise_var=noise_var)
+    return FactorialHMM(chains, noise_var=2500.0)

@@ -183,8 +183,9 @@ class PowerTrace:
     def scaled(self, factor: float) -> "PowerTrace":
         return self.with_values(self.values * factor)
 
-    def clipped(self, low: float = 0.0, high: float | None = None) -> "PowerTrace":
-        return self.with_values(np.clip(self.values, low, high))
+    def clipped(self, low: float = 0.0) -> "PowerTrace":
+        """Values raised to at least ``low``."""
+        return self.with_values(np.clip(self.values, low, None))
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -262,11 +263,11 @@ class BinaryTrace:
         """Fraction of samples equal to one."""
         return float(self.values.mean()) if len(self.values) else 0.0
 
-    def resample(self, new_period_s: float, threshold: float = 0.5) -> "BinaryTrace":
-        """Downsample by block-majority (block mean >= ``threshold``)."""
+    def resample(self, new_period_s: float) -> "BinaryTrace":
+        """Downsample by block-majority (block mean >= 0.5)."""
         as_power = PowerTrace(self.values.astype(float), self.period_s, self.start_s)
         means = as_power.resample(new_period_s, reducer="mean")
-        return BinaryTrace((means.values >= threshold).astype(int), new_period_s, self.start_s)
+        return BinaryTrace((means.values >= 0.5).astype(int), new_period_s, self.start_s)
 
     def slice_time(self, t0_s: float, t1_s: float) -> "BinaryTrace":
         as_power = PowerTrace(self.values.astype(float), self.period_s, self.start_s)
@@ -305,12 +306,6 @@ def zeros_like(trace: PowerTrace) -> PowerTrace:
     return trace.with_values(np.zeros(len(trace)))
 
 
-def constant(
-    value: float,
-    n_samples: int,
-    period_s: float,
-    start_s: float = 0.0,
-    unit: str = "W",
-) -> PowerTrace:
-    """A constant-valued trace."""
-    return PowerTrace(np.full(n_samples, float(value)), period_s, start_s, unit)
+def constant(value: float, n_samples: int, period_s: float) -> PowerTrace:
+    """A constant-valued trace in watts, starting at time 0."""
+    return PowerTrace(np.full(n_samples, float(value)), period_s, 0.0, "W")

@@ -42,6 +42,7 @@ from repro.defenses import (
     SteppedDefense,
     laplace_noise,
 )
+from repro.defenses.dp import _RELEASE_PERIOD_S
 from repro.home import make_preset, simulate_home
 
 SEEDS = (0, 1, 2)
@@ -80,7 +81,7 @@ def billing_allowance(defense, outcome, trace) -> float:
         # that, converted to energy at the release period (clipping at
         # zero only ever raises the visible energy)
         cfg = defense.config
-        period = max(cfg.release_period_s, trace.period_s)
+        period = max(_RELEASE_PERIOD_S, trace.period_s)
         n = math.ceil(len(trace) * trace.period_s / period)
         scale_kwh = cfg.noise_scale_w * period / 3600.0 / 1000.0
         return 6.0 * scale_kwh * math.sqrt(2.0 * n)

@@ -334,7 +334,6 @@ NON_FINITE_BUILDS = [
     (NoiseInjectionDefense, "std_w", "std cannot be negative"),
     (DPConfig, "epsilon", "epsilon must be positive"),
     (DPConfig, "sensitivity_w", "sensitivity must be positive"),
-    (DPConfig, "release_period_s", "release period must be positive"),
     (BatteryConfig, "capacity_wh", "capacity must be positive"),
     (BatteryConfig, "max_charge_w", "power limits must be positive"),
     (BatteryConfig, "max_discharge_w", "power limits must be positive"),

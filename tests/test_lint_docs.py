@@ -1,5 +1,6 @@
 """The docs-consistency lint's two-way telemetry check, its check that
-the repo paths the docs cite exist, and its unreferenced-names pass.
+the repo paths the docs cite exist, its unreferenced-names pass and its
+unset-options pass.
 
 ``tools/lint_docstrings.py`` is a standalone script (CI runs it without
 installing the package), so it is loaded from its path here.
@@ -130,3 +131,46 @@ def test_names_only_tests_or_a_reexport_reach_are_reported(tmp_path):
 
 def test_repository_has_no_unreferenced_names():
     assert lint.unreferenced_names() == []
+
+
+def test_options_no_call_sets_are_reported(tmp_path, monkeypatch):
+    _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/pkg/__init__.py": "",
+        "src/repro/pkg/mod.py": (
+            "def f(a, by_position=1, unset=2, by_keyword=3, *,\n"
+            "      kw_only=4, by_partial=5):\n"
+            "    return a\n\n\n"
+            "class Thing:\n"
+            "    def __init__(self, x=1, y=2):\n"
+            "        self.x = x\n\n"
+            "    def method(self, m=1):\n"
+            "        return m\n\n\n"
+            "def splatted(p=1, q=2):\n    return p\n\n\n"
+            "def _hidden(h=1):\n    return h\n"
+        ),
+        "src/repro/pkg/_private.py": "def g(z=1):\n    return z\n",
+        "tests/test_mod.py": (
+            "import functools\n\n"
+            "from repro.pkg import mod\n"
+            "from repro.pkg.mod import Thing, f, splatted\n\n"
+            "f(0, 1)\n"
+            "mod.f(0, by_keyword=3)\n"
+            "functools.partial(f, by_partial=5)\n"
+            "Thing(y=2).method()\n"
+            "splatted(**{})\n"
+        ),
+    })
+    problems = lint.unset_options(tmp_path)
+    reported = sorted((p.split("'")[3], p.split("'")[1]) for p in problems)
+    assert reported == [("Thing", "x"), ("f", "kw_only"), ("f", "unset")]
+    mod = tmp_path / "src" / "repro" / "pkg" / "mod.py"
+    assert f"{mod}:1: option 'unset' of 'f' is set by no call" in problems
+
+    monkeypatch.setitem(lint.UNSET_OPTIONS_ALLOWED, "pkg.mod.f.unset", "kept")
+    reported = sorted(p.split("'")[1] for p in lint.unset_options(tmp_path))
+    assert reported == ["kw_only", "x"]
+
+
+def test_repository_sets_every_option():
+    assert lint.unset_options() == []

@@ -13,7 +13,6 @@ from repro.netpriv import (
     Direction,
     Flow,
     FlowLog,
-    GatewayPolicy,
     LanConfig,
     SmartGateway,
     device_window_features,
@@ -211,7 +210,3 @@ class TestGateway:
     def test_enforce_without_baselines_raises(self, lan):
         with pytest.raises(RuntimeError):
             SmartGateway().enforce(lan.log, lan.duration_s)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            GatewayPolicy(anomaly_z_threshold=0.0)

@@ -16,7 +16,6 @@ from repro.netpriv import (
     IdentityShaper,
     LanConfig,
     PROFILES,
-    ShapingConfig,
     TrafficShaper,
     device_window_features,
     evaluate_arms_race,
@@ -25,6 +24,7 @@ from repro.netpriv import (
     occupancy_window_features,
     simulate_lan,
 )
+from repro.netpriv.devices import CLOUD_PORT
 from repro.netpriv.threats import occupancy_from_traffic
 from repro.timeseries import BinaryTrace, SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -49,7 +49,7 @@ def _event(device: Device, t: float, endpoint: str | None = None) -> Flow:
         time_s=t,
         device_id=device.device_id,
         endpoint=endpoint or device.profile.endpoints[0],
-        port=device.profile.port,
+        port=CLOUD_PORT,
         direction=Direction.OUTBOUND,
         bytes_up=900_000,
         bytes_down=40_000,
@@ -111,7 +111,7 @@ class TestShapedTimestampBuckets:
         log = FlowLog(
             [_event(cam, 10 * SECONDS_PER_HOUR + 3480.0 + 10.0 * k) for k in range(12)]
         )
-        shaper = TrafficShaper(ShapingConfig(rate_margin=1.0, max_delay_s=600.0))
+        shaper = TrafficShaper(margin=1.0, max_delay_s=600.0)
         shaped, report = shaper.shape(
             log, [cam], duration_s=SECONDS_PER_DAY, rng=np.random.default_rng(0)
         )
@@ -144,7 +144,7 @@ class TestShapedTimestampBuckets:
             for h in range(7, 23)
             for _ in range(3)
         ]
-        shaper = TrafficShaper(ShapingConfig(rate_margin=1.0, max_delay_s=240.0))
+        shaper = TrafficShaper(margin=1.0, max_delay_s=240.0)
         shaped, _ = shaper.shape(
             FlowLog(events), [cam], SECONDS_PER_DAY, rng=np.random.default_rng(1)
         )
@@ -163,7 +163,7 @@ class TestShapedTimestampBuckets:
 class TestDefaultFactories:
     def test_lan_config_occupancy_not_shared(self):
         a, b = LanConfig(), LanConfig()
-        assert a.occupancy is not b.occupancy
+        assert a.device_counts is not b.device_counts
 
     def test_home_config_defaults_not_shared(self):
         from repro.home.household import HomeConfig
@@ -206,21 +206,6 @@ class TestProfileDerivedBaseline:
         log, devices, duration_s = self._always_occupied_lan()
         trace = occupancy_from_traffic(log, devices, duration_s)
         assert trace.fraction_true() > 0.9
-
-    def test_quantile_mode_reproduces_historical_underestimate(self):
-        # the old 25th-percentile-of-observed baseline treats the home's
-        # quietest quartile as "empty" even when nobody ever left
-        log, devices, duration_s = self._always_occupied_lan()
-        new = occupancy_from_traffic(log, devices, duration_s)
-        old = occupancy_from_traffic(log, devices, duration_s, baseline_quantile=0.25)
-        assert new.fraction_true() > old.fraction_true()
-
-    def test_baseline_params_validated(self):
-        log, devices, duration_s = self._always_occupied_lan()
-        with pytest.raises(ValueError):
-            occupancy_from_traffic(log, devices, duration_s, baseline_quantile=1.5)
-        with pytest.raises(ValueError):
-            occupancy_from_traffic(log, devices, duration_s, baseline_margin=0.0)
 
     def test_normal_home_attack_still_strong(self):
         sim = simulate_lan(SMALL_LAN, n_days=2, rng=11)

@@ -6,7 +6,6 @@ import pytest
 from repro.attacks import score_occupancy_attack
 from repro.netpriv import (
     LanConfig,
-    ShapingConfig,
     TrafficShaper,
     occupancy_from_traffic,
     simulate_lan,
@@ -59,15 +58,13 @@ class TestTrafficShaper:
         assert 0.0 < report.mean_added_delay_s <= 120.0
 
     def test_delays_bounded(self, lan):
-        config = ShapingConfig(max_delay_s=30.0)
-        shaped_log, report = TrafficShaper(config).shape(
+        shaped_log, report = TrafficShaper(max_delay_s=30.0).shape(
             lan.log, lan.devices, lan.duration_s, rng=3
         )
         assert report.mean_added_delay_s <= 30.0
 
     def test_zero_delay_config(self, lan):
-        config = ShapingConfig(max_delay_s=0.0)
-        _, report = TrafficShaper(config).shape(
+        _, report = TrafficShaper(max_delay_s=0.0).shape(
             lan.log, lan.devices, lan.duration_s, rng=4
         )
         assert report.delayed_flows == 0
@@ -79,6 +76,6 @@ class TestTrafficShaper:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            ShapingConfig(rate_margin=0.5)
+            TrafficShaper(margin=0.5)
         with pytest.raises(ValueError):
-            ShapingConfig(max_delay_s=-1.0)
+            TrafficShaper(max_delay_s=-1.0)

@@ -9,7 +9,6 @@ from repro.solar import (
     LatLon,
     PVArrayConfig,
     SolarSite,
-    WeatherConfig,
     WeatherField,
     WeatherStationDB,
     clearsky_ghi_w_m2,
@@ -84,8 +83,8 @@ class TestWeather:
         assert np.all(cloud >= 0.0) and np.all(cloud <= 1.0)
 
     def test_deterministic_given_seed(self):
-        a = WeatherField(WeatherConfig(seed=7))
-        b = WeatherField(WeatherConfig(seed=7))
+        a = WeatherField(seed=7)
+        b = WeatherField(seed=7)
         times = np.arange(0, SECONDS_PER_DAY, 1800.0)
         site = LatLon(40.0, -100.0)
         assert np.array_equal(a.cloud_cover(site, times), b.cloud_cover(site, times))
@@ -93,8 +92,8 @@ class TestWeather:
     def test_different_seeds_differ(self):
         times = np.arange(0, SECONDS_PER_DAY, 1800.0)
         site = LatLon(40.0, -100.0)
-        a = WeatherField(WeatherConfig(seed=1)).cloud_cover(site, times)
-        b = WeatherField(WeatherConfig(seed=2)).cloud_cover(site, times)
+        a = WeatherField(seed=1).cloud_cover(site, times)
+        b = WeatherField(seed=2).cloud_cover(site, times)
         assert not np.array_equal(a, b)
 
     def test_spatial_correlation_decays(self):
