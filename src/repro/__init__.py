@@ -35,7 +35,7 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import attacks, claims, core, datasets, defenses, fleet, home, metrics, ml, netpriv, solar, timeseries
+from . import attacks, claims, core, datasets, defenses, fleet, home, ml, netpriv, solar, timeseries
 
 __all__ = [
     "attacks",
@@ -45,7 +45,6 @@ __all__ = [
     "defenses",
     "fleet",
     "home",
-    "metrics",
     "ml",
     "netpriv",
     "solar",

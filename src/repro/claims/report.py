@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.claims import Claim
-from repro.datasets.io import dump_json
+from repro.datasets.io import dump_json, write_atomic
 
 #: Verdict values, in display-severity order.
 VERDICTS = ("fail", "inconclusive", "pass")
@@ -234,9 +234,7 @@ class ClaimsReport:
         out.append("")
         doc = "\n".join(out)
         if path is not None:
-            path = Path(path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(doc)
+            write_atomic(path, doc.encode())
         return doc
 
 

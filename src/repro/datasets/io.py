@@ -1,15 +1,21 @@
-"""CSV import/export for power traces, and the report writers.
+"""CSV import/export for power traces, and the writers of every file the
+program keeps.
 
 Lets users bring their own AMI exports (or public datasets like REDD/
 Dataport, converted to two-column CSV) into the attack/defense pipeline,
-and ship simulator output to other tools.  Every export makes its
-directory.
+and ship simulator output to other tools.  Every file the program writes
+goes through :func:`write_atomic`, and the fleet cache and stream
+checkpoints read their pickle envelopes back through :func:`read_envelope`.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
+import io
 import json
+import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +25,58 @@ from ..timeseries import PowerTrace, TraceError
 HEADER = ("time_s", "power_w")
 
 
-def save_trace_csv(trace: PowerTrace, path: str | Path) -> None:
-    """Write a trace as ``time_s,power_w`` rows with a header."""
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all: make the directory,
+    write a sibling ``.<name>.<pid>.tmp`` and ``os.replace`` it over
+    ``path``, removing the temp file if that raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(HEADER)
-        for t, v in zip(trace.times(), trace.values):
-            writer.writerow([f"{t:.3f}", f"{v:.3f}"])
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+class EnvelopeFault(enum.Enum):
+    """Why :func:`read_envelope` found no usable envelope."""
+
+    MISSING = "missing"  # no file
+    CORRUPT = "corrupt"  # the file does not unpickle: torn or unreadable
+    FOREIGN = "foreign"  # not a dict, or an expected key holds another value
+    STALE = "stale"  # the expected kind of file, in another format version
+
+
+def read_envelope(path: str | Path, version: int, **expected) -> dict | EnvelopeFault:
+    """The pickle envelope at ``path``, a dict whose ``expected`` keys hold
+    their values and whose ``"format"`` is ``version`` (checked in that
+    order), or the :class:`EnvelopeFault` saying why there is none.  Read
+    only files this program wrote: unpickling runs code."""
+    try:
+        with open(path, "rb") as handle:
+            envelope = pickle.load(handle)
+    except FileNotFoundError:
+        return EnvelopeFault.MISSING
+    except Exception:  # noqa: BLE001 — torn/unreadable file
+        return EnvelopeFault.CORRUPT
+    if not isinstance(envelope, dict) or any(
+        envelope.get(key) != value for key, value in expected.items()
+    ):
+        return EnvelopeFault.FOREIGN
+    if envelope.get("format") != version:
+        return EnvelopeFault.STALE
+    return envelope
+
+
+def save_trace_csv(trace: PowerTrace, path: str | Path) -> None:
+    """Write a trace as ``time_s,power_w`` rows with a header."""
+    save_rows_csv(
+        path,
+        HEADER,
+        [[f"{t:.3f}", f"{v:.3f}"] for t, v in zip(trace.times(), trace.values)],
+    )
 
 
 def load_trace_csv(path: str | Path) -> PowerTrace:
@@ -89,15 +138,14 @@ def save_rows_csv(
     Floats are written with full ``repr`` precision so round-tripped
     reports compare exactly.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(cell) if isinstance(cell, float) else cell for cell in row]
-            )
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [repr(cell) if isinstance(cell, float) else cell for cell in row]
+        )
+    write_atomic(path, text.getvalue().encode())
 
 
 def dump_json(doc: dict, path: str | Path | None = None) -> str:
@@ -105,7 +153,5 @@ def dump_json(doc: dict, path: str | Path | None = None) -> str:
     ``path`` write it there plus a newline: every JSON export's writer."""
     text = json.dumps(doc, indent=2, sort_keys=True)
     if path is not None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
+        write_atomic(path, (text + "\n").encode())
     return text

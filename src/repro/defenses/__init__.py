@@ -10,7 +10,6 @@ from .zkp import (
     BillProof,
     Commitment,
     OpeningProof,
-    PedersenParams,
     PrivateMeter,
     UtilityVerifier,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "BillProof",
     "Commitment",
     "OpeningProof",
-    "PedersenParams",
     "PrivateMeter",
     "UtilityVerifier",
 ]

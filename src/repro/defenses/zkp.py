@@ -57,19 +57,17 @@ def _hash_to_group(label: bytes) -> int:
     return pow(value, 2, P)  # squaring lands in the order-q subgroup
 
 
-@dataclass(frozen=True)
-class PedersenParams:
-    """Public commitment parameters (p, q, g, h)."""
+#: Subgroup generators: 4 = 2^2 generates the order-q subgroup, and h is
+#: derived from a hash so nobody knows its discrete log to base g.
+G = 4
+H = _hash_to_group(b"repro-pedersen-h")
 
-    p: int = P
-    q: int = Q
-    g: int = 4  # 4 = 2^2 is a generator of the order-q subgroup
-    h: int = _hash_to_group(b"repro-pedersen-h")
 
-    def commit(self, value: int, blinding: int) -> int:
-        if not 0 <= value < self.q:
-            raise ValueError("value out of range")
-        return (pow(self.g, value, self.p) * pow(self.h, blinding % self.q, self.p)) % self.p
+def commit(value: int, blinding: int) -> int:
+    """The Pedersen commitment ``g^value h^blinding mod p``."""
+    if not 0 <= value < Q:
+        raise ValueError("value out of range")
+    return (pow(G, value, P) * pow(H, blinding % Q, P)) % P
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,6 @@ class PrivateMeter:
     """The meter side: holds readings locally, publishes only commitments."""
 
     def __init__(self, rng: np.random.Generator | int | None = None) -> None:
-        self.params = PedersenParams()
         self._rng = np.random.default_rng(rng)
         self._readings: list[int] = []
         self._blindings: list[int] = []
@@ -113,14 +110,14 @@ class PrivateMeter:
         value = 0
         for w in words:
             value = (value << 32) | int(w)
-        return value % self.params.q
+        return value % Q
 
     def record(self, reading_wh: int) -> Commitment:
         """Record one interval's consumption; publish its commitment."""
         if reading_wh < 0:
             raise ValueError("readings cannot be negative")
         blinding = self._random_scalar()
-        c = self.params.commit(int(reading_wh), blinding)
+        c = commit(int(reading_wh), blinding)
         commitment = Commitment(index=len(self._readings), value_c=c)
         self._readings.append(int(reading_wh))
         self._blindings.append(blinding)
@@ -143,7 +140,7 @@ class PrivateMeter:
         if any(t < 0 for t in tariffs):
             raise ValueError("tariffs cannot be negative")
         bill = sum(t * m for t, m in zip(tariffs, self._readings))
-        blinding = sum(t * r for t, r in zip(tariffs, self._blindings)) % self.params.q
+        blinding = sum(t * r for t, r in zip(tariffs, self._blindings)) % Q
         return BillProof(bill=bill, aggregate_blinding=blinding)
 
     def prove_opening(self, index: int) -> OpeningProof:
@@ -152,30 +149,24 @@ class PrivateMeter:
         Reveals *that* the meter knows a valid opening without revealing
         the reading — used for audits.
         """
-        params = self.params
         m, r = self._readings[index], self._blindings[index]
         k_m, k_r = self._random_scalar(), self._random_scalar()
-        t = (pow(params.g, k_m, params.p) * pow(params.h, k_r, params.p)) % params.p
-        challenge = _fiat_shamir(params, self.commitments[index].value_c, t)
+        t = (pow(G, k_m, P) * pow(H, k_r, P)) % P
+        challenge = _fiat_shamir(self.commitments[index].value_c, t)
         return OpeningProof(
             commitment_t=t,
-            response_value=(k_m + challenge * m) % params.q,
-            response_blinding=(k_r + challenge * r) % params.q,
+            response_value=(k_m + challenge * m) % Q,
+            response_blinding=(k_r + challenge * r) % Q,
         )
 
 
-def _fiat_shamir(params: PedersenParams, commitment: int, t: int) -> int:
-    payload = b"|".join(
-        str(x).encode() for x in (params.p, params.g, params.h, commitment, t)
-    )
-    return int.from_bytes(hashlib.sha256(payload).digest(), "big") % params.q
+def _fiat_shamir(commitment: int, t: int) -> int:
+    payload = b"|".join(str(x).encode() for x in (P, G, H, commitment, t))
+    return int.from_bytes(hashlib.sha256(payload).digest(), "big") % Q
 
 
 class UtilityVerifier:
     """The utility side: verifies bills and audits from public data only."""
-
-    def __init__(self) -> None:
-        self.params = PedersenParams()
 
     def verify_bill(
         self,
@@ -186,25 +177,17 @@ class UtilityVerifier:
         """Check ``prod C_i^{t_i} == g^bill h^blinding``."""
         if len(commitments) != len(tariffs):
             raise ValueError("commitments/tariffs length mismatch")
-        params = self.params
         aggregate = 1
         for commitment, tariff in zip(commitments, tariffs):
-            aggregate = (aggregate * pow(commitment.value_c, tariff, params.p)) % params.p
-        expected = (
-            pow(params.g, proof.bill, params.p)
-            * pow(params.h, proof.aggregate_blinding, params.p)
-        ) % params.p
+            aggregate = (aggregate * pow(commitment.value_c, tariff, P)) % P
+        expected = (pow(G, proof.bill, P) * pow(H, proof.aggregate_blinding, P)) % P
         return aggregate == expected
 
     def verify_opening(self, commitment: Commitment, proof: OpeningProof) -> bool:
         """Check a Schnorr opening-knowledge proof."""
-        params = self.params
-        challenge = _fiat_shamir(params, commitment.value_c, proof.commitment_t)
+        challenge = _fiat_shamir(commitment.value_c, proof.commitment_t)
         left = (
-            pow(params.g, proof.response_value, params.p)
-            * pow(params.h, proof.response_blinding, params.p)
-        ) % params.p
-        right = (
-            proof.commitment_t * pow(commitment.value_c, challenge, params.p)
-        ) % params.p
+            pow(G, proof.response_value, P) * pow(H, proof.response_blinding, P)
+        ) % P
+        right = (proof.commitment_t * pow(commitment.value_c, challenge, P)) % P
         return left == right

@@ -9,9 +9,10 @@ fleet, adding a defense, or bumping ``days`` recomputes exactly the new
 cells.
 
 Entries are stored as ``<cache_dir>/<k[:2]>/<key>.pkl`` (two-level fanout
-keeps directories small at fleet scale) and written atomically via a
-temp-file rename, so a crashed worker can never leave a torn entry that a
-later run would trust.
+keeps directories small at fleet scale), written through
+:func:`~repro.datasets.io.write_atomic` and read back through
+:func:`~repro.datasets.io.read_envelope`, so a crashed worker can never
+leave a torn entry that a later run would trust.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import pickle
-from dataclasses import dataclass, field
-from pathlib import Path
-
 import sys
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from ..datasets.io import EnvelopeFault, read_envelope, write_atomic
 from ..obs import TELEMETRY
 from .spec import HomeJob
 
@@ -159,7 +159,6 @@ class ResultCache:
 
     def __init__(self, cache_dir: str | Path) -> None:
         self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
 
     def _path(self, key: str) -> Path:
@@ -179,52 +178,41 @@ class ResultCache:
         """
         from .engine import HomeResult  # function-level: engine imports us
 
-        path = self._path(key)
         with TELEMETRY.timer("cache.read"):
-            try:
-                with path.open("rb") as handle:
-                    value = pickle.load(handle)
-            except FileNotFoundError:
-                return self._miss()
-            except Exception:  # noqa: BLE001 — torn/unreadable entry
-                return self._miss(corrupt=True)
-            if not isinstance(value, dict):
-                return self._miss(corrupt=True)
-            if value.get("format") != CACHE_FORMAT_VERSION:
-                return self._miss(stale=True)
-            result = value.get("result")
+            envelope = read_envelope(self._path(key), CACHE_FORMAT_VERSION)
+            if isinstance(envelope, EnvelopeFault):
+                return self._miss(envelope)
+            result = envelope.get("result")
             if not isinstance(result, HomeResult):
-                return self._miss(corrupt=True)
+                return self._miss(EnvelopeFault.CORRUPT)
             self.stats.hits += 1
             TELEMETRY.count("cache.hit")
             return result
 
-    def _miss(self, corrupt: bool = False, stale: bool = False):
+    def _miss(self, fault: EnvelopeFault):
         self.stats.misses += 1
         TELEMETRY.count("cache.miss")
-        if corrupt:
-            self.stats.corrupt += 1
-            TELEMETRY.count("cache.corrupt_entry")
-        if stale:
+        if fault is EnvelopeFault.STALE:
             self.stats.stale += 1
             TELEMETRY.count("cache.stale_entry")
+        elif fault is not EnvelopeFault.MISSING:  # corrupt or foreign: rot
+            self.stats.corrupt += 1
+            TELEMETRY.count("cache.corrupt_entry")
         return None
 
     def put(self, key: str, value) -> None:
         """Atomically store ``value`` under ``key`` in a versioned envelope."""
-        path = self._path(key)
         with TELEMETRY.timer("cache.write"):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             # canonical copy: entry bytes depend only on values, never on
             # which execution path (backend, pipe, retry) built the graph
             envelope = {
                 "format": CACHE_FORMAT_VERSION,
                 "result": _canonical(value, {}),
             }
-            with tmp.open("wb") as handle:
-                pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
+            write_atomic(
+                self._path(key),
+                pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL),
+            )
         self.stats.stores += 1
         TELEMETRY.count("cache.store")
 

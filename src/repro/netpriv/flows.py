@@ -10,6 +10,7 @@ how much, in which direction.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,10 +38,12 @@ class Flow:
     duration_s: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.time_s):
+            raise ValueError("flow time must be finite")
         if self.bytes_up < 0 or self.bytes_down < 0 or self.packets < 0:
             raise ValueError("byte/packet counts cannot be negative")
-        if self.duration_s < 0:
-            raise ValueError("duration cannot be negative")
+        if not self.duration_s >= 0:  # also refuses NaN
+            raise ValueError("duration must be a non-negative number")
 
 
 @dataclass

@@ -32,7 +32,8 @@ grid/frontier machinery as the energy defenses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,6 +102,55 @@ _SHAPE_START_HOUR = 6.0
 _SHAPE_END_HOUR = 23.5
 
 
+def _cover_flows(
+    devices: Iterable[Device],
+    real_events: dict[str, np.ndarray],
+    margin: float,
+    hours: Sequence[int],
+    duration_s: float,
+    rng: np.random.Generator,
+    report: ShapingReport,
+    any_endpoint: bool,
+) -> list[Flow]:
+    """Cover flows topping each event device up to ``margin`` times its
+    occupied-home event rate in each of ``hours``, less its ``real_events``
+    there, counted into ``report``.  A flow mimics the device's own event
+    sizes and goes to its primary cloud endpoint or, with ``any_endpoint``,
+    to one drawn from its endpoint set; every shaped digest pins the order
+    of the draws."""
+    cover: list[Flow] = []
+    for device in devices:
+        profile = device.profile
+        target = margin * profile.event_rate_per_occupied_hour
+        for hour in hours:
+            deficit = max(0.0, target - real_events[device.device_id][hour])
+            for _ in range(rng.poisson(deficit)):
+                t = (hour + rng.uniform()) * SECONDS_PER_HOUR
+                if t >= duration_s:
+                    continue
+                bytes_up = int(rng.integers(*profile.event_bytes_up))
+                bytes_down = int(rng.integers(*profile.event_bytes_down))
+                endpoint = profile.endpoints[
+                    int(rng.integers(len(profile.endpoints))) if any_endpoint else 0
+                ]
+                cover.append(
+                    Flow(
+                        time_s=float(t),
+                        device_id=device.device_id,
+                        endpoint=endpoint,
+                        port=CLOUD_PORT,
+                        direction=Direction.OUTBOUND,
+                        bytes_up=bytes_up,
+                        bytes_down=bytes_down,
+                        packets=int(rng.integers(10, 200)),
+                        duration_s=float(rng.uniform(1.0, 30.0)),
+                    )
+                )
+                report.cover_flows += 1
+                report.cover_bytes += bytes_up + bytes_down
+    return cover
+
+
 class TrafficShaper(FlowShaper):
     """Adaptive cover traffic plus randomized event delays.
 
@@ -153,19 +203,7 @@ class TrafficShaper(FlowShaper):
             if event and self.max_delay_s > 0:
                 delay = float(rng.uniform(0.0, self.max_delay_s))
                 shaped_time = min(flow.time_s + delay, duration_s - 1e-3)
-                shaped.append(
-                    Flow(
-                        time_s=shaped_time,
-                        device_id=flow.device_id,
-                        endpoint=flow.endpoint,
-                        port=flow.port,
-                        direction=flow.direction,
-                        bytes_up=flow.bytes_up,
-                        bytes_down=flow.bytes_down,
-                        packets=flow.packets,
-                        duration_s=flow.duration_s,
-                    )
-                )
+                shaped.append(replace(flow, time_s=shaped_time))
                 report.delayed_flows += 1
                 total_delay += delay
             else:
@@ -174,38 +212,15 @@ class TrafficShaper(FlowShaper):
                 real_events[flow.device_id][int(shaped_time // SECONDS_PER_HOUR)] += 1
 
         # adaptive cover traffic: top each device up to its occupied rate
-        for device in event_ids.values():
-            profile = device.profile
-            target = self.margin * profile.event_rate_per_occupied_hour
-            hour = 0.0
-            while hour * SECONDS_PER_HOUR < duration_s:
-                hour_of_day = hour % 24.0
-                if _SHAPE_START_HOUR <= hour_of_day < _SHAPE_END_HOUR:
-                    already = real_events[device.device_id][int(hour)]
-                    deficit = max(0.0, target - already)
-                    for _ in range(rng.poisson(deficit)):
-                        t = (hour + rng.uniform()) * SECONDS_PER_HOUR
-                        if t >= duration_s:
-                            continue
-                        bytes_up = int(rng.integers(*profile.event_bytes_up))
-                        bytes_down = int(rng.integers(*profile.event_bytes_down))
-                        shaped.append(
-                            Flow(
-                                time_s=float(t),
-                                device_id=device.device_id,
-                                endpoint=profile.endpoints[0],
-                                port=CLOUD_PORT,
-                                direction=Direction.OUTBOUND,
-                                bytes_up=bytes_up,
-                                bytes_down=bytes_down,
-                                packets=int(rng.integers(10, 200)),
-                                duration_s=float(rng.uniform(1.0, 30.0)),
-                            )
-                        )
-                        report.cover_flows += 1
-                        report.cover_bytes += bytes_up + bytes_down
-                hour += 1.0
-
+        daytime = [
+            hour
+            for hour in range(n_hours)
+            if _SHAPE_START_HOUR <= hour % 24 < _SHAPE_END_HOUR
+        ]
+        shaped += _cover_flows(
+            event_ids.values(), real_events, self.margin, daytime,
+            duration_s, rng, report, any_endpoint=False,
+        )
         if report.delayed_flows:
             report.mean_added_delay_s = total_delay / report.delayed_flows
         out = FlowLog(shaped)
@@ -249,38 +264,10 @@ class ConstantRatePadding(FlowShaper):
             if flow.device_id in event_ids and is_event(flow):
                 real_events[flow.device_id][int(flow.time_s // SECONDS_PER_HOUR)] += 1
 
-        shaped = list(log.flows)
-        for device in event_ids.values():
-            profile = device.profile
-            target = self.margin * profile.event_rate_per_occupied_hour
-            for hour in range(n_hours):
-                if hour * SECONDS_PER_HOUR >= duration_s:
-                    break
-                deficit = max(0.0, target - real_events[device.device_id][hour])
-                for _ in range(rng.poisson(deficit)):
-                    t = (hour + rng.uniform()) * SECONDS_PER_HOUR
-                    if t >= duration_s:
-                        continue
-                    bytes_up = int(rng.integers(*profile.event_bytes_up))
-                    bytes_down = int(rng.integers(*profile.event_bytes_down))
-                    endpoint = profile.endpoints[
-                        int(rng.integers(len(profile.endpoints)))
-                    ]
-                    shaped.append(
-                        Flow(
-                            time_s=float(t),
-                            device_id=device.device_id,
-                            endpoint=endpoint,
-                            port=CLOUD_PORT,
-                            direction=Direction.OUTBOUND,
-                            bytes_up=bytes_up,
-                            bytes_down=bytes_down,
-                            packets=int(rng.integers(10, 200)),
-                            duration_s=float(rng.uniform(1.0, 30.0)),
-                        )
-                    )
-                    report.cover_flows += 1
-                    report.cover_bytes += bytes_up + bytes_down
+        shaped = log.flows + _cover_flows(
+            event_ids.values(), real_events, self.margin, range(n_hours),
+            duration_s, rng, report, any_endpoint=True,
+        )
         out = FlowLog(shaped)
         out.sort()
         return out, report

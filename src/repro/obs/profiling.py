@@ -16,6 +16,7 @@ process runs it.  Fleet jobs dump ``home-<index>-<key>-a<attempt>``
 
 from __future__ import annotations
 
+import marshal
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -50,5 +51,9 @@ def maybe_profile(name: str, directory: str | Path | None = None):
         yield profile
     finally:
         profile.disable()
-        directory.mkdir(parents=True, exist_ok=True)
-        profile.dump_stats(str(directory / f"{name}.pstats"))
+        # Profile.dump_stats's bytes; a late import, as repro.datasets
+        # imports modules that import this package
+        from ..datasets.io import write_atomic
+
+        profile.create_stats()
+        write_atomic(directory / f"{name}.pstats", marshal.dumps(profile.stats))

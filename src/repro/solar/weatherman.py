@@ -99,7 +99,8 @@ def _correlation(a: np.ndarray, b: np.ndarray) -> float:
 
 #: Stations whose correlation-weighted mean seeds the refinement.
 _TOP_STATIONS = 3
-#: Refinement grid points per side, and the first level's half span.
+#: Refinement levels, grid points per side, and the first level's half span.
+_REFINE_LEVELS = 5
 _REFINE_GRID = 7
 _REFINE_INITIAL_SPAN_DEG = 1.0
 
@@ -109,17 +110,14 @@ class Weatherman:
 
     The refinement searches a 7x7 grid per level, starting 1 degree either
     way of the three best-correlated stations' weighted mean and shrinking
-    2.8x per level, ``refine_levels`` times.
+    2.8x per level, 5 times.
     """
 
     #: fewest whole days of generation a trace must span to be localized
     min_days = MIN_DAYS
 
-    def __init__(self, stations: WeatherStationDB, refine_levels: int = 5) -> None:
-        if refine_levels < 0:
-            raise ValueError("refine_levels cannot be negative")
+    def __init__(self, stations: WeatherStationDB) -> None:
         self.stations = stations
-        self.refine_levels = refine_levels
 
     def _score(self, proxy: CloudProxy, point: LatLon) -> float:
         cloud = self.stations.cloud_at(point, proxy.times_s)
@@ -153,7 +151,7 @@ class Weatherman:
         # stage 2: hierarchical refinement against the weather API
         best = (self._score(proxy, center), center)
         half_span = _REFINE_INITIAL_SPAN_DEG
-        for _level in range(self.refine_levels):
+        for _level in range(_REFINE_LEVELS):
             lats = np.linspace(center.lat - half_span, center.lat + half_span, _REFINE_GRID)
             lons = np.linspace(center.lon - half_span, center.lon + half_span, _REFINE_GRID)
             for lat in lats:

@@ -5,9 +5,10 @@ OOMs, power cuts.  :class:`Checkpointer` writes the full mid-stream
 state (:meth:`StreamSession.state_dict` plus the
 :class:`~repro.stream.guard.FeedGuard` cursor) to disk every
 ``every_samples`` admitted samples, in the same trust model as the fleet
-cache: a versioned pickle envelope written atomically via temp-file
-rename, so a crash mid-write can never leave a torn checkpoint a resume
-would trust.
+cache: a versioned pickle envelope written through
+:func:`~repro.datasets.io.write_atomic` and read back through
+:func:`~repro.datasets.io.read_envelope`, so a crash mid-write can never
+leave a torn checkpoint a resume would trust.
 
 Resume is deliberately dumb: :func:`load_checkpoint` rebuilds the
 session and guard, and the caller replays the feed *from the start*.
@@ -20,10 +21,10 @@ in ``tests/test_stream_guard.py`` and the CLI kill-and-resume drive).
 
 from __future__ import annotations
 
-import os
 import pickle
 from pathlib import Path
 
+from ..datasets.io import EnvelopeFault, read_envelope, write_atomic
 from ..obs import TELEMETRY
 
 #: bump when the envelope layout or the session/guard state schema
@@ -51,7 +52,6 @@ class Checkpointer:
         if every_samples < 1:
             raise ValueError("every_samples must be >= 1")
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.every_samples = int(every_samples)
         self.writes = 0
         self._last_position = -1
@@ -72,7 +72,6 @@ class Checkpointer:
 
     def write(self, session, guard) -> None:
         """Unconditionally persist the current state (atomic replace)."""
-        path = checkpoint_path(self.directory)
         envelope = {
             "format": STREAM_CHECKPOINT_VERSION,
             "kind": "stream-checkpoint",
@@ -80,10 +79,10 @@ class Checkpointer:
             "guard": guard.state_dict(),
         }
         with TELEMETRY.timer("stream.checkpoint_write"):
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            with tmp.open("wb") as handle:
-                pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
+            write_atomic(
+                checkpoint_path(self.directory),
+                pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL),
+            )
         self._last_position = guard.position
         self.writes += 1
         TELEMETRY.count("stream.checkpoint_writes")
@@ -97,19 +96,13 @@ def load_checkpoint(directory: str | Path) -> tuple[dict, dict]:
     must fail loudly rather than continue from a state it can't trust.
     """
     path = checkpoint_path(directory)
-    with path.open("rb") as handle:
-        try:
-            envelope = pickle.load(handle)
-        except Exception as exc:  # noqa: BLE001 — torn/unreadable file
-            raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
-    if (
-        not isinstance(envelope, dict)
-        or envelope.get("kind") != "stream-checkpoint"
-    ):
+    envelope = read_envelope(path, STREAM_CHECKPOINT_VERSION, kind="stream-checkpoint")
+    if envelope is EnvelopeFault.MISSING:
+        raise FileNotFoundError(f"no stream checkpoint at {path}")
+    if envelope is EnvelopeFault.CORRUPT:
+        raise ValueError(f"unreadable checkpoint {path}")
+    if envelope is EnvelopeFault.FOREIGN:
         raise ValueError(f"{path} is not a stream checkpoint")
-    if envelope.get("format") != STREAM_CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint format {envelope.get('format')!r} != "
-            f"{STREAM_CHECKPOINT_VERSION} (stale checkpoint; delete it)"
-        )
+    if envelope is EnvelopeFault.STALE:
+        raise ValueError(f"{path} is a stale checkpoint (another format); delete it")
     return envelope["session"], envelope["guard"]

@@ -277,9 +277,7 @@ class StreamingFHMMDecoder:
     batch :meth:`~repro.ml.FactorialHMM.disaggregate` maps them).
     """
 
-    def __init__(
-        self, fhmm: FactorialHMM, lag: int = 0, keep_history: bool = False
-    ) -> None:
+    def __init__(self, fhmm: FactorialHMM, lag: int = 0) -> None:
         self.fhmm = fhmm
         # An adapter HMM over the joint space lets the scalar decoder drive
         # the recursion; emissions are overridden below because the FHMM's
@@ -290,9 +288,7 @@ class StreamingFHMMDecoder:
         joint.means_ = fhmm._means.reshape(-1, 1)
         joint.variances_ = fhmm._variances.reshape(-1, 1)
         joint._emission_logprob = lambda X: fhmm._emission_logprob(X[:, 0])
-        self._decoder = StreamingHMMDecoder(
-            joint, lag=lag, keep_history=keep_history
-        )
+        self._decoder = StreamingHMMDecoder(joint, lag=lag)
 
     def open(self, clock: StreamClock) -> None:
         self._decoder.open(clock)

@@ -1,5 +1,8 @@
 """Tests for the core pipeline, knob, registries, and datasets."""
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -322,3 +325,61 @@ class TestTraceIO:
         assert rows[0] == ["name", "value"]
         assert float(rows[1][1]) == 0.1 + 0.2
         assert rows[2] == ["b", "3"]
+
+
+def _replace_fails(src, dst):
+    raise OSError("disk full")
+
+
+class TestKeptFiles:
+    """``write_atomic`` replaces a file whole or leaves it be, and
+    ``read_envelope`` says why it found no usable envelope."""
+
+    def test_failed_json_export_keeps_the_old_file(self, tmp_path, monkeypatch):
+        from repro.datasets import dump_json
+
+        path = tmp_path / "report.json"
+        dump_json({"run": 1}, path)
+        old = path.read_bytes()
+        monkeypatch.setattr(os, "replace", _replace_fails)
+        with pytest.raises(OSError, match="disk full"):
+            dump_json({"run": 2}, path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.glob(".*.tmp")) == []
+
+    def test_failed_cache_put_keeps_the_old_entry(self, tmp_path, monkeypatch):
+        from repro.fleet.cache import ResultCache
+
+        cache = ResultCache(tmp_path / "cache")
+        key = "ab" * 32
+        cache.put(key, "old")
+        path = cache._path(key)
+        old = path.read_bytes()
+        monkeypatch.setattr(os, "replace", _replace_fails)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(key, "new")
+        assert path.read_bytes() == old
+        assert list(path.parent.glob(".*.tmp")) == []
+        assert cache.stats.stores == 1
+
+    def test_read_envelope_outcomes(self, tmp_path):
+        from repro.datasets.io import EnvelopeFault, read_envelope, write_atomic
+
+        path = tmp_path / "envelope.pkl"
+        assert read_envelope(path, 1, kind="ours") is EnvelopeFault.MISSING
+        cases = [
+            (b"\x80\x04 torn", EnvelopeFault.CORRUPT),
+            (pickle.dumps(["not", "a", "dict"]), EnvelopeFault.FOREIGN),
+            (pickle.dumps({"format": 1, "kind": "theirs"}), EnvelopeFault.FOREIGN),
+            # the kind is checked before the format
+            (pickle.dumps({"format": 2, "kind": "theirs"}), EnvelopeFault.FOREIGN),
+            (pickle.dumps({"format": 2, "kind": "ours"}), EnvelopeFault.STALE),
+            (pickle.dumps({"kind": "ours"}), EnvelopeFault.STALE),
+        ]
+        for data, fault in cases:
+            path.write_bytes(data)
+            assert read_envelope(path, 1, kind="ours") is fault, data
+        envelope = {"format": 1, "kind": "ours", "body": [1, 2]}
+        write_atomic(path, pickle.dumps(envelope))
+        assert read_envelope(path, 1, kind="ours") == envelope
+        assert read_envelope(path, 1) == envelope

@@ -17,7 +17,6 @@ from repro.defenses import (
     LocalAnalyticsHub,
     NILLDefense,
     NoiseInjectionDefense,
-    PedersenParams,
     PrivateMeter,
     SmoothingDefense,
     SteppedDefense,
@@ -25,6 +24,7 @@ from repro.defenses import (
     apply_chpr,
     dp_aggregate_consumption,
 )
+from repro.defenses.zkp import commit
 from repro.home import fig6_home, home_b, simulate_home
 from repro.timeseries import PowerTrace, constant
 
@@ -234,10 +234,9 @@ class TestZKPBilling:
             PrivateMeter(rng=6).record(-1)
 
     def test_params_commit_is_binding_shape(self):
-        params = PedersenParams()
-        c = params.commit(42, 12345)
-        assert c != params.commit(43, 12345)
-        assert c != params.commit(42, 12346)
+        c = commit(42, 12345)
+        assert c != commit(43, 12345)
+        assert c != commit(42, 12346)
 
 
 # ---------------------------------------------------------------------------

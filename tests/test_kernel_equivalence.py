@@ -36,6 +36,7 @@ End-to-end speed is perfbench's to measure (``perfbench/README.md``).
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import fields, replace
 
@@ -595,7 +596,13 @@ class TestNetprivEquivalence:
                 want = device_window_features_loop(log, duration_s, window_s, devices)
                 assert _same_features(got, want)
         assert device_window_features(FlowLog([]), duration_s, window_s) == {}
-        bad = FlowLog([replace(one, time_s=float("nan"))])
+        # a flow with a NaN time cannot be built; the features still refuse
+        # one that bypassed that check
+        with pytest.raises(ValueError):
+            replace(one, time_s=float("nan"))
+        nan_time = copy.copy(one)
+        object.__setattr__(nan_time, "time_s", float("nan"))
+        bad = FlowLog([nan_time])
         for features in (device_window_features, device_window_features_loop):
             with pytest.raises(ValueError):
                 features(bad, duration_s, window_s)

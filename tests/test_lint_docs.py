@@ -1,6 +1,6 @@
 """The docs-consistency lint's two-way telemetry check, its check that
-the repo paths the docs cite exist, its unreferenced-names pass and its
-unset-options pass.
+the repo paths the docs cite exist, its unreferenced-names pass, its
+unset-options pass and its one-file-writer pass.
 
 ``tools/lint_docstrings.py`` is a standalone script (CI runs it without
 installing the package), so it is loaded from its path here.
@@ -174,3 +174,35 @@ def test_options_no_call_sets_are_reported(tmp_path, monkeypatch):
 
 def test_repository_sets_every_option():
     assert lint.unset_options() == []
+
+
+def test_file_writes_outside_the_io_module_are_reported(tmp_path):
+    writes = (
+        "import os\nimport pickle\n\n\n"
+        "def save(path, doc, clock):\n"
+        "    with open(path, 'wb') as handle:\n"
+        "        pickle.dump(doc, handle)\n"
+        "    path.open(mode='a')\n"
+        "    path.write_text('x')\n"
+        "    os.replace(path, path)\n"
+        "    with path.open() as handle:\n"
+        "        return pickle.load(handle), pickle.dumps(doc), clock.open(clock)\n"
+    )
+    _tree(tmp_path, {
+        "src/repro/datasets/io.py": writes,
+        "src/repro/pkg/mod.py": writes,
+    })
+    problems = lint.file_writers(tmp_path)
+    mod = tmp_path / "src" / "repro" / "pkg" / "mod.py"
+    assert sorted(problems) == sorted(
+        f"{mod}:{line}: {call}(...) {verb} a file outside repro.datasets.io"
+        for line, call, verb in [
+            (6, "open", "writes"), (7, "pickle.dump", "writes"),
+            (8, "open", "writes"), (9, "write_text", "writes"),
+            (10, "os.replace", "writes"), (12, "pickle.load", "reads"),
+        ]
+    )
+
+
+def test_repository_writes_files_only_through_the_io_module():
+    assert lint.file_writers() == []

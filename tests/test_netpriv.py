@@ -37,6 +37,15 @@ class TestFlows:
         with pytest.raises(ValueError):
             Flow(0.0, "d", "e", 443, Direction.OUTBOUND, -1, 0, 0, 0.0)
 
+    @pytest.mark.parametrize(
+        "time_s,duration_s",
+        [(float("nan"), 1.0), (float("inf"), 1.0), (-float("inf"), 1.0),
+         (0.0, float("nan")), (0.0, -1.0)],
+    )
+    def test_non_finite_time_or_bad_duration_refused(self, time_s, duration_s):
+        with pytest.raises(ValueError):
+            Flow(time_s, "d", "e", 443, Direction.OUTBOUND, 9000, 0, 1, duration_s)
+
     def test_log_filtering(self):
         flows = [
             Flow(10.0, "a", "x", 443, Direction.OUTBOUND, 1, 1, 1, 0.1),

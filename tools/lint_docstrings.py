@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Offline docstring and docs-consistency lint for the repro package.
 
-Four passes, all pure :mod:`ast`/text — no imports, no third-party deps:
+Five passes, all pure :mod:`ast`/text — no imports, no third-party deps:
 
 1. **Docstrings** — walks ``src/repro/`` and fails if any public module
    or public class is missing a docstring.  Public means the
@@ -49,6 +49,11 @@ Four passes, all pure :mod:`ast`/text — no imports, no third-party deps:
    sets is a constant; it is reported unless
    :data:`UNSET_OPTIONS_ALLOWED` keeps it, with its reason.
    Dataclass fields and methods other than ``__init__`` are out of scope.
+5. **One file writer** — no module under ``src/repro`` but
+   ``datasets/io.py`` may call ``os.replace``, ``os.rename``,
+   ``pickle.dump``, ``pickle.load``, ``write_text``, ``write_bytes`` or an
+   ``open`` whose constant mode writes: every kept file is written by
+   ``write_atomic`` and every envelope read by ``read_envelope`` there.
 
 Run from the repository root (CI does)::
 
@@ -426,14 +431,10 @@ UNSET_OPTIONS_ALLOWED = {
     "stream.niom.StreamingThresholdNIOM.baseline_quantile": _CHECKPOINTED,
     "stream.niom.StreamingThresholdNIOM.mean_margin": _CHECKPOINTED,
     "stream.niom.StreamingThresholdNIOM.std_margin": _CHECKPOINTED,
-    "stream.decode.StreamingFHMMDecoder.keep_history":
-        "a stream decoder setting, as StreamingHMMDecoder's, which tests set",
     "home.appliances.LightingAppliance.noise_w":
         "part of the home fingerprint every cache key and digest hashes",
     "ml.forest.RandomForestClassifier.max_features":
         "tests set it through a loop over both tree classes",
-    "solar.weatherman.Weatherman.refine_levels":
-        "search depth, kept settable like SunSpot's, which tests shrink",
     "fleet.sweep.run_sweep.workers":
         "a deployment setting (pool size) README's library example sets",
 }
@@ -553,6 +554,78 @@ def unset_options(root: Path = ROOT) -> list[str]:
     return problems
 
 
+# ----------------------------------------------------------------------
+# One-file-writer pass
+# ----------------------------------------------------------------------
+
+#: The one module under ``src/repro`` that writes and reads kept files.
+WRITER_MODULE = ("datasets", "io.py")
+
+#: ``module.function`` calls that only that module may make.
+_MODULE_CALLS = {
+    ("os", "replace"): "writes",
+    ("os", "rename"): "writes",
+    ("pickle", "dump"): "writes",
+    ("pickle", "load"): "reads",
+}
+#: Methods that write a file whatever they are called on.
+_WRITE_METHODS = ("write_text", "write_bytes")
+
+
+def _opens_for_writing(node: ast.Call) -> bool:
+    """An ``open(path, mode)`` or ``x.open(mode)`` call whose constant
+    mode writes, appends or creates."""
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0
+    else:
+        return False
+    mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+    if mode is None and len(node.args) > position:
+        mode = node.args[position]
+    return (
+        isinstance(mode, ast.Constant)
+        and isinstance(mode.value, str)
+        and any(c in mode.value for c in "wax+")
+    )
+
+
+def file_writers(root: Path = ROOT) -> list[str]:
+    """Calls under ``src/repro``, outside ``datasets/io.py``, that write a
+    file (or unpickle one) instead of going through ``write_atomic`` and
+    ``read_envelope``."""
+    src = root / "src" / "repro"
+    problems = []
+    for path in sorted(src.rglob("*.py")):
+        if path == src.joinpath(*WRITER_MODULE):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if _opens_for_writing(node):
+                call, verb = "open", "writes"
+            elif isinstance(func, ast.Attribute) and func.attr in _WRITE_METHODS:
+                call, verb = func.attr, "writes"
+            elif (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and (func.value.id, func.attr) in _MODULE_CALLS
+            ):
+                call = f"{func.value.id}.{func.attr}"
+                verb = _MODULE_CALLS[(func.value.id, func.attr)]
+            else:
+                continue
+            problems.append(
+                f"{path}:{node.lineno}: {call}(...) {verb} a file outside "
+                "repro.datasets.io"
+            )
+    return problems
+
+
 def main() -> int:
     if not SRC.is_dir():
         print(f"source tree not found: {SRC}", file=sys.stderr)
@@ -564,6 +637,7 @@ def main() -> int:
     problems.extend(check_docs_consistency())
     problems.extend(unreferenced_names())
     problems.extend(unset_options())
+    problems.extend(file_writers())
     if problems:
         print("\n".join(problems))
         print(f"\n{len(problems)} lint problem(s) in {len(files)} files")
