@@ -45,8 +45,18 @@ class EnvelopeFault(enum.Enum):
 
     MISSING = "missing"  # no file
     CORRUPT = "corrupt"  # the file does not unpickle: torn or unreadable
-    FOREIGN = "foreign"  # not a dict, or an expected key holds another value
-    STALE = "stale"  # the expected kind of file, in another format version
+    #: not a dict, an expected key holding another value (or a value of
+    #: another type), or a ``format`` that is not an ``int``
+    FOREIGN = "foreign"
+    #: the expected kind of file, in another format version (or in none)
+    STALE = "stale"
+
+
+def _holds(value, expected) -> bool:
+    """``value == expected`` for a value of ``expected``'s own type; a value
+    of another type (a numpy array, say, whose ``==`` has no truth) is not
+    compared at all."""
+    return type(value) is type(expected) and value == expected
 
 
 def read_envelope(path: str | Path, version: int, **expected) -> dict | EnvelopeFault:
@@ -61,8 +71,10 @@ def read_envelope(path: str | Path, version: int, **expected) -> dict | Envelope
         return EnvelopeFault.MISSING
     except Exception:  # noqa: BLE001 — torn/unreadable file
         return EnvelopeFault.CORRUPT
-    if not isinstance(envelope, dict) or any(
-        envelope.get(key) != value for key, value in expected.items()
+    if (
+        not isinstance(envelope, dict)
+        or not all(_holds(envelope.get(key), value) for key, value in expected.items())
+        or type(envelope.get("format", version)) is not int
     ):
         return EnvelopeFault.FOREIGN
     if envelope.get("format") != version:

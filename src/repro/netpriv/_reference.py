@@ -1,16 +1,27 @@
-"""Reference implementations of the netpriv feature and shaping loops.
+"""Reference implementations of the netpriv simulation, shaping, feature
+and digest loops.
 
-These are the per-flow and per-window loops that
-:func:`repro.netpriv.fingerprint.device_window_features`,
-:meth:`HeartbeatJitter.shape` and :meth:`FlowMerging.shape` ran before
-they moved to whole-log arrays, kept verbatim as *reference semantics*
-(see ``docs/PERFORMANCE.md``): :func:`windowed_device_flows` groups a log
-by device and window, :func:`flow_features` featurizes one window's
-flows, and :func:`device_window_features_loop` is the two together.
+These are the per-flow, per-record and per-window loops that the
+production paths ran before they moved to whole-log columns, kept
+verbatim as *reference semantics* (see ``docs/PERFORMANCE.md``):
+
+* :func:`simulate_flows_loop` and :func:`simulate_lan_loop` —
+  ``Device.simulate_flows`` and :func:`~repro.netpriv.lan.simulate_lan`,
+  one :class:`Flow` per generated flow;
+* :func:`windowed_device_flows` groups a log by device and window,
+  :func:`flow_features` featurizes one window's flows, and
+  :func:`device_window_features_loop` is the two together;
+* :func:`occupancy_window_features_loop` and
+  :func:`occupancy_from_traffic_loop` — the two occupancy attacks'
+  per-flow window counts;
+* :func:`cover_shape_loop` (with :func:`cover_flows_loop`),
+  :func:`constant_rate_shape_loop`, :func:`jitter_shape_loop` and
+  :func:`merge_shape_loop` — the four shapers' per-flow passes;
+* :func:`flow_log_digest_loop` — the digest, one ``repr`` per record.
 
 The contract is strict: with the same log, windows and seed, the
 production paths must return bitwise-identical feature matrices under the
-same device keys in the same order, shaped logs with the same
+same device keys in the same order, logs with the same
 :func:`~repro.netpriv.flows.flow_log_digest`, reports whose every field
 has the same ``repr``, and generators left in the same state.
 ``tests/test_kernel_equivalence.py`` pins them; nothing outside the tests
@@ -19,12 +30,36 @@ imports this module.
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+from typing import Iterable, Sequence
+
 import numpy as np
 
-from .devices import Device
+from ..home.occupancy import OccupancyConfig, simulate_occupancy
+from ..timeseries import BinaryTrace, SECONDS_PER_DAY, SECONDS_PER_HOUR
+from .adaptive import _N_SUBBINS, _WINDOW_S
+from .devices import (
+    _FIRMWARE_BYTES_DOWN,
+    _FIRMWARE_CHECKS_PER_DAY,
+    CLOUD_PORT,
+    Device,
+    event_devices,
+    is_event,
+)
 from .fingerprint import FEATURE_NAMES
 from .flows import Direction, Flow, FlowLog
-from .shaping import FlowMerging, HeartbeatJitter, ShapingReport
+from .lan import LanConfig, LanSimulation
+from .shaping import (
+    _SHAPE_END_HOUR,
+    _SHAPE_START_HOUR,
+    ConstantRatePadding,
+    FlowMerging,
+    HeartbeatJitter,
+    ShapingReport,
+    TrafficShaper,
+)
+from .threats import _BASELINE_MARGIN
 
 
 def flow_features(log: "FlowLog | list", window_s: float) -> np.ndarray:
@@ -205,3 +240,390 @@ def merge_shape_loop(
     out = FlowLog(shaped)
     out.sort()
     return out, report
+
+
+def simulate_flows_loop(
+    device: Device,
+    duration_s: float,
+    occupancy: BinaryTrace | None,
+    rng: np.random.Generator,
+) -> list[Flow]:
+    """Original ``Device.simulate_flows``: one :class:`Flow` per generated
+    flow, sorted by time."""
+    if duration_s <= 0:
+        raise ValueError("duration must be positive")
+    profile = device.profile
+    flows: list[Flow] = []
+
+    def occupied_at(t: float) -> bool:
+        if occupancy is None:
+            return True
+        idx = min(int(t / occupancy.period_s), len(occupancy) - 1)
+        return bool(occupancy.values[idx])
+
+    # heartbeats: metronomic with small jitter
+    t = rng.uniform(0.0, profile.heartbeat_interval_s)
+    while t < duration_s:
+        flows.append(
+            Flow(
+                time_s=t,
+                device_id=device.device_id,
+                endpoint=profile.endpoints[0],
+                port=CLOUD_PORT,
+                direction=Direction.OUTBOUND,
+                bytes_up=profile.heartbeat_bytes_up,
+                bytes_down=profile.heartbeat_bytes_down,
+                packets=4,
+                duration_s=0.5,
+            )
+        )
+        t += profile.heartbeat_interval_s * rng.uniform(0.95, 1.05)
+
+    # events: rate depends on occupancy (motion, toggles, voice)
+    hour = 0.0
+    while hour * SECONDS_PER_HOUR < duration_s:
+        t0 = hour * SECONDS_PER_HOUR
+        rate = (
+            profile.event_rate_per_occupied_hour
+            if occupied_at(t0)
+            else profile.event_rate_per_empty_hour
+        )
+        for _ in range(rng.poisson(rate)):
+            et = t0 + rng.uniform(0.0, SECONDS_PER_HOUR)
+            if et >= duration_s:
+                continue
+            endpoint = profile.endpoints[int(rng.integers(len(profile.endpoints)))]
+            flows.append(
+                Flow(
+                    time_s=float(et),
+                    device_id=device.device_id,
+                    endpoint=endpoint,
+                    port=CLOUD_PORT,
+                    direction=Direction.OUTBOUND,
+                    bytes_up=int(rng.integers(*profile.event_bytes_up)),
+                    bytes_down=int(rng.integers(*profile.event_bytes_down)),
+                    packets=int(rng.integers(10, 200)),
+                    duration_s=float(rng.uniform(1.0, 30.0)),
+                )
+            )
+        hour += 1.0
+
+    # continuous upstream streaming (cameras): one flow per 5 minutes
+    if profile.stream_rate_bytes_per_s > 0:
+        chunk = 300.0
+        t = 0.0
+        while t < duration_s:
+            flows.append(
+                Flow(
+                    time_s=t,
+                    device_id=device.device_id,
+                    endpoint=profile.endpoints[0],
+                    port=CLOUD_PORT,
+                    direction=Direction.OUTBOUND,
+                    bytes_up=int(profile.stream_rate_bytes_per_s * chunk),
+                    bytes_down=int(profile.stream_rate_bytes_per_s * chunk * 0.02),
+                    packets=int(chunk * 10),
+                    duration_s=chunk,
+                )
+            )
+            t += chunk
+
+    # evening downstream streaming (TVs), only while occupied
+    if profile.evening_stream_bytes_per_s > 0:
+        n_days = int(np.ceil(duration_s / SECONDS_PER_DAY))
+        for day in range(n_days):
+            if rng.uniform() > 0.75:
+                continue
+            start = day * SECONDS_PER_DAY + rng.uniform(19.0, 21.0) * SECONDS_PER_HOUR
+            length = rng.uniform(0.5, 3.0) * SECONDS_PER_HOUR
+            t = start
+            while t < min(start + length, duration_s):
+                if occupied_at(t):
+                    flows.append(
+                        Flow(
+                            time_s=float(t),
+                            device_id=device.device_id,
+                            endpoint=profile.endpoints[0],
+                            port=CLOUD_PORT,
+                            direction=Direction.INBOUND,
+                            bytes_up=int(profile.evening_stream_bytes_per_s * 300 * 0.01),
+                            bytes_down=int(profile.evening_stream_bytes_per_s * 300),
+                            packets=3000,
+                            duration_s=300.0,
+                        )
+                    )
+                t += 300.0
+
+    # firmware checks
+    n_days = max(1, int(np.ceil(duration_s / SECONDS_PER_DAY)))
+    for _ in range(rng.poisson(_FIRMWARE_CHECKS_PER_DAY * n_days)):
+        t = rng.uniform(0.0, duration_s)
+        flows.append(
+            Flow(
+                time_s=float(t),
+                device_id=device.device_id,
+                endpoint=profile.endpoints[-1],
+                port=CLOUD_PORT,
+                direction=Direction.OUTBOUND,
+                bytes_up=2_000,
+                bytes_down=_FIRMWARE_BYTES_DOWN,
+                packets=4000,
+                duration_s=60.0,
+            )
+        )
+    flows.sort(key=lambda f: f.time_s)
+    return flows
+
+
+def simulate_lan_loop(
+    config: LanConfig,
+    n_days: int,
+    rng: np.random.Generator | int | None = None,
+) -> LanSimulation:
+    """Original :func:`~repro.netpriv.lan.simulate_lan`: each device's
+    sorted record list appended to the log, then the log sorted."""
+    if n_days < 1:
+        raise ValueError("n_days must be >= 1")
+    rng = np.random.default_rng(rng)
+    occupancy = simulate_occupancy(OccupancyConfig(), n_days, 60.0, rng)
+    duration_s = n_days * SECONDS_PER_DAY
+
+    devices: list[Device] = []
+    for device_type, count in config.device_counts.items():
+        for k in range(count):
+            devices.append(
+                Device.make(f"{device_type.value}-{k + 1}", device_type, rng)
+            )
+
+    log = FlowLog()
+    for device in devices:
+        log.extend(simulate_flows_loop(device, duration_s, occupancy, rng))
+    log.sort()
+    return LanSimulation(
+        devices=devices, occupancy=occupancy, log=log, duration_s=duration_s
+    )
+
+
+def cover_flows_loop(
+    devices: Iterable[Device],
+    real_events: dict[str, np.ndarray],
+    margin: float,
+    hours: Sequence[int],
+    duration_s: float,
+    rng: np.random.Generator,
+    report: ShapingReport,
+    any_endpoint: bool,
+) -> list[Flow]:
+    """Original ``shaping._cover_flows``: one :class:`Flow` per cover
+    flow."""
+    cover: list[Flow] = []
+    for device in devices:
+        profile = device.profile
+        target = margin * profile.event_rate_per_occupied_hour
+        for hour in hours:
+            deficit = max(0.0, target - real_events[device.device_id][hour])
+            for _ in range(rng.poisson(deficit)):
+                t = (hour + rng.uniform()) * SECONDS_PER_HOUR
+                if t >= duration_s:
+                    continue
+                bytes_up = int(rng.integers(*profile.event_bytes_up))
+                bytes_down = int(rng.integers(*profile.event_bytes_down))
+                endpoint = profile.endpoints[
+                    int(rng.integers(len(profile.endpoints))) if any_endpoint else 0
+                ]
+                cover.append(
+                    Flow(
+                        time_s=float(t),
+                        device_id=device.device_id,
+                        endpoint=endpoint,
+                        port=CLOUD_PORT,
+                        direction=Direction.OUTBOUND,
+                        bytes_up=bytes_up,
+                        bytes_down=bytes_down,
+                        packets=int(rng.integers(10, 200)),
+                        duration_s=float(rng.uniform(1.0, 30.0)),
+                    )
+                )
+                report.cover_flows += 1
+                report.cover_bytes += bytes_up + bytes_down
+    return cover
+
+
+def cover_shape_loop(
+    shaper: TrafficShaper,
+    log: FlowLog,
+    devices: list[Device],
+    duration_s: float,
+    rng: np.random.Generator | int | None = None,
+) -> tuple[FlowLog, ShapingReport]:
+    """Original ``TrafficShaper.shape``: a scalar delay draw and a
+    ``replace`` per real event; an event whose shaped hour lies outside
+    the log's hours is not tallied."""
+    rng = np.random.default_rng(rng)
+    report = ShapingReport()
+    shaped: list[Flow] = []
+    event_ids = {d.device_id: d for d in event_devices(devices)}
+
+    n_hours = int(np.ceil(duration_s / SECONDS_PER_HOUR))
+    real_events: dict[str, np.ndarray] = {
+        device_id: np.zeros(n_hours) for device_id in event_ids
+    }
+    total_delay = 0.0
+    for flow in log:
+        event = flow.device_id in event_ids and is_event(flow)
+        shaped_time = flow.time_s
+        if event and shaper.max_delay_s > 0:
+            delay = float(rng.uniform(0.0, shaper.max_delay_s))
+            shaped_time = min(flow.time_s + delay, duration_s - 1e-3)
+            shaped.append(replace(flow, time_s=shaped_time))
+            report.delayed_flows += 1
+            total_delay += delay
+        else:
+            shaped.append(flow)
+        if event:
+            hour = int(shaped_time // SECONDS_PER_HOUR)
+            if 0 <= hour < n_hours:
+                real_events[flow.device_id][hour] += 1
+
+    # adaptive cover traffic: top each device up to its occupied rate
+    daytime = [
+        hour
+        for hour in range(n_hours)
+        if _SHAPE_START_HOUR <= hour % 24 < _SHAPE_END_HOUR
+    ]
+    shaped += cover_flows_loop(
+        event_ids.values(), real_events, shaper.margin, daytime,
+        duration_s, rng, report, any_endpoint=False,
+    )
+    if report.delayed_flows:
+        report.mean_added_delay_s = total_delay / report.delayed_flows
+    out = FlowLog(shaped)
+    out.sort()
+    return out, report
+
+
+def constant_rate_shape_loop(
+    shaper: ConstantRatePadding,
+    log: FlowLog,
+    devices: list[Device],
+    duration_s: float,
+    rng: np.random.Generator | int | None = None,
+) -> tuple[FlowLog, ShapingReport]:
+    """Original ``ConstantRatePadding.shape``: real events tallied one
+    record at a time, skipping those outside the log's hours."""
+    rng = np.random.default_rng(rng)
+    report = ShapingReport()
+    event_ids = {d.device_id: d for d in event_devices(devices)}
+    n_hours = int(np.ceil(duration_s / SECONDS_PER_HOUR))
+    real_events: dict[str, np.ndarray] = {
+        device_id: np.zeros(n_hours) for device_id in event_ids
+    }
+    for flow in log:
+        if flow.device_id in event_ids and is_event(flow):
+            hour = int(flow.time_s // SECONDS_PER_HOUR)
+            if 0 <= hour < n_hours:
+                real_events[flow.device_id][hour] += 1
+
+    shaped = log.flows + cover_flows_loop(
+        event_ids.values(), real_events, shaper.margin, range(n_hours),
+        duration_s, rng, report, any_endpoint=True,
+    )
+    out = FlowLog(shaped)
+    out.sort()
+    return out, report
+
+
+def occupancy_window_features_loop(
+    log: FlowLog, devices: list[Device], duration_s: float
+) -> np.ndarray:
+    """Original ``adaptive.occupancy_window_features``: one record at a
+    time into per-window counters."""
+    if duration_s < _WINDOW_S:
+        raise ValueError("need at least one whole window")
+    n_windows = int(duration_s // _WINDOW_S)
+    subbin_s = _WINDOW_S / _N_SUBBINS
+    primary = {d.device_id: d.profile.endpoints[0] for d in devices}
+
+    counts = np.zeros(n_windows)
+    bytes_up = np.zeros(n_windows)
+    secondary = np.zeros(n_windows)
+    subbins = np.zeros((n_windows, _N_SUBBINS))
+    active: list[set[str]] = [set() for _ in range(n_windows)]
+    for flow in log:
+        if not is_event(flow):
+            continue
+        w = int(flow.time_s // _WINDOW_S)
+        if not 0 <= w < n_windows:
+            continue
+        counts[w] += 1
+        bytes_up[w] += flow.bytes_up
+        active[w].add(flow.device_id)
+        b = min(int((flow.time_s - w * _WINDOW_S) // subbin_s), _N_SUBBINS - 1)
+        subbins[w, b] += 1
+        p = primary.get(flow.device_id)
+        if p is not None and flow.endpoint != p:
+            secondary[w] += 1
+    return np.column_stack(
+        [
+            counts,
+            np.log1p(bytes_up),
+            np.asarray([len(s) for s in active], dtype=float),
+            subbins.max(axis=1),
+            subbins.std(axis=1),
+            secondary,
+        ]
+    )
+
+
+def occupancy_from_traffic_loop(
+    log: FlowLog,
+    devices: list[Device],
+    duration_s: float,
+    window_s: float = 1800.0,
+) -> BinaryTrace:
+    """Original ``threats.occupancy_from_traffic``: event counts per
+    window, one record at a time."""
+    if window_s <= 0 or duration_s < window_s:
+        raise ValueError("need at least one whole window")
+    signalling = {d.device_id: d for d in event_devices(devices)}
+    n_windows = int(duration_s // window_s)
+    counts = np.zeros(n_windows)
+    for flow in log:
+        if flow.device_id not in signalling or not is_event(flow):
+            continue
+        w = int(flow.time_s // window_s)
+        if 0 <= w < n_windows:
+            counts[w] += 1
+    empty_rate_per_hour = sum(
+        d.profile.event_rate_per_empty_hour for d in signalling.values()
+    )
+    threshold = max(
+        1.0, _BASELINE_MARGIN * empty_rate_per_hour * window_s / SECONDS_PER_HOUR
+    )
+    occupied = (counts > threshold).astype(int)
+    hours = (np.arange(n_windows) * window_s % 86400.0) / SECONDS_PER_HOUR
+    occupied[(hours >= 23.0) | (hours < 6.0)] = 1
+    return BinaryTrace(occupied, window_s, 0.0)
+
+
+def flow_log_digest_loop(log: FlowLog) -> str:
+    """Original ``flow_log_digest``: one ``repr`` and one hash update per
+    record."""
+    h = hashlib.sha256()
+    for f in log:
+        h.update(
+            repr(
+                (
+                    f.time_s,
+                    f.device_id,
+                    f.endpoint,
+                    f.port,
+                    f.direction.value,
+                    f.bytes_up,
+                    f.bytes_down,
+                    f.packets,
+                    f.duration_s,
+                )
+            ).encode()
+        )
+    return h.hexdigest()

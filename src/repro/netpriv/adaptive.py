@@ -80,6 +80,10 @@ def occupancy_window_features(
     endpoints: cover traffic from the adaptive shaper only uses
     ``profile.endpoints[0]``, real events sample the whole endpoint set —
     a residual that survives cover-traffic shaping intact.
+
+    Every window is counted at once from the log's columns;
+    ``repro.netpriv._reference`` keeps the per-flow loop this matches bit
+    for bit.
     """
     if duration_s < _WINDOW_S:
         raise ValueError("need at least one whole window")
@@ -87,30 +91,38 @@ def occupancy_window_features(
     subbin_s = _WINDOW_S / _N_SUBBINS
     primary = {d.device_id: d.profile.endpoints[0] for d in devices}
 
-    counts = np.zeros(n_windows)
-    bytes_up = np.zeros(n_windows)
-    secondary = np.zeros(n_windows)
-    subbins = np.zeros((n_windows, _N_SUBBINS))
-    active: list[set[str]] = [set() for _ in range(n_windows)]
-    for flow in log:
-        if not is_event(flow):
-            continue
-        w = int(flow.time_s // _WINDOW_S)
-        if not 0 <= w < n_windows:
-            continue
-        counts[w] += 1
-        bytes_up[w] += flow.bytes_up
-        active[w].add(flow.device_id)
-        b = min(int((flow.time_s - w * _WINDOW_S) // subbin_s), _N_SUBBINS - 1)
-        subbins[w, b] += 1
-        p = primary.get(flow.device_id)
-        if p is not None and flow.endpoint != p:
-            secondary[w] += 1
+    window = log.time_s // _WINDOW_S
+    kept = np.flatnonzero(is_event(log) & (window >= 0) & (window < n_windows))
+    times, window = log.time_s[kept], window[kept]
+    device, endpoint = log.device[kept], log.endpoint[kept]
+    w = window.astype(np.intp)
+    counts = np.bincount(w, minlength=n_windows).astype(float)
+    bytes_up = np.bincount(w, weights=log.bytes_up[kept], minlength=n_windows)
+    n_devices = max(len(log.device_ids), 1)
+    active = np.bincount(
+        np.unique(w * n_devices + device) // n_devices, minlength=n_windows
+    ).astype(float)
+    subbin = np.minimum((times - window * _WINDOW_S) // subbin_s, _N_SUBBINS - 1)
+    subbins = np.bincount(
+        w * _N_SUBBINS + subbin.astype(np.intp), minlength=n_windows * _N_SUBBINS
+    ).astype(float).reshape(n_windows, _N_SUBBINS)
+    # per device code: its primary endpoint's code (-1 when the log never
+    # names it, so every one of its events is on another endpoint)
+    has_primary = np.array([d in primary for d in log.device_ids], dtype=bool)
+    primary_code = np.array(
+        [
+            log.endpoints.index(primary[d]) if primary.get(d) in log.endpoints else -1
+            for d in log.device_ids
+        ],
+        dtype=np.intp,
+    )
+    on_secondary = has_primary[device] & (endpoint != primary_code[device])
+    secondary = np.bincount(w[on_secondary], minlength=n_windows).astype(float)
     return np.column_stack(
         [
             counts,
             np.log1p(bytes_up),
-            np.asarray([len(s) for s in active], dtype=float),
+            active,
             subbins.max(axis=1),
             subbins.std(axis=1),
             secondary,

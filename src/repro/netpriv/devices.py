@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from ..timeseries import BinaryTrace, SECONDS_PER_DAY, SECONDS_PER_HOUR
-from .flows import Direction, Flow
+from .flows import DIRECTION_CODES, Direction, Flow, FlowLog
 
 
 class DeviceType(Enum):
@@ -156,14 +156,15 @@ PROFILES: dict[DeviceType, TrafficProfile] = {
 }
 
 
-def is_event(flow: Flow) -> bool:
+def is_event(flows: Flow | FlowLog) -> bool | np.ndarray:
     """Whether a flow looks like an event: big and short.
 
     Heartbeats are too small and streaming chunks too long; shapers, the
     passive occupancy attack and the adaptive attacker's features all
-    count events by this one rule.
+    count events by this one rule.  Given a :class:`FlowLog`, the rule
+    reads its columns and returns one flag per flow.
     """
-    return flow.bytes_up + flow.bytes_down > 5_000 and flow.duration_s < 200.0
+    return (flows.bytes_up + flows.bytes_down > 5_000) & (flows.duration_s < 200.0)
 
 
 def event_devices(devices: list[Device]) -> list[Device]:
@@ -210,12 +211,31 @@ class Device:
         duration_s: float,
         occupancy: BinaryTrace | None,
         rng: np.random.Generator,
-    ) -> list[Flow]:
-        """Generate this device's flows over the horizon."""
+    ) -> FlowLog:
+        """Generate this device's flows over the horizon.
+
+        The log holds them in the order the grammar generates them:
+        heartbeats, events, upstream streaming, evening streaming, then
+        firmware checks (:func:`~repro.netpriv.lan.simulate_lan` puts a
+        LAN's flows in time order).  Every draw is the one the per-flow
+        loop makes, in its order (``repro.netpriv._reference`` keeps that
+        loop): heartbeat intervals are drawn in blocks that surely end
+        below the horizon, and events and evening sessions one flow at a
+        time.
+        """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         profile = self.profile
-        flows: list[Flow] = []
+        endpoints = list(dict.fromkeys(profile.endpoints))
+        code = [endpoints.index(e) for e in profile.endpoints]
+        parts: list[FlowLog] = []
+
+        def part(**columns) -> None:
+            parts.append(
+                FlowLog.from_columns(
+                    [self.device_id], endpoints, device=0, port=CLOUD_PORT, **columns
+                )
+            )
 
         def occupied_at(t: float) -> bool:
             if occupancy is None:
@@ -224,24 +244,35 @@ class Device:
             return bool(occupancy.values[idx])
 
         # heartbeats: metronomic with small jitter
-        t = rng.uniform(0.0, profile.heartbeat_interval_s)
+        interval = profile.heartbeat_interval_s
+        beats = [np.zeros(0)]
+        t = rng.uniform(0.0, interval)
         while t < duration_s:
-            flows.append(
-                Flow(
-                    time_s=t,
-                    device_id=self.device_id,
-                    endpoint=profile.endpoints[0],
-                    port=CLOUD_PORT,
-                    direction=Direction.OUTBOUND,
-                    bytes_up=profile.heartbeat_bytes_up,
-                    bytes_down=profile.heartbeat_bytes_down,
-                    packets=4,
-                    duration_s=0.5,
-                )
-            )
-            t += profile.heartbeat_interval_s * rng.uniform(0.95, 1.05)
+            # the next k beats all lie below the horizon (k - 1 steps of
+            # under 1.05 intervals from t), so the loop would draw all k
+            # steps; cumsum adds them in the loop's order
+            k = max(1, int((duration_s - t) / (interval * 1.05)))
+            steps = interval * rng.uniform(0.95, 1.05, size=k)
+            run = np.cumsum(np.concatenate(([t], steps)))
+            beats.append(run[:k])
+            t = float(run[k])
+        part(
+            time_s=np.concatenate(beats),
+            endpoint=code[0],
+            direction=DIRECTION_CODES[Direction.OUTBOUND],
+            bytes_up=profile.heartbeat_bytes_up,
+            bytes_down=profile.heartbeat_bytes_down,
+            packets=4,
+            duration_s=0.5,
+        )
 
         # events: rate depends on occupancy (motion, toggles, voice)
+        events: dict[str, list] = {
+            name: []
+            for name in (
+                "time_s", "endpoint", "bytes_up", "bytes_down", "packets", "duration_s"
+            )
+        }
         hour = 0.0
         while hour * SECONDS_PER_HOUR < duration_s:
             t0 = hour * SECONDS_PER_HOUR
@@ -254,44 +285,33 @@ class Device:
                 et = t0 + rng.uniform(0.0, SECONDS_PER_HOUR)
                 if et >= duration_s:
                     continue
-                endpoint = profile.endpoints[int(rng.integers(len(profile.endpoints)))]
-                flows.append(
-                    Flow(
-                        time_s=float(et),
-                        device_id=self.device_id,
-                        endpoint=endpoint,
-                        port=CLOUD_PORT,
-                        direction=Direction.OUTBOUND,
-                        bytes_up=int(rng.integers(*profile.event_bytes_up)),
-                        bytes_down=int(rng.integers(*profile.event_bytes_down)),
-                        packets=int(rng.integers(10, 200)),
-                        duration_s=float(rng.uniform(1.0, 30.0)),
-                    )
-                )
+                # one event's draws, in the order the loop makes them
+                events["time_s"].append(et)
+                events["endpoint"].append(code[int(rng.integers(len(code)))])
+                events["bytes_up"].append(int(rng.integers(*profile.event_bytes_up)))
+                events["bytes_down"].append(int(rng.integers(*profile.event_bytes_down)))
+                events["packets"].append(int(rng.integers(10, 200)))
+                events["duration_s"].append(rng.uniform(1.0, 30.0))
             hour += 1.0
+        part(direction=DIRECTION_CODES[Direction.OUTBOUND], **events)
 
         # continuous upstream streaming (cameras): one flow per 5 minutes
         if profile.stream_rate_bytes_per_s > 0:
             chunk = 300.0
-            t = 0.0
-            while t < duration_s:
-                flows.append(
-                    Flow(
-                        time_s=t,
-                        device_id=self.device_id,
-                        endpoint=profile.endpoints[0],
-                        port=CLOUD_PORT,
-                        direction=Direction.OUTBOUND,
-                        bytes_up=int(profile.stream_rate_bytes_per_s * chunk),
-                        bytes_down=int(profile.stream_rate_bytes_per_s * chunk * 0.02),
-                        packets=int(chunk * 10),
-                        duration_s=chunk,
-                    )
-                )
-                t += chunk
+            starts = chunk * np.arange(int(duration_s // chunk) + 1)
+            part(
+                time_s=starts[starts < duration_s],
+                endpoint=code[0],
+                direction=DIRECTION_CODES[Direction.OUTBOUND],
+                bytes_up=int(profile.stream_rate_bytes_per_s * chunk),
+                bytes_down=int(profile.stream_rate_bytes_per_s * chunk * 0.02),
+                packets=int(chunk * 10),
+                duration_s=chunk,
+            )
 
         # evening downstream streaming (TVs), only while occupied
         if profile.evening_stream_bytes_per_s > 0:
+            sessions = []
             n_days = int(np.ceil(duration_s / SECONDS_PER_DAY))
             for day in range(n_days):
                 if rng.uniform() > 0.75:
@@ -301,37 +321,28 @@ class Device:
                 t = start
                 while t < min(start + length, duration_s):
                     if occupied_at(t):
-                        flows.append(
-                            Flow(
-                                time_s=float(t),
-                                device_id=self.device_id,
-                                endpoint=profile.endpoints[0],
-                                port=CLOUD_PORT,
-                                direction=Direction.INBOUND,
-                                bytes_up=int(profile.evening_stream_bytes_per_s * 300 * 0.01),
-                                bytes_down=int(profile.evening_stream_bytes_per_s * 300),
-                                packets=3000,
-                                duration_s=300.0,
-                            )
-                        )
+                        sessions.append(t)
                     t += 300.0
+            part(
+                time_s=sessions,
+                endpoint=code[0],
+                direction=DIRECTION_CODES[Direction.INBOUND],
+                bytes_up=int(profile.evening_stream_bytes_per_s * 300 * 0.01),
+                bytes_down=int(profile.evening_stream_bytes_per_s * 300),
+                packets=3000,
+                duration_s=300.0,
+            )
 
         # firmware checks
         n_days = max(1, int(np.ceil(duration_s / SECONDS_PER_DAY)))
-        for _ in range(rng.poisson(_FIRMWARE_CHECKS_PER_DAY * n_days)):
-            t = rng.uniform(0.0, duration_s)
-            flows.append(
-                Flow(
-                    time_s=float(t),
-                    device_id=self.device_id,
-                    endpoint=profile.endpoints[-1],
-                    port=CLOUD_PORT,
-                    direction=Direction.OUTBOUND,
-                    bytes_up=2_000,
-                    bytes_down=_FIRMWARE_BYTES_DOWN,
-                    packets=4000,
-                    duration_s=60.0,
-                )
-            )
-        flows.sort(key=lambda f: f.time_s)
-        return flows
+        checks = rng.poisson(_FIRMWARE_CHECKS_PER_DAY * n_days)
+        part(
+            time_s=rng.uniform(0.0, duration_s, size=checks),
+            endpoint=code[-1],
+            direction=DIRECTION_CODES[Direction.OUTBOUND],
+            bytes_up=2_000,
+            bytes_down=_FIRMWARE_BYTES_DOWN,
+            packets=4000,
+            duration_s=60.0,
+        )
+        return FlowLog.concat(parts)

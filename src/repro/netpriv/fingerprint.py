@@ -16,7 +16,7 @@ import numpy as np
 
 from ..ml import RandomForestClassifier, StandardScaler, accuracy, macro_f1
 from .devices import Device
-from .flows import Direction, FlowLog
+from .flows import DIRECTION_CODES, Direction, FlowLog
 
 FEATURE_NAMES = (
     "flows_per_hour",
@@ -51,15 +51,14 @@ def device_window_features(
     first, in that order, then every other device in the order its
     first in-range flow appears in the log.
 
-    The whole log is featurized at once.  Each flow column is gathered
-    once and each flow gets a (device, window) segment.  Counts, byte
-    means and sums and the fractions are segment sums, exact because byte
-    and packet counts are integers.  The p95 and the inter-arrival median
-    and IQR take one sort per column and numpy's linear-method
-    arithmetic.  The two means whose float summation order matters are
-    numpy's ``mean`` over each segment's flows in log order.
-    ``repro.netpriv._reference`` keeps the per-window loop this matches
-    bit for bit.
+    The whole log is featurized at once, from its columns: each flow
+    gets a (device, window) segment.  Counts, byte means and sums and
+    the fractions are segment sums, exact because byte and packet counts
+    are integers.  The p95 and the inter-arrival median and IQR take one
+    sort per column and numpy's linear-method arithmetic.  The two means
+    whose float summation order matters are numpy's ``mean`` over each
+    segment's flows in log order.  ``repro.netpriv._reference`` keeps
+    the per-window loop this matches bit for bit.
     """
     if window_s <= 0 or duration_s < window_s:
         raise ValueError("need at least one whole window")
@@ -69,18 +68,19 @@ def device_window_features(
         device_id = device if isinstance(device, str) else device.device_id
         index.setdefault(device_id, len(index))
 
-    flows = log.flows
-    times = np.array([f.time_s for f in flows], dtype=float)
+    times = log.time_s
     if not np.isfinite(times).all():
         raise ValueError("flow times must be finite")
     window = times // window_s
-    keep = (window >= 0) & (window < n_windows)
-    if not keep.all():
-        flows = [flows[i] for i in np.flatnonzero(keep).tolist()]
-        times, window = times[keep], window[keep]
-    device = [index.setdefault(f.device_id, len(index)) for f in flows]
-    segment = np.array(device, dtype=np.intp) * n_windows + window.astype(np.intp)
-    del device, window
+    kept = np.flatnonzero((window >= 0) & (window < n_windows))
+    log, times, window = log.take(kept), times[kept], window[kept]
+    # the devices not listed, in the order their first kept flow appears
+    codes, first = np.unique(log.device, return_index=True)
+    for code in codes[np.argsort(first)].tolist():
+        index.setdefault(log.device_ids[code], len(index))
+    remap = np.array([index.get(d, 0) for d in log.device_ids], dtype=np.intp)
+    segment = remap[log.device] * n_windows + window.astype(np.intp)
+    del window, remap
     n_segments = len(index) * n_windows
     counts = np.bincount(segment, minlength=n_segments)
     ends = np.cumsum(counts)
@@ -92,8 +92,8 @@ def device_window_features(
     def segment_sums(values: np.ndarray) -> np.ndarray:
         return np.bincount(segment, weights=values, minlength=n_segments)[rows]
 
-    up = np.array([f.bytes_up for f in flows], dtype=float)
-    down = np.array([f.bytes_down for f in flows], dtype=float)
+    up = log.bytes_up.astype(float)
+    down = log.bytes_down.astype(float)
     up_sum, down_sum = segment_sums(up), segment_sums(down)
     out[rows, 0] = n / (window_s / 3600.0)
     out[rows, 1] = up_sum / n
@@ -127,24 +127,20 @@ def device_window_features(
     )
     del gaps, gap_segment
 
-    endpoints: dict[str, int] = {}
-    endpoint = [endpoints.setdefault(f.endpoint, len(endpoints)) for f in flows]
-    n_endpoints = max(len(endpoints), 1)
-    pairs = segment * n_endpoints + np.array(endpoint, dtype=np.intp)
-    distinct = np.unique(pairs) // n_endpoints
+    n_endpoints = max(len(log.endpoints), 1)
+    distinct = np.unique(segment * n_endpoints + log.endpoint) // n_endpoints
     out[:, 7] = np.bincount(distinct, minlength=n_segments)
-    del endpoint, pairs, distinct
-    inbound = np.array([f.direction is Direction.INBOUND for f in flows], dtype=bool)
+    del distinct
+    inbound = log.direction == DIRECTION_CODES[Direction.INBOUND]
     out[rows, 8] = segment_sums(inbound) / n
     del inbound
 
     # the two float means whose summation order matters: numpy's own 1-D
     # mean over each window's flows, in log order
     order = np.argsort(segment, kind="stable")
-    durations = np.array([f.duration_s for f in flows], dtype=float)[order]
-    packets = np.maximum(np.array([f.packets for f in flows]), 1)
-    per_packet = (total / packets)[order]
-    del order, total, packets
+    durations = log.duration_s[order]
+    per_packet = (total / np.maximum(log.packets, 1))[order]
+    del order, total
     spans = zip(rows.tolist(), starts[rows].tolist(), ends[rows].tolist())
     for row, start, end in spans:
         out[row, 9] = durations[start:end].mean()

@@ -67,10 +67,11 @@ def simulate_lan(
                 Device.make(f"{device_type.value}-{k + 1}", device_type, rng)
             )
 
-    log = FlowLog()
-    for device in devices:
-        log.extend(device.simulate_flows(duration_s, occupancy, rng))
-    log.sort()
+    # each device's flows in turn, drawn in device order, then one stable
+    # sort: a tie keeps device order, then the order the grammar made it in
+    log = FlowLog.concat(
+        [device.simulate_flows(duration_s, occupancy, rng) for device in devices]
+    ).sorted()
     return LanSimulation(
         devices=devices, occupancy=occupancy, log=log, duration_s=duration_s
     )

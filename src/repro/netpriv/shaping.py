@@ -31,16 +31,15 @@ grid/frontier machinery as the energy defenses.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.knob import knob_mapping, register_knob_mapping
 from ..timeseries import SECONDS_PER_HOUR
 from .devices import CLOUD_PORT, Device, event_devices, is_event
-from .flows import Direction, Flow, FlowLog
+from .flows import DIRECTION_CODES, Direction, FlowLog
 
 #: Knob-mapping domain netpriv shapers register under (vs. energy's
 #: ``TraceDefense`` mappings — see :mod:`repro.core.knob`).
@@ -102,6 +101,49 @@ _SHAPE_START_HOUR = 6.0
 _SHAPE_END_HOUR = 23.5
 
 
+def _total_in_order(values: np.ndarray) -> float:
+    """``values`` added left to right from 0.0, as a float loop adds them
+    (``np.sum`` adds pairwise, which can round differently)."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
+def _written(column: np.ndarray, index: np.ndarray, values) -> np.ndarray:
+    """A copy of ``column`` with ``values`` at ``index`` (a log's columns
+    are shared, so they are never written in place)."""
+    out = column.copy()
+    out[index] = values
+    return out
+
+
+def _events_of(log: FlowLog, event_ids: dict[str, Device]) -> np.ndarray:
+    """Positions of the flows that are events
+    (:func:`~repro.netpriv.devices.is_event`) of a device in ``event_ids``."""
+    of_event_device = np.array([d in event_ids for d in log.device_ids], dtype=bool)
+    return np.flatnonzero(of_event_device[log.device] & is_event(log))
+
+
+def _hourly_events(
+    log: FlowLog,
+    events: np.ndarray,
+    times: np.ndarray,
+    event_ids: dict[str, Device],
+    n_hours: int,
+) -> dict[str, np.ndarray]:
+    """Each event device's count of ``log``'s ``events`` per hour of their
+    ``times``; an event outside the log's ``n_hours`` is not counted."""
+    hour = times // SECONDS_PER_HOUR
+    inside = (hour >= 0) & (hour < n_hours)
+    slot = log.device[events][inside] * n_hours + hour[inside].astype(np.intp)
+    counts = np.bincount(slot, minlength=len(log.device_ids) * n_hours)
+    by_device = counts.reshape(len(log.device_ids), n_hours).astype(float)
+    return {
+        device_id: by_device[log.device_ids.index(device_id)]
+        if device_id in log.device_ids
+        else np.zeros(n_hours)
+        for device_id in event_ids
+    }
+
+
 def _cover_flows(
     devices: Iterable[Device],
     real_events: dict[str, np.ndarray],
@@ -111,44 +153,56 @@ def _cover_flows(
     rng: np.random.Generator,
     report: ShapingReport,
     any_endpoint: bool,
-) -> list[Flow]:
+) -> FlowLog:
     """Cover flows topping each event device up to ``margin`` times its
     occupied-home event rate in each of ``hours``, less its ``real_events``
     there, counted into ``report``.  A flow mimics the device's own event
     sizes and goes to its primary cloud endpoint or, with ``any_endpoint``,
     to one drawn from its endpoint set; every shaped digest pins the order
     of the draws."""
-    cover: list[Flow] = []
+    columns: dict[str, list] = {
+        name: []
+        for name in (
+            "time_s", "device", "endpoint", "bytes_up", "bytes_down", "packets",
+            "duration_s",
+        )
+    }
+    device_ids: list[str] = []
+    endpoints: dict[str, int] = {}
     for device in devices:
         profile = device.profile
         target = margin * profile.event_rate_per_occupied_hour
+        code = len(device_ids)
+        device_ids.append(device.device_id)
+        own = [endpoints.setdefault(e, len(endpoints)) for e in profile.endpoints]
+        tally = real_events[device.device_id].tolist()
         for hour in hours:
-            deficit = max(0.0, target - real_events[device.device_id][hour])
+            deficit = max(0.0, target - tally[hour])
             for _ in range(rng.poisson(deficit)):
                 t = (hour + rng.uniform()) * SECONDS_PER_HOUR
                 if t >= duration_s:
                     continue
+                # one cover flow's draws, in the order the loop makes them
                 bytes_up = int(rng.integers(*profile.event_bytes_up))
                 bytes_down = int(rng.integers(*profile.event_bytes_down))
-                endpoint = profile.endpoints[
-                    int(rng.integers(len(profile.endpoints))) if any_endpoint else 0
-                ]
-                cover.append(
-                    Flow(
-                        time_s=float(t),
-                        device_id=device.device_id,
-                        endpoint=endpoint,
-                        port=CLOUD_PORT,
-                        direction=Direction.OUTBOUND,
-                        bytes_up=bytes_up,
-                        bytes_down=bytes_down,
-                        packets=int(rng.integers(10, 200)),
-                        duration_s=float(rng.uniform(1.0, 30.0)),
-                    )
+                columns["endpoint"].append(
+                    own[int(rng.integers(len(own))) if any_endpoint else 0]
                 )
+                columns["packets"].append(int(rng.integers(10, 200)))
+                columns["duration_s"].append(rng.uniform(1.0, 30.0))
+                columns["time_s"].append(t)
+                columns["device"].append(code)
+                columns["bytes_up"].append(bytes_up)
+                columns["bytes_down"].append(bytes_down)
                 report.cover_flows += 1
                 report.cover_bytes += bytes_up + bytes_down
-    return cover
+    return FlowLog.from_columns(
+        device_ids,
+        list(endpoints),
+        port=CLOUD_PORT,
+        direction=DIRECTION_CODES[Direction.OUTBOUND],
+        **columns,
+    )
 
 
 class TrafficShaper(FlowShaper):
@@ -184,32 +238,26 @@ class TrafficShaper(FlowShaper):
         """Return the shaped log (delayed events + cover flows) and costs."""
         rng = np.random.default_rng(rng)
         report = ShapingReport()
-        shaped: list[Flow] = []
         event_ids = {d.device_id: d for d in event_devices(devices)}
-
-        # real events are bucketed by their *shaped* timestamps, in the
-        # same pass that delays them: a delayed event that crosses an hour
-        # boundary must count against the hour it now lands in, or the
-        # cover pass over-pads its origin hour and exceeds the target in
-        # the next — an hour-edge artifact an adaptive attacker can count
         n_hours = int(np.ceil(duration_s / SECONDS_PER_HOUR))
-        real_events: dict[str, np.ndarray] = {
-            device_id: np.zeros(n_hours) for device_id in event_ids
-        }
-        total_delay = 0.0
-        for flow in log:
-            event = flow.device_id in event_ids and is_event(flow)
-            shaped_time = flow.time_s
-            if event and self.max_delay_s > 0:
-                delay = float(rng.uniform(0.0, self.max_delay_s))
-                shaped_time = min(flow.time_s + delay, duration_s - 1e-3)
-                shaped.append(replace(flow, time_s=shaped_time))
-                report.delayed_flows += 1
-                total_delay += delay
-            else:
-                shaped.append(flow)
-            if event:
-                real_events[flow.device_id][int(shaped_time // SECONDS_PER_HOUR)] += 1
+
+        # real events are bucketed by their *shaped* timestamps: a delayed
+        # event that crosses an hour boundary must count against the hour
+        # it now lands in, or the cover pass over-pads its origin hour and
+        # exceeds the target in the next — an hour-edge artifact an
+        # adaptive attacker can count
+        events = _events_of(log, event_ids)
+        shaped, times = log, log.time_s[events]
+        if self.max_delay_s > 0:
+            # one draw per event, in log order: the stream a scalar draw
+            # per event consumes
+            delays = rng.uniform(0.0, self.max_delay_s, size=len(events))
+            times = np.minimum(times + delays, duration_s - 1e-3)
+            shaped = log.replaced(time_s=_written(log.time_s, events, times))
+            report.delayed_flows = len(events)
+            if len(events):
+                report.mean_added_delay_s = _total_in_order(delays) / len(events)
+        real_events = _hourly_events(log, events, times, event_ids, n_hours)
 
         # adaptive cover traffic: top each device up to its occupied rate
         daytime = [
@@ -217,15 +265,11 @@ class TrafficShaper(FlowShaper):
             for hour in range(n_hours)
             if _SHAPE_START_HOUR <= hour % 24 < _SHAPE_END_HOUR
         ]
-        shaped += _cover_flows(
+        cover = _cover_flows(
             event_ids.values(), real_events, self.margin, daytime,
             duration_s, rng, report, any_endpoint=False,
         )
-        if report.delayed_flows:
-            report.mean_added_delay_s = total_delay / report.delayed_flows
-        out = FlowLog(shaped)
-        out.sort()
-        return out, report
+        return FlowLog.concat([shaped, cover]).sorted(), report
 
 
 class ConstantRatePadding(FlowShaper):
@@ -257,20 +301,15 @@ class ConstantRatePadding(FlowShaper):
         report = ShapingReport()
         event_ids = {d.device_id: d for d in event_devices(devices)}
         n_hours = int(np.ceil(duration_s / SECONDS_PER_HOUR))
-        real_events: dict[str, np.ndarray] = {
-            device_id: np.zeros(n_hours) for device_id in event_ids
-        }
-        for flow in log:
-            if flow.device_id in event_ids and is_event(flow):
-                real_events[flow.device_id][int(flow.time_s // SECONDS_PER_HOUR)] += 1
-
-        shaped = log.flows + _cover_flows(
+        events = _events_of(log, event_ids)
+        real_events = _hourly_events(
+            log, events, log.time_s[events], event_ids, n_hours
+        )
+        cover = _cover_flows(
             event_ids.values(), real_events, self.margin, range(n_hours),
             duration_s, rng, report, any_endpoint=True,
         )
-        out = FlowLog(shaped)
-        out.sort()
-        return out, report
+        return FlowLog.concat([log, cover]).sorted(), report
 
 
 class FlowMerging(FlowShaper):
@@ -311,36 +350,42 @@ class FlowMerging(FlowShaper):
     ) -> tuple[FlowLog, ShapingReport]:
         report = ShapingReport()
         merged = self.merged_ids(devices)
-        shaped: list[Flow] = []
-        total_delay = 0.0
-        for flow in log:
-            if flow.device_id in merged and flow.direction is not Direction.LATERAL:
-                held = (math.floor(flow.time_s / self.quantum_s) + 1.0) * self.quantum_s
-                held = min(held, duration_s - 1e-3)
-                shaped.append(
-                    Flow(
-                        time_s=held,
-                        device_id=self.TUNNEL_DEVICE,
-                        endpoint=self.TUNNEL_ENDPOINT,
-                        port=443,
-                        direction=flow.direction,
-                        bytes_up=flow.bytes_up,
-                        bytes_down=flow.bytes_down,
-                        packets=flow.packets,
-                        duration_s=flow.duration_s,
-                    )
-                )
-                report.merged_flows += 1
-                if held > flow.time_s:
-                    report.delayed_flows += 1
-                    total_delay += held - flow.time_s
-            else:
-                shaped.append(flow)
+        of_merged = np.array([d in merged for d in log.device_ids], dtype=bool)
+        tunneled = np.flatnonzero(
+            of_merged[log.device]
+            & (log.direction != DIRECTION_CODES[Direction.LATERAL])
+        )
+        times = log.time_s[tunneled]
+        held = np.minimum(
+            (np.floor(times / self.quantum_s) + 1.0) * self.quantum_s,
+            duration_s - 1e-3,
+        )
+        delayed = held > times
+        report.merged_flows = len(tunneled)
+        report.delayed_flows = int(delayed.sum())
         if report.delayed_flows:
-            report.mean_added_delay_s = total_delay / report.delayed_flows
-        out = FlowLog(shaped)
-        out.sort()
-        return out, report
+            report.mean_added_delay_s = (
+                _total_in_order((held - times)[delayed]) / report.delayed_flows
+            )
+        device_ids = list(dict.fromkeys([*log.device_ids, self.TUNNEL_DEVICE]))
+        endpoints = list(dict.fromkeys([*log.endpoints, self.TUNNEL_ENDPOINT]))
+        columns = log.columns()
+        shaped = FlowLog.from_columns(
+            device_ids,
+            endpoints,
+            **{
+                **columns,
+                "time_s": _written(columns["time_s"], tunneled, held),
+                "device": _written(
+                    columns["device"], tunneled, device_ids.index(self.TUNNEL_DEVICE)
+                ),
+                "endpoint": _written(
+                    columns["endpoint"], tunneled, endpoints.index(self.TUNNEL_ENDPOINT)
+                ),
+                "port": _written(columns["port"], tunneled, 443),
+            },
+        )
+        return shaped.sorted(), report
 
 
 class HeartbeatJitter(FlowShaper):
@@ -370,52 +415,38 @@ class HeartbeatJitter(FlowShaper):
         rng = np.random.default_rng(rng)
         report = ShapingReport()
         profiles = {d.device_id: d.profile for d in devices}
-        shaped = list(log.flows)
-        beats = [
-            i
-            for i, flow in enumerate(shaped)
-            if (profile := profiles.get(flow.device_id)) is not None
-            and flow.bytes_up <= profile.heartbeat_bytes_up * 1.5
-            and flow.duration_s < 1.0
-        ]
+        # per device code: the largest heartbeat and the heartbeat
+        # interval; a device with no profile sends no heartbeats
+        known = [profiles.get(d) for d in log.device_ids]
+        largest = np.array(
+            [-np.inf if p is None else p.heartbeat_bytes_up * 1.5 for p in known]
+        )
+        interval = np.array([0.0 if p is None else p.heartbeat_interval_s for p in known])
+        beats = np.flatnonzero(
+            (log.bytes_up <= largest[log.device]) & (log.duration_s < 1.0)
+        )
         # one (shift, up, down) row per heartbeat: the stream three scalar
         # draws per heartbeat would consume, in the same order
         draws = rng.uniform(-self.scale, self.scale, size=(len(beats), 3))
-        times = np.array([shaped[i].time_s for i in beats], dtype=float)
-        intervals = np.array(
-            [profiles[shaped[i].device_id].heartbeat_interval_s for i in beats],
-            dtype=float,
-        )
+        times = log.time_s[beats]
         jittered = np.clip(
-            times + draws[:, 0] * intervals, 0.0, duration_s - 1e-3
-        ).tolist()
-        # flat columns, and no array kept alive while the flows are built
-        scales_up = (1.0 + draws[:, 1]).tolist()
-        scales_down = (1.0 + draws[:, 2]).tolist()
-        del draws, times, intervals
-        total_shift = 0.0  # summed in log order, as a float loop adds
-        for i, time_s, scale_up, scale_down in zip(
-            beats, jittered, scales_up, scales_down
-        ):
-            flow = shaped[i]
-            shaped[i] = Flow(
-                time_s=time_s,
-                device_id=flow.device_id,
-                endpoint=flow.endpoint,
-                port=flow.port,
-                direction=flow.direction,
-                bytes_up=max(1, int(flow.bytes_up * scale_up)),
-                bytes_down=max(1, int(flow.bytes_down * scale_down)),
-                packets=flow.packets,
-                duration_s=flow.duration_s,
-            )
-            total_shift += abs(time_s - flow.time_s)
+            times + draws[:, 0] * interval[log.device[beats]], 0.0, duration_s - 1e-3
+        )
+        scaled = [
+            np.maximum(1, (column[beats] * (1.0 + draws[:, k])).astype(np.int64))
+            for k, column in ((1, log.bytes_up), (2, log.bytes_down))
+        ]
         report.delayed_flows = len(beats)
-        if beats:
-            report.mean_added_delay_s = total_shift / len(beats)
-        out = FlowLog(shaped)
-        out.sort()
-        return out, report
+        if len(beats):
+            report.mean_added_delay_s = (
+                _total_in_order(np.abs(jittered - times)) / len(beats)
+            )
+        shaped = log.replaced(
+            time_s=_written(log.time_s, beats, jittered),
+            bytes_up=_written(log.bytes_up, beats, scaled[0]),
+            bytes_down=_written(log.bytes_down, beats, scaled[1]),
+        )
+        return shaped.sorted(), report
 
 
 def make_shaper(name: str, setting: float) -> FlowShaper:

@@ -123,9 +123,7 @@ def inject_compromise(
                 )
             t += rng.uniform(5.0, 60.0)
     # PASSIVE_MONITOR: no flows
-    out = FlowLog(list(log.flows) + extra)
-    out.sort()
-    return out
+    return FlowLog.concat([log, FlowLog(extra)]).sorted()
 
 
 #: Pad on the profile-derived empty-home event count.
@@ -155,18 +153,20 @@ def occupancy_from_traffic(
     for a home that is occupied in most or all windows.  Overnight windows
     are no refuge for a data-driven baseline either: occupants are *home*
     at night, so event devices keep firing at occupied rates.
+
+    The windows' event counts are taken at once from the log's columns;
+    ``repro.netpriv._reference`` keeps the per-flow loop.
     """
     if window_s <= 0 or duration_s < window_s:
         raise ValueError("need at least one whole window")
     signalling = {d.device_id: d for d in event_devices(devices)}
     n_windows = int(duration_s // window_s)
-    counts = np.zeros(n_windows)
-    for flow in log:
-        if flow.device_id not in signalling or not is_event(flow):
-            continue
-        w = int(flow.time_s // window_s)
-        if 0 <= w < n_windows:
-            counts[w] += 1
+    of_signalling = np.array([d in signalling for d in log.device_ids], dtype=bool)
+    w = log.time_s // window_s
+    counted = of_signalling[log.device] & is_event(log) & (w >= 0) & (w < n_windows)
+    counts = np.bincount(
+        w[counted].astype(np.intp), minlength=n_windows
+    ).astype(float)
     empty_rate_per_hour = sum(
         d.profile.event_rate_per_empty_hour for d in signalling.values()
     )

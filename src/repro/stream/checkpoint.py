@@ -105,4 +105,6 @@ def load_checkpoint(directory: str | Path) -> tuple[dict, dict]:
         raise ValueError(f"{path} is not a stream checkpoint")
     if envelope is EnvelopeFault.STALE:
         raise ValueError(f"{path} is a stale checkpoint (another format); delete it")
+    if "session" not in envelope or "guard" not in envelope:
+        raise ValueError(f"{path} is not a stream checkpoint (no session or guard)")
     return envelope["session"], envelope["guard"]

@@ -375,6 +375,12 @@ class TestKeptFiles:
             (pickle.dumps({"format": 2, "kind": "theirs"}), EnvelopeFault.FOREIGN),
             (pickle.dumps({"format": 2, "kind": "ours"}), EnvelopeFault.STALE),
             (pickle.dumps({"kind": "ours"}), EnvelopeFault.STALE),
+            # values whose == has no truth value are of another type
+            (pickle.dumps({"format": np.array([1, 1]), "kind": "ours"}),
+             EnvelopeFault.FOREIGN),
+            (pickle.dumps({"format": 1, "kind": np.array(["ours"] * 2)}),
+             EnvelopeFault.FOREIGN),
+            (pickle.dumps({"format": "1", "kind": "ours"}), EnvelopeFault.FOREIGN),
         ]
         for data, fault in cases:
             path.write_bytes(data)

@@ -30,6 +30,7 @@ import json
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.fleet import (
@@ -409,6 +410,16 @@ class TestCacheRobustness:
             pickle.dumps({"format": CACHE_FORMAT_VERSION - 1, "result": "x"})
         )
         assert cache.get(key) is None
+
+    def test_array_format_is_a_corrupt_miss(self, tmp_path):
+        # a format whose == has no truth value reads as foreign, not a crash
+        cache = ResultCache(tmp_path / "cache")
+        key = job_cache_key(SPEC.job(0))
+        path = cache._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(pickle.dumps({"format": np.array([5, 5]), "result": None}))
+        assert cache.get(key) is None
+        assert (cache.stats.misses, cache.stats.corrupt) == (1, 1)
 
     def test_results_stream_into_cache_and_resume(self, tmp_path):
         cache_dir = tmp_path / "cache"

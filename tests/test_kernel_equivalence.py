@@ -15,22 +15,29 @@ each production kernel to its reference:
   CART split triples, tree node arrays and forest probabilities; heater
   power, tank temperatures and comfort counts; each defense's visible
   trace, distortion and extra energy, whose scalar *type* every fleet
-  result digest hashes through its ``repr``; netpriv window-feature
-  matrices, jittered and merged flow logs and their shaping reports);
+  result digest hashes through its ``repr``; netpriv simulated, shaped
+  and digested flow logs, their shaping reports, and the device and
+  occupancy window features);
 * documented-tolerance-identical for the scan-based E-step (posteriors to
   1e-10, EM-fitted parameters to 1e-9), whose matrix-product prefix scan
   necessarily reassociates float additions;
 * RNG-stream-identical for the appliance simulators, the forest's
-  bootstrap and feature sampling, the CHPr controller's bursts and the
-  heartbeat jitter's draws: the kernels must consume the seeded generator
-  exactly as the loops did, or every seeded trace digest and cached fleet
-  result would silently change.
+  bootstrap and feature sampling, the CHPr controller's bursts, the
+  columnar LAN simulator and the four netpriv shapers: the kernels must
+  consume the seeded generator exactly as the loops did, or every seeded
+  trace digest and cached fleet result would silently change.
 
-The perf tests at the bottom hold the five speedup floors with best-of-N
+The netpriv pins cover the columnar ``FlowLog`` paths: simulated LANs,
+the four shapers, the device and occupancy window features, the naive
+occupancy attack and the log digest, each against its per-record loop
+in ``repro.netpriv._reference``.
+
+The perf tests at the bottom hold the six speedup floors with best-of-N
 timing: vectorized HMM fit+decode, bound-pruned FHMM joint-space decode
 and the forest fit with the CART split kernel, each at least 3x its loop
-baseline, and the whole-log netpriv window features and CHPr's float
-controller and thermostat, each at least 2.5x.
+baseline, the whole-log netpriv window features and CHPr's float
+controller and thermostat, each at least 2.5x, and the columnar heartbeat
+jitter and flow merging, each at least 10x.
 End-to-end speed is perfbench's to measure (``perfbench/README.md``).
 """
 
@@ -99,21 +106,32 @@ from repro.ml.hmm import GaussianHMM
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.tree import DecisionTreeClassifier
 from repro.netpriv._reference import (
+    constant_rate_shape_loop,
+    cover_shape_loop,
     device_window_features_loop,
+    flow_log_digest_loop,
     jitter_shape_loop,
     merge_shape_loop,
+    occupancy_from_traffic_loop,
+    occupancy_window_features_loop,
+    simulate_flows_loop,
+    simulate_lan_loop,
 )
+from repro.netpriv.adaptive import occupancy_window_features
 from repro.netpriv.devices import Device as NetDevice
 from repro.netpriv.devices import DeviceType
 from repro.netpriv.fingerprint import DeviceFingerprinter, device_window_features
 from repro.netpriv.flows import Direction, Flow, FlowLog, flow_log_digest
 from repro.netpriv.lan import simulate_lan
 from repro.netpriv.shaping import (
+    ConstantRatePadding,
     FlowMerging,
     HeartbeatJitter,
     ShapingReport,
+    TrafficShaper,
     make_shaper,
 )
+from repro.netpriv.threats import occupancy_from_traffic
 from repro.timeseries import BinaryTrace, Edge, PowerTrace
 from repro.timeseries._reference import detect_edges_loop, window_features_loop
 from repro.timeseries.events import detect_edges
@@ -634,13 +652,7 @@ class TestNetprivEquivalence:
         assert report.merged_flows > 0
 
     def test_jitter_and_merge_match_loops_on_crafted_logs(self):
-        rng = np.random.default_rng(5)
-        devices = [
-            NetDevice.make(f"dev-{i}", kind, rng)
-            for i, kind in enumerate(
-                (DeviceType.SMART_PLUG, DeviceType.CAMERA, DeviceType.THERMOSTAT)
-            )
-        ]
+        devices = _crafted_devices()
         window_s, n_windows = 600.0, 3
         duration_s = n_windows * window_s
         beat = devices[0].profile.heartbeat_bytes_up
@@ -661,6 +673,143 @@ class TestNetprivEquivalence:
                     FlowMerging(scale, quantum_s=250.0), merge_shape_loop, log,
                     devices, duration_s, 7,
                 )
+
+
+    @pytest.mark.parametrize("lan", ["small", "default"])
+    @pytest.mark.parametrize("days", [1, 2])
+    def test_simulated_lan_matches_loop(self, lan, days):
+        for seed in (0, 7):
+            rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = simulate_lan(netpriv_lan_config(lan), days, rng)
+            want = simulate_lan_loop(netpriv_lan_config(lan), days, twin_rng)
+            assert flow_log_digest(got.log) == flow_log_digest_loop(want.log)
+            assert got.devices == want.devices
+            assert got.occupancy.values.tobytes() == want.occupancy.values.tobytes()
+            assert repr(got.duration_s) == repr(want.duration_s)
+            assert rng.bit_generator.state == twin_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", list(DeviceType))
+    def test_device_flows_match_loop(self, kind):
+        # horizons shorter than one heartbeat, not a whole number of
+        # stream chunks or days, and with no occupancy trace
+        device = NetDevice.make("dev", kind, np.random.default_rng(4))
+        for duration_s in (7.0, 1_000.5, 50_000.0, 200_000.0):
+            rng, twin_rng = np.random.default_rng(9), np.random.default_rng(9)
+            got = device.simulate_flows(duration_s, None, rng).sorted()
+            want = FlowLog(simulate_flows_loop(device, duration_s, None, twin_rng))
+            assert flow_log_digest(got) == flow_log_digest_loop(want)
+            assert rng.bit_generator.state == twin_rng.bit_generator.state
+
+    @pytest.mark.parametrize("lan", ["small", "default"])
+    @pytest.mark.parametrize(
+        "shaper",
+        [TrafficShaper(1.4, 240.0), TrafficShaper(1.2, 0.0),
+         ConstantRatePadding(1.5), ConstantRatePadding(0.5),
+         FlowMerging(0.5), HeartbeatJitter(0.8)],
+        ids=["cover", "cover-no-delay", "constant-rate", "constant-rate-low",
+             "merge", "jitter"],
+    )
+    def test_shapers_match_loops_on_lan(self, lan_logs, lan, shaper):
+        sim, log = lan_logs(lan, 1)
+        self._same_shaping(
+            shaper, _SHAPE_LOOPS[type(shaper)], log, sim.devices, sim.duration_s, 5
+        )
+
+    @pytest.mark.parametrize("window_s,n_windows", [(600.0, 3), (3600.0, 9)])
+    def test_cover_and_padding_match_loops_on_crafted_logs(self, window_s, n_windows):
+        # times below 0 and at or past the last hour: the loops skip them
+        # in the real-event tally; nine hours reach the cover shaper's
+        # daytime pad
+        devices = _crafted_devices()
+        duration_s = n_windows * window_s
+        for seed in range(6):
+            log = _crafted_log(seed, window_s, n_windows)
+            for shaper in (
+                TrafficShaper(1.2, 0.0), TrafficShaper(1.3, 90.0),
+                ConstantRatePadding(1.0), ConstantRatePadding(0.4),
+            ):
+                self._same_shaping(
+                    shaper, _SHAPE_LOOPS[type(shaper)], log, devices, duration_s, seed
+                )
+
+    def test_out_of_range_events_are_not_tallied(self):
+        # a 2-hour log with an event at 7,300 s and one at -5 s: neither
+        # lands in an hour of the log, so neither lowers a cover deficit
+        cam = _crafted_devices()[1]
+        duration_s = 7200.0
+        events = [
+            Flow(t, cam.device_id, cam.profile.endpoints[0], 443,
+                 Direction.OUTBOUND, 900_000, 4_000, 50, 10.0)
+            for t in (-5.0, 100.0, 7300.0)
+        ]
+        for shaper in (ConstantRatePadding(1.0), TrafficShaper(1.2, 0.0)):
+            got, _ = shaper.shape(FlowLog(events), [cam], duration_s, 3)
+            want, _ = _SHAPE_LOOPS[type(shaper)](
+                shaper, FlowLog(events), [cam], duration_s, 3
+            )
+            assert flow_log_digest(got) == flow_log_digest_loop(want)
+
+    @pytest.mark.parametrize(
+        "shaper", [None, "cover@1", "constant-rate@0.5", "merge@1", "jitter@1"]
+    )
+    @pytest.mark.parametrize("lan", ["small", "default"])
+    def test_occupancy_and_digest_match_loops_on_lan(self, lan_logs, lan, shaper):
+        sim, log = lan_logs(lan, 2, shaper)
+        got = occupancy_window_features(log, sim.devices, sim.duration_s)
+        want = occupancy_window_features_loop(log, sim.devices, sim.duration_s)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got = occupancy_from_traffic(log, sim.devices, sim.duration_s)
+        want = occupancy_from_traffic_loop(log, sim.devices, sim.duration_s)
+        assert got.values.dtype == want.values.dtype
+        assert got.values.tobytes() == want.values.tobytes()
+        assert flow_log_digest(log) == flow_log_digest_loop(log)
+
+    def test_occupancy_and_digest_match_loops_on_crafted_logs(self):
+        devices = _crafted_devices()
+        for window_s, n_windows in ((600.0, 3), (1800.0, 5)):
+            duration_s = n_windows * window_s + 0.5 * window_s
+            logs = [FlowLog([])] + [
+                _crafted_log(seed, window_s, n_windows) for seed in range(12)
+            ]
+            for log in logs:
+                assert flow_log_digest(log) == flow_log_digest_loop(log)
+                for listed in (devices, devices[1:], []):
+                    got = occupancy_window_features(log, listed, duration_s)
+                    want = occupancy_window_features_loop(log, listed, duration_s)
+                    assert got.tobytes() == want.tobytes()
+                    for w in (window_s, 900.0):
+                        got = occupancy_from_traffic(log, listed, duration_s, w)
+                        want = occupancy_from_traffic_loop(log, listed, duration_s, w)
+                        assert got.values.tobytes() == want.values.tobytes()
+        # names whose repr needs other quotes or escapes
+        odd = FlowLog(
+            [
+                Flow(1.5, "it's", 'say "hi"', 80, Direction.LATERAL, 1, 2, 3, 0.0),
+                Flow(-0.0, "caf\u00e9\n", "\\x", 8080, Direction.INBOUND, 0, 0, 0, 1e-300),
+            ]
+        )
+        assert flow_log_digest(odd) == flow_log_digest_loop(odd)
+
+
+#: each shaper class's per-flow loop in ``repro.netpriv._reference``
+_SHAPE_LOOPS = {
+    TrafficShaper: cover_shape_loop,
+    ConstantRatePadding: constant_rate_shape_loop,
+    FlowMerging: merge_shape_loop,
+    HeartbeatJitter: jitter_shape_loop,
+}
+
+
+def _crafted_devices() -> list[NetDevice]:
+    """Profiles for ``_crafted_log``'s dev-0 to dev-2 (dev-3 has none): a
+    plug, a camera and a thermostat, all event devices."""
+    rng = np.random.default_rng(5)
+    return [
+        NetDevice.make(f"dev-{i}", kind, rng)
+        for i, kind in enumerate(
+            (DeviceType.SMART_PLUG, DeviceType.CAMERA, DeviceType.THERMOSTAT)
+        )
+    ]
 
 
 def _sweep_homes(n_homes: int, days: int) -> list[PowerTrace]:
@@ -1001,6 +1150,32 @@ def test_device_window_features_speedup_at_least_2_5x(lan_logs):
     print(f"window features: loop {t_loop*1e3:.1f} ms, kernel {t_kernel*1e3:.1f} ms, "
           f"{speedup:.2f}x")
     assert speedup >= 2.5, f"window features speedup {speedup:.2f}x < 2.5x"
+
+
+@pytest.mark.parametrize("shaper", [HeartbeatJitter(0.8), FlowMerging(1.0)])
+def test_jitter_and_merge_speedup_at_least_10x(lan_logs, shaper):
+    """The shaper perf pin: columnar heartbeat jitter and flow merging each
+    >= 10x their per-flow loops.
+
+    perfbench's small one-day LAN, raw, at the dial-1 strengths.  Best of
+    3; the measured factor is over 50x for both.
+    """
+    sim, log = lan_logs("small", 0)
+    loop = {HeartbeatJitter: jitter_shape_loop, FlowMerging: merge_shape_loop}
+
+    def columnar():
+        return shaper.shape(log, sim.devices, sim.duration_s, 0)
+
+    def baseline():
+        return loop[type(shaper)](shaper, log, sim.devices, sim.duration_s, 0)
+
+    assert flow_log_digest(columnar()[0]) == flow_log_digest_loop(baseline()[0])
+    t_columnar, t_loop = _best_of_alternating(columnar, baseline, reps=3)
+    speedup = t_loop / t_columnar
+    name = type(shaper).__name__
+    print(f"{name}: loop {t_loop*1e3:.1f} ms, columnar {t_columnar*1e3:.1f} ms, "
+          f"{speedup:.2f}x")
+    assert speedup >= 10.0, f"{name} speedup {speedup:.2f}x < 10x"
 
 
 def test_chpr_apply_speedup_at_least_2_5x():

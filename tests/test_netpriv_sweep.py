@@ -194,7 +194,39 @@ SERIAL_FRONTIER_CSV = (
 )
 
 
+#: ``shaped_digest`` of each setting-1 dial of perfbench's ``netpriv`` grid
+#: (seed 0, one one-day ``small`` LAN), as ``perfbench/digests.json`` pins it
+PERFBENCH_SHAPED_DIGESTS = {
+    "constant-rate@1 seed=0 lan=0": (
+        "b6de42d54e2a52ac0a9faa8266862f87ab7b3df96d25c0298f35f6bbeecfb70e"
+    ),
+    "cover@1 seed=0 lan=0": (
+        "eb9211871b6dc046f2d92a6b554712436eb789aed8611e440ae071ce164d9141"
+    ),
+    "jitter@1 seed=0 lan=0": (
+        "cef2b97d908f2d0f592aed31f9ca5a72246e7ff51aa25618796d75d8d6dbdbf8"
+    ),
+    "merge@1 seed=0 lan=0": (
+        "793cc4313fa101ff24217ecb2833fcde73475a8233f737e7f7eebfbaad980b9b"
+    ),
+}
+
+
 class TestNetprivSweep:
+    def test_perfbench_grid_shaped_digests(self):
+        grid = NetprivGrid(
+            defenses=("cover", "constant-rate", "merge", "jitter"),
+            settings=(1.0,),
+            seeds=(0,),
+            n_lans=1,
+            days=1,
+            lan="small",
+        )
+        result = NetprivSweepRunner(workers=1).run(grid)
+        assert not result.failures
+        digests = {r.preset: r.outcome.shaped_digest for r in result.results}
+        assert digests == PERFBENCH_SHAPED_DIGESTS
+
     def test_serial_sweep_end_to_end(self, tmp_path):
         grid = NetprivGrid(
             defenses=("cover",), settings=(0.0, 0.5), seeds=(0,), days=1

@@ -766,6 +766,21 @@ class TestStreamCLI:
         ])
         assert "unreadable checkpoint" in err
 
+    def test_resume_refuses_a_checkpoint_without_state(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.stream.checkpoint import STREAM_CHECKPOINT_VERSION, checkpoint_path
+
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        envelope = {"format": STREAM_CHECKPOINT_VERSION, "kind": "stream-checkpoint"}
+        checkpoint_path(bare).write_bytes(pickle.dumps(envelope))
+        err = self._refused(monkeypatch, capsys, [
+            "stream", "--home", "home-a", "--days", "1", "--attacks", "edges",
+            "--checkpoint", str(bare), "--resume",
+        ])
+        assert "not a stream checkpoint" in err
+
     def test_resume_with_matching_flags_continues(self, checkpoint, capsys):
         assert main([
             *self.RESUMABLE, "--checkpoint", str(checkpoint), "--resume",

@@ -542,6 +542,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="stale"):
             load_checkpoint(tmp_path)
 
+    def test_array_format_raises(self, tmp_path):
+        envelope = {"format": np.array([5, 5]), "result": None}
+        checkpoint_path(tmp_path).write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ValueError, match="not a stream checkpoint"):
+            load_checkpoint(tmp_path)
+
     def test_rejects_bad_cadence(self, tmp_path):
         with pytest.raises(ValueError):
             Checkpointer(tmp_path, every_samples=0)
