@@ -17,7 +17,11 @@ verbatim as *reference semantics* (see ``docs/PERFORMANCE.md``):
 * :func:`cover_shape_loop` (with :func:`cover_flows_loop`),
   :func:`constant_rate_shape_loop`, :func:`jitter_shape_loop` and
   :func:`merge_shape_loop` — the four shapers' per-flow passes;
-* :func:`flow_log_digest_loop` — the digest, one ``repr`` per record.
+* :func:`flow_log_digest_loop` — the digest, one ``repr`` per record;
+* :func:`learn_baselines_loop` and :func:`enforce_loop` —
+  :class:`~repro.netpriv.gateway.SmartGateway`'s two passes over
+  :func:`by_device_loop`'s per-device record lists and, in ``enforce``,
+  a per-record least-privilege filter.
 
 The contract is strict: with the same log, windows and seed, the
 production paths must return bitwise-identical feature matrices under the
@@ -47,8 +51,11 @@ from .devices import (
     event_devices,
     is_event,
 )
-from .fingerprint import FEATURE_NAMES
+from .fingerprint import FEATURE_NAMES, device_window_features
 from .flows import Direction, Flow, FlowLog
+from .gateway import _ANOMALY_WINDOWS_TO_QUARANTINE, _ANOMALY_Z_THRESHOLD
+from .gateway import _WINDOW_S as _GATEWAY_WINDOW_S
+from .gateway import DeviceBaseline, GatewayReport, SmartGateway
 from .lan import LanConfig, LanSimulation
 from .shaping import (
     _SHAPE_END_HOUR,
@@ -627,3 +634,109 @@ def flow_log_digest_loop(log: FlowLog) -> str:
             ).encode()
         )
     return h.hexdigest()
+
+
+def by_device_loop(
+    log: FlowLog, duration_s: float, window_s: float
+) -> dict[str, list[Flow]]:
+    """Original ``gateway._by_device``: each device's flows inside the
+    log's whole windows, earliest window first and in log order within a
+    window."""
+    n_windows = int(duration_s // window_s)
+    windowed = sorted(
+        ((int(flow.time_s // window_s), flow) for flow in log), key=lambda pair: pair[0]
+    )
+    grouped: dict[str, list[Flow]] = {}
+    for w, flow in windowed:
+        if 0 <= w < n_windows:
+            grouped.setdefault(flow.device_id, []).append(flow)
+    return grouped
+
+
+def learn_baselines_loop(
+    gateway: SmartGateway,
+    log: FlowLog,
+    duration_s: float,
+    device_types: dict[str, str] | None = None,
+) -> None:
+    """Original ``SmartGateway.learn_baselines``: endpoint sets from
+    :func:`by_device_loop`'s record lists."""
+    if int(duration_s // _GATEWAY_WINDOW_S) < 4:
+        raise ValueError("need at least 4 windows of training traffic")
+    matrices = device_window_features(log, duration_s, _GATEWAY_WINDOW_S)
+    endpoints: dict[str, frozenset[str]] = {}
+    for flows in by_device_loop(log, duration_s, _GATEWAY_WINDOW_S).values():
+        endpoints[flows[0].device_id] = frozenset(f.endpoint for f in flows)
+    for device_id, matrix in matrices.items():
+        pool = matrix
+        pooled_endpoints = endpoints[device_id]
+        if device_types and device_id in device_types:
+            siblings = [
+                other
+                for other, m in matrices.items()
+                if device_types.get(other) == device_types[device_id]
+            ]
+            pool = np.vstack([matrices[s] for s in siblings])
+            pooled_endpoints = frozenset().union(
+                *(endpoints[s] for s in siblings)
+            )
+        gateway.baselines[device_id] = DeviceBaseline(
+            mean=pool.mean(axis=0),
+            std=np.maximum(pool.std(axis=0), 1e-6),
+            endpoints=pooled_endpoints,
+        )
+
+
+def enforce_loop(
+    gateway: SmartGateway, log: FlowLog, duration_s: float
+) -> tuple[FlowLog, GatewayReport]:
+    """Original ``SmartGateway.enforce``: first sightings from
+    :func:`by_device_loop`, then one record at a time through the
+    quarantine, lateral and endpoint checks."""
+    if not gateway.baselines:
+        raise RuntimeError("gateway has no baselines; call learn_baselines first")
+    n_windows = int(np.ceil(duration_s / _GATEWAY_WINDOW_S))
+
+    quarantined_at: dict[str, float] = {}
+    anomaly_streak: dict[str, int] = {}
+    report = GatewayReport()
+    passed: list[Flow] = []
+
+    # evaluate anomaly state window by window, then filter flows
+    horizon_s = n_windows * _GATEWAY_WINDOW_S
+    features = device_window_features(log, horizon_s, _GATEWAY_WINDOW_S)
+    in_range = by_device_loop(log, horizon_s, _GATEWAY_WINDOW_S)
+    for device_id, matrix in features.items():
+        baseline = gateway.baselines.get(device_id)
+        if baseline is None:
+            # unknown device: quarantine on first sight (least privilege)
+            quarantined_at[device_id] = float(in_range[device_id][0].time_s)
+            continue
+        for w, row in enumerate(matrix):
+            score = baseline.threat_score(row)
+            report.anomaly_scores.setdefault(device_id, []).append(score)
+            if score > _ANOMALY_Z_THRESHOLD:
+                anomaly_streak[device_id] = anomaly_streak.get(device_id, 0) + 1
+                if anomaly_streak[device_id] >= _ANOMALY_WINDOWS_TO_QUARANTINE:
+                    quarantined_at[device_id] = (w + 1) * _GATEWAY_WINDOW_S
+                    break
+            else:
+                anomaly_streak[device_id] = 0
+
+    for flow in log:
+        device_id = flow.device_id
+        q_time = quarantined_at.get(device_id)
+        if q_time is not None and flow.time_s >= q_time:
+            continue  # dropped: device is in quarantine
+        if flow.direction is Direction.LATERAL:
+            report.blocked_lateral += 1
+            continue
+        baseline = gateway.baselines.get(device_id)
+        if baseline is not None and flow.endpoint not in baseline.endpoints:
+            report.blocked_unknown_endpoint += 1
+            continue
+        report.allowed += 1
+        passed.append(flow)
+
+    report.quarantined_devices = quarantined_at
+    return FlowLog(passed), report

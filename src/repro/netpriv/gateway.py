@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fingerprint import device_window_features
-from .flows import Direction, Flow, FlowLog
+from .flows import DIRECTION_CODES, Direction, FlowLog
 
 #: Baseline and enforcement window.
 _WINDOW_S = 1800.0
@@ -26,21 +26,14 @@ _ANOMALY_Z_THRESHOLD = 6.0
 _ANOMALY_WINDOWS_TO_QUARANTINE = 2
 
 
-def _by_device(
-    log: FlowLog, duration_s: float, window_s: float
-) -> dict[str, list[Flow]]:
-    """Each device's flows inside the log's whole windows, earliest window
-    first and in log order within a window: the flows whose features
-    :func:`~repro.netpriv.fingerprint.device_window_features` takes."""
-    n_windows = int(duration_s // window_s)
-    windowed = sorted(
-        ((int(flow.time_s // window_s), flow) for flow in log), key=lambda pair: pair[0]
-    )
-    grouped: dict[str, list[Flow]] = {}
-    for w, flow in windowed:
-        if 0 <= w < n_windows:
-            grouped.setdefault(flow.device_id, []).append(flow)
-    return grouped
+def _in_range(log: FlowLog, duration_s: float, window_s: float) -> np.ndarray:
+    """Positions of the flows inside the log's whole windows, earliest
+    window first and in log order within a window: the flows whose
+    features :func:`~repro.netpriv.fingerprint.device_window_features`
+    takes."""
+    window = log.time_s // window_s
+    kept = np.flatnonzero((window >= 0) & (window < int(duration_s // window_s)))
+    return kept[np.argsort(window[kept], kind="stable")]
 
 
 # Minimum std per feature (aligned with fingerprint.FEATURE_NAMES): a
@@ -140,12 +133,17 @@ class SmartGateway:
         if int(duration_s // _WINDOW_S) < 4:
             raise ValueError("need at least 4 windows of training traffic")
         matrices = device_window_features(log, duration_s, _WINDOW_S)
-        endpoints: dict[str, frozenset[str]] = {}
-        for flows in _by_device(log, duration_s, _WINDOW_S).values():
-            endpoints[flows[0].device_id] = frozenset(f.endpoint for f in flows)
+        kept = _in_range(log, duration_s, _WINDOW_S)
+        n_endpoints = max(len(log.endpoints), 1)
+        pairs = np.unique(log.device[kept] * n_endpoints + log.endpoint[kept])
+        endpoints: dict[str, set[str]] = {}
+        for device, endpoint in zip(*np.divmod(pairs, n_endpoints)):
+            endpoints.setdefault(log.device_ids[device], set()).add(
+                log.endpoints[endpoint]
+            )
         for device_id, matrix in matrices.items():
             pool = matrix
-            pooled_endpoints = endpoints[device_id]
+            pooled_endpoints = frozenset(endpoints[device_id])
             if device_types and device_id in device_types:
                 siblings = [
                     other
@@ -177,17 +175,21 @@ class SmartGateway:
         quarantined_at: dict[str, float] = {}
         anomaly_streak: dict[str, int] = {}
         report = GatewayReport()
-        passed: list[Flow] = []
 
         # evaluate anomaly state window by window, then filter flows
         horizon_s = n_windows * _WINDOW_S
         features = device_window_features(log, horizon_s, _WINDOW_S)
-        in_range = _by_device(log, horizon_s, _WINDOW_S)
+        kept = _in_range(log, horizon_s, _WINDOW_S)
+        devices, first = np.unique(log.device[kept], return_index=True)
+        first_seen = {
+            log.device_ids[device]: float(log.time_s[kept[i]])
+            for device, i in zip(devices.tolist(), first.tolist())
+        }
         for device_id, matrix in features.items():
             baseline = self.baselines.get(device_id)
             if baseline is None:
                 # unknown device: quarantine on first sight (least privilege)
-                quarantined_at[device_id] = float(in_range[device_id][0].time_s)
+                quarantined_at[device_id] = first_seen[device_id]
                 continue
             for w, row in enumerate(matrix):
                 score = baseline.threat_score(row)
@@ -200,20 +202,20 @@ class SmartGateway:
                 else:
                     anomaly_streak[device_id] = 0
 
-        for flow in log:
-            device_id = flow.device_id
-            q_time = quarantined_at.get(device_id)
-            if q_time is not None and flow.time_s >= q_time:
-                continue  # dropped: device is in quarantine
-            if flow.direction is Direction.LATERAL:
-                report.blocked_lateral += 1
-                continue
+        # per device code: when its quarantine starts, and which endpoints
+        # it may reach (a device with no baseline may reach any)
+        since = np.array([quarantined_at.get(d, np.inf) for d in log.device_ids])
+        allowed = np.ones((len(log.device_ids), len(log.endpoints)), dtype=bool)
+        for code, device_id in enumerate(log.device_ids):
             baseline = self.baselines.get(device_id)
-            if baseline is not None and flow.endpoint not in baseline.endpoints:
-                report.blocked_unknown_endpoint += 1
-                continue
-            report.allowed += 1
-            passed.append(flow)
-
+            if baseline is not None:
+                allowed[code] = [e in baseline.endpoints for e in log.endpoints]
+        live = log.time_s < since[log.device]  # the rest is dropped unseen
+        lateral = live & (log.direction == DIRECTION_CODES[Direction.LATERAL])
+        unknown = live & ~lateral & ~allowed[log.device, log.endpoint]
+        passed = live & ~lateral & ~unknown
+        report.blocked_lateral = int(lateral.sum())
+        report.blocked_unknown_endpoint = int(unknown.sum())
+        report.allowed = int(passed.sum())
         report.quarantined_devices = quarantined_at
-        return FlowLog(passed), report
+        return log.take(np.flatnonzero(passed)), report

@@ -109,8 +109,10 @@ from repro.netpriv._reference import (
     constant_rate_shape_loop,
     cover_shape_loop,
     device_window_features_loop,
+    enforce_loop,
     flow_log_digest_loop,
     jitter_shape_loop,
+    learn_baselines_loop,
     merge_shape_loop,
     occupancy_from_traffic_loop,
     occupancy_window_features_loop,
@@ -131,7 +133,13 @@ from repro.netpriv.shaping import (
     TrafficShaper,
     make_shaper,
 )
-from repro.netpriv.threats import occupancy_from_traffic
+from repro.netpriv.gateway import SmartGateway
+from repro.netpriv.threats import (
+    Compromise,
+    CompromiseKind,
+    inject_compromise,
+    occupancy_from_traffic,
+)
 from repro.timeseries import BinaryTrace, Edge, PowerTrace
 from repro.timeseries._reference import detect_edges_loop, window_features_loop
 from repro.timeseries.events import detect_edges
@@ -789,6 +797,64 @@ class TestNetprivEquivalence:
             ]
         )
         assert flow_log_digest(odd) == flow_log_digest_loop(odd)
+
+
+    @staticmethod
+    def _same_gateway(train, live, duration_s, train_s, device_types):
+        gateway, twin = SmartGateway(), SmartGateway()
+        gateway.learn_baselines(train, train_s, device_types)
+        learn_baselines_loop(twin, train, train_s, device_types)
+        assert list(gateway.baselines) == list(twin.baselines)
+        for device_id, want in twin.baselines.items():
+            got = gateway.baselines[device_id]
+            assert got.endpoints == want.endpoints
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.std.tobytes() == want.std.tobytes()
+        for log in live:
+            got, report = gateway.enforce(log, duration_s)
+            want, twin_report = enforce_loop(twin, log, duration_s)
+            assert flow_log_digest(got) == flow_log_digest_loop(want)
+            assert repr(report) == repr(twin_report)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_gateway_matches_loops_on_lan(self, lan_logs, pooled):
+        sim, log = lan_logs("default", 1)
+        half = sim.duration_s / 2
+        ids = [d.device_id for d in sim.devices]
+        live = [log] + [
+            inject_compromise(
+                log, Compromise(device, kind, half + 3600.0), sim.duration_s, ids, 5
+            )
+            for kind, device in (
+                (CompromiseKind.DDOS, "camera-1"),
+                (CompromiseKind.EXFILTRATION, "thermostat-1"),
+                (CompromiseKind.LATERAL_SCAN, "smart_plug-1"),
+            )
+        ]
+        # an unknown device and a known one reaching a new endpoint
+        rogue = Flow(half + 10.0, "rogue", "evil.example", 443,
+                     Direction.OUTBOUND, 1000, 1000, 10, 1.0)
+        odd = replace(rogue, device_id="camera-1", endpoint="never-seen.example")
+        live += [FlowLog.concat([log, FlowLog([f])]).sorted() for f in (rogue, odd)]
+        types = {d.device_id: d.device_type.value for d in sim.devices}
+        self._same_gateway(
+            log.in_window(0.0, half), live, sim.duration_s, half,
+            types if pooled else None,
+        )
+
+    def test_gateway_matches_loops_on_crafted_logs(self):
+        # out-of-order times outside the horizon, lateral flows, and a
+        # device (dev-3 in some logs) the training log may not have seen
+        window_s, n_windows = 1800.0, 5
+        for seed in range(4):
+            train = _crafted_log(seed, window_s, n_windows)
+            live = [_crafted_log(seed + 10, window_s, n_windows), train]
+            types = {"dev-0": "a", "dev-1": "a", "dev-2": "b"}
+            for device_types in (None, types):
+                self._same_gateway(
+                    train, live, n_windows * window_s + 900.0,
+                    (n_windows - 1) * window_s, device_types,
+                )
 
 
 #: each shaper class's per-flow loop in ``repro.netpriv._reference``
