@@ -121,7 +121,8 @@ class FlowLog:
     def from_columns(
         cls, device_ids: Sequence[str], endpoints: Sequence[str], **columns
     ) -> "FlowLog":
-        """A log from whole columns (a scalar stands for a constant column).
+        """A log from whole columns: ``time_s`` sets the length, and a
+        scalar in any other column stands for a constant column.
 
         Refuses what :class:`Flow` refuses, once per column: a non-finite
         time, a negative byte or packet count, a NaN or negative
@@ -131,7 +132,7 @@ class FlowLog:
         log._set(device_ids, endpoints, **columns)
         if not np.isfinite(log.time_s).all():
             raise ValueError("flow time must be finite")
-        if any((log.__dict__[n] < 0).any() for n in ("bytes_up", "bytes_down", "packets")):
+        if any((getattr(log, n) < 0).any() for n in ("bytes_up", "bytes_down", "packets")):
             raise ValueError("byte/packet counts cannot be negative")
         if not (log.duration_s >= 0).all():  # also refuses NaN
             raise ValueError("duration must be a non-negative number")
@@ -140,7 +141,7 @@ class FlowLog:
             ("endpoint", log.endpoints),
             ("direction", DIRECTIONS),
         ):
-            codes = log.__dict__[name]
+            codes = getattr(log, name)
             if len(codes) and not 0 <= codes.min() <= codes.max() < len(table):
                 raise ValueError(f"a {name} code indexes no name")
         return log
@@ -160,7 +161,7 @@ class FlowLog:
 
     def columns(self) -> dict[str, np.ndarray]:
         """The nine columns by name, as :meth:`from_columns` takes them."""
-        return {name: self.__dict__[name] for name in COLUMNS}
+        return {name: getattr(self, name) for name in COLUMNS}
 
     def replaced(self, **columns) -> "FlowLog":
         """This log with the given columns swapped in; the name tables are
@@ -172,11 +173,10 @@ class FlowLog:
     def take(self, index: np.ndarray) -> "FlowLog":
         """The flows at ``index`` (positions or a mask), in that order."""
         log = FlowLog.__new__(FlowLog)
-        columns = self.columns()
         log._set(
             self.device_ids,
             self.endpoints,
-            **{name: column[index] for name, column in columns.items()},
+            **{name: column[index] for name, column in self.columns().items()},
         )
         return log
 

@@ -46,6 +46,43 @@ class TestFlows:
         with pytest.raises(ValueError):
             Flow(time_s, "d", "e", 443, Direction.OUTBOUND, 9000, 0, 1, duration_s)
 
+    #: two valid flows as columns, for the refusal cases to spoil
+    GOOD_COLUMNS = dict(
+        time_s=[0.0, 1.0], device=[0, 0], endpoint=[0, 0], port=[443, 80],
+        direction=[0, 2], bytes_up=[1, 2], bytes_down=[3, 4], packets=[5, 0],
+        duration_s=[0.5, 0.0],
+    )
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [("time_s", float("nan")), ("time_s", float("inf")), ("bytes_up", -1),
+         ("bytes_down", -1), ("packets", -1), ("duration_s", float("nan")),
+         ("duration_s", -1.0), ("device", 1), ("endpoint", -1), ("direction", 3)],
+    )
+    def test_column_built_log_refuses_what_a_flow_refuses(self, column, value):
+        assert len(FlowLog.from_columns(["d"], ["e"], **self.GOOD_COLUMNS)) == 2
+        spoiled = {**self.GOOD_COLUMNS, column: [self.GOOD_COLUMNS[column][0], value]}
+        with pytest.raises(ValueError):
+            FlowLog.from_columns(["d"], ["e"], **spoiled)
+
+    def test_records_round_trip_through_columns(self):
+        flows = [
+            Flow(10.0, "a", "x", 443, Direction.OUTBOUND, 1, 2, 3, 0.1),
+            Flow(5.0, "b", "y", 80, Direction.LATERAL, 4, 5, 6, 0.2),
+            Flow(5.0, "a", "y", 8080, Direction.INBOUND, 7, 8, 0, 300.0),
+        ]
+        log = FlowLog(flows)
+        assert log.flows == flows and list(log) == flows
+        # ties keep their order; merged name tables keep every name once
+        assert log.sorted().flows == [flows[1], flows[2], flows[0]]
+        other = FlowLog([Flow(1.0, "c", "x", 1, Direction.OUTBOUND, 0, 0, 0, 0.0)])
+        both = FlowLog.concat([log, other])
+        assert both.flows == flows + other.flows
+        assert (both.device_ids, both.endpoints) == (["a", "b", "c"], ["x", "y"])
+        log.extend(other)
+        log.sort()
+        assert log.flows == [other.flows[0], flows[1], flows[2], flows[0]]
+
     def test_log_filtering(self):
         flows = [
             Flow(10.0, "a", "x", 443, Direction.OUTBOUND, 1, 1, 1, 0.1),
