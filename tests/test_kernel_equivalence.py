@@ -29,8 +29,8 @@ each production kernel to its reference:
 
 The netpriv pins cover the columnar ``FlowLog`` paths: simulated LANs,
 the four shapers, the device and occupancy window features, the naive
-occupancy attack and the log digest, each against its per-record loop
-in ``repro.netpriv._reference``.
+occupancy attack, the log digest and the smart gateway's two passes,
+each against its per-record loop in ``repro.netpriv._reference``.
 
 The perf tests at the bottom hold the six speedup floors with best-of-N
 timing: vectorized HMM fit+decode, bound-pruned FHMM joint-space decode
@@ -124,6 +124,7 @@ from repro.netpriv.devices import Device as NetDevice
 from repro.netpriv.devices import DeviceType
 from repro.netpriv.fingerprint import DeviceFingerprinter, device_window_features
 from repro.netpriv.flows import Direction, Flow, FlowLog, flow_log_digest
+from repro.netpriv.gateway import SmartGateway
 from repro.netpriv.lan import simulate_lan
 from repro.netpriv.shaping import (
     ConstantRatePadding,
@@ -133,7 +134,6 @@ from repro.netpriv.shaping import (
     TrafficShaper,
     make_shaper,
 )
-from repro.netpriv.gateway import SmartGateway
 from repro.netpriv.threats import (
     Compromise,
     CompromiseKind,
@@ -682,7 +682,6 @@ class TestNetprivEquivalence:
                     devices, duration_s, 7,
                 )
 
-
     @pytest.mark.parametrize("lan", ["small", "default"])
     @pytest.mark.parametrize("days", [1, 2])
     def test_simulated_lan_matches_loop(self, lan, days):
@@ -751,11 +750,14 @@ class TestNetprivEquivalence:
             for t in (-5.0, 100.0, 7300.0)
         ]
         for shaper in (ConstantRatePadding(1.0), TrafficShaper(1.2, 0.0)):
-            got, _ = shaper.shape(FlowLog(events), [cam], duration_s, 3)
+            got, report = shaper.shape(FlowLog(events), [cam], duration_s, 3)
             want, _ = _SHAPE_LOOPS[type(shaper)](
                 shaper, FlowLog(events), [cam], duration_s, 3
             )
             assert flow_log_digest(got) == flow_log_digest_loop(want)
+            # the same cover as for the in-range event alone
+            _, alone = shaper.shape(FlowLog(events[1:2]), [cam], duration_s, 3)
+            assert repr(report) == repr(alone)
 
     @pytest.mark.parametrize(
         "shaper", [None, "cover@1", "constant-rate@0.5", "merge@1", "jitter@1"]
